@@ -344,6 +344,17 @@ def _torelli_quotients_match_W():
     )
 
 
+def _gamma_exponents_are_cmtype():
+    for d in range(3, 13):
+        exponents = covers.fermat_gamma_invariants(d)
+        field = make_cyclotomic(d)
+        if exponents != list(range(1, (d - 1) // 2 + 1)):
+            return False
+        if {a for a in exponents if field.is_unit(a)} != set(field.sigma0):
+            return False
+    return True
+
+
 def _covermap_mutations():
     import sympy as sp
 
@@ -458,8 +469,7 @@ def all_claims() -> tuple[Claim, ...]:
               lambda: [covers.gamma_invariant_h1_dimension(d) for d in GRID_D]),
         Claim("gamma.exponents_are_cmtype", "3.2", "fermat-curve", "paper",
               True,
-              lambda: all(covers.fermat_gamma_invariants(d) is not None
-                          for d in range(3, 13))),
+              _gamma_exponents_are_cmtype),
         # --- dimension identities
         Claim("lemma3.7.kondo", "3.7", "dims", "paper", [60, [18, 42]],
               lambda: _lemma37_example(4, 2)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import ceil, gcd
 from typing import NamedTuple, Union
 
-from .cyclotomic import CyclotomicData, all_cm_types, make_cyclotomic
+from .cyclotomic import CyclotomicData, InvariantError, all_cm_types, make_cyclotomic
 from .hodge import (
     AbelianSummary,
     CMHodgeStructure,
@@ -138,7 +138,8 @@ def secondary_parts(spec: CoverSpec) -> list[tuple[int, CMHodgeStructure]]:
     for e in orders:
         residues = [i for i in range(1, d) if d // gcd(i, d) == e]
         parts.append((e, full.restrict_residues(residues)))
-    assert sum(part.rank for _, part in parts) == full.rank
+    if sum(part.rank for _, part in parts) != full.rank:
+        raise InvariantError(f"order parts of {spec} do not add up to rank {full.rank}")
     return parts
 
 
@@ -176,14 +177,17 @@ def qt_decompose(spec: CoverSpec) -> QTDecomposition:
         raise ValueError("normal form needs k >= 1")
     q = ceil((k + 2) / d) - 1
     t = k - q * d
-    assert -1 <= t <= d - 2
+    if not -1 <= t <= d - 2:
+        raise InvariantError(f"normal form of {spec} has t={t} outside [-1, {d - 2}]")
     dims = eigenspace_dims(d, k)
     top = k - q
-    assert any(dims[(top, i)] for i in range(1, d)), "extremal piece is zero"
+    if not any(dims[(top, i)] for i in range(1, d)):
+        raise InvariantError(f"extremal piece p={top} of {spec} is zero")
     for p in range(top + 1, k + 1):
-        assert all(dims[(p, i)] == 0 for i in range(1, d)), (
-            f"nonzero piece above the extremal one at p={p}"
-        )
+        if any(dims[(p, i)] for i in range(1, d)):
+            raise InvariantError(
+                f"{spec} has a nonzero piece above the extremal one at p={p}"
+            )
     return QTDecomposition(q=q, t=t)
 
 
@@ -361,7 +365,8 @@ def fermat_gamma_invariants(d: int) -> list[int]:
     holomorphic forms of the Fermat curve under the extra order-d
     symmetry: forms are indexed by (a, b) with a + b <= d - 3 and the
     invariant ones have a = b mod d.  The result must be 1..floor((d-1)/2)
-    and its unit members must be exactly the CM-type."""
+    and its unit members must be exactly the CM-type; `InvariantError`
+    otherwise."""
     field = make_cyclotomic(d)
     exponents = sorted(
         a + 1
@@ -369,9 +374,10 @@ def fermat_gamma_invariants(d: int) -> list[int]:
         for b in range(d - 2 - a)
         if (a - b) % d == 0
     )
-    assert exponents == list(range(1, (d - 1) // 2 + 1))
-    units_among = {a for a in exponents if field.is_unit(a)}
-    assert units_among == set(field.sigma0)
+    if exponents != list(range(1, (d - 1) // 2 + 1)):
+        raise InvariantError(f"invariant exponents of d={d} are {exponents}")
+    if {a for a in exponents if field.is_unit(a)} != set(field.sigma0):
+        raise InvariantError(f"unit exponents of d={d} are not the CM-type")
     return exponents
 
 

@@ -23,6 +23,12 @@ class InvalidEmbeddingError(ValueError):
     """Residue is not a unit mod d, so it indexes no embedding."""
 
 
+class InvariantError(RuntimeError):
+    """An identity that the mathematics guarantees failed to hold: a
+    defect in this package, never a bad input.  Raised explicitly, so
+    the check survives ``python -O``."""
+
+
 @dataclass(frozen=True)
 class CyclotomicData:
     """The degree d, its unit group (ascending) and the CM-type sigma0."""
@@ -47,9 +53,9 @@ def make_cyclotomic(d: int) -> CyclotomicData:
         raise InvalidDegreeError(f"degree must be >= 3, got {d}")
     units = tuple(a for a in range(1, d) if gcd(a, d) == 1)
     sigma0 = frozenset(a for a in units if 2 * a < d)
-    data = CyclotomicData(d=d, units=units, sigma0=sigma0)
-    assert len(sigma0) * 2 == len(units)
-    return data
+    if len(sigma0) * 2 != len(units):
+        raise InvariantError(f"CM-type of d={d} misses a conjugate pair")
+    return CyclotomicData(d=d, units=units, sigma0=sigma0)
 
 
 def conjugate(field: CyclotomicData, a: int) -> int:

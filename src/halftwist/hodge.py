@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .cyclotomic import CyclotomicData, conjugate_residue
+from .cyclotomic import CyclotomicData, InvariantError, conjugate_residue
 
 
 class EmptyStructureError(ValueError):
@@ -368,5 +368,6 @@ def abelian_summary(structure: CMHodgeStructure) -> AbelianSummary:
         a: (structure.entry(1, a), structure.entry(1, field.d - a))
         for a in sorted(field.sigma0)
     }
-    assert sum(m + mbar for (m, mbar) in signature.values()) == dim
+    if sum(m + mbar for (m, mbar) in signature.values()) != dim:
+        raise InvariantError(f"CM signature {signature} does not add up to dim {dim}")
     return AbelianSummary(dim_abelian=dim, signature=signature)

@@ -10,6 +10,14 @@ Two independent routes exist for every count: a closed form by
 inclusion-exclusion and a literal enumeration (tuple listing for small
 search spaces, an exact integer convolution otherwise).  Tests sweep
 their agreement; neither route is ever collapsed into the other.
+
+Every rank is computed by one sparse fraction-free eliminator,
+`sparse_rank`, on rows stored as {column: value} maps; `exact_rank` is
+its front end for dense rows.  The matrices of the W ladder are built
+straight from their combinatorics and are almost empty: every relation
+row of a ladder quotient is a unit vector, and every column of the
+Torelli matrix has exactly one nonzero entry.  The second fact is
+checked each time the Torelli matrix is built.
 """
 
 from __future__ import annotations
@@ -17,10 +25,12 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, product
-from math import comb, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, product
+from math import comb, gcd, lcm
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+from .cyclotomic import InvariantError
 
 
 class UnsupportedCaseError(ValueError):
@@ -258,56 +268,85 @@ def sf_multiply(a: SquareFreeElement, b: SquareFreeElement) -> SquareFreeElement
 
 
 # ---------------------------------------------------------------------------
-# exact rank (fraction-free Gaussian elimination)
+# exact rank (sparse fraction-free elimination)
+
+
+def sparse_rank(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
+    """Rank over the rationals of rows given as {column: value} maps.
+
+    Each row is scaled to coprime integers, then reduced against an
+    echelon of earlier rows keyed by their leading (smallest) column.
+    A reduction step is fraction-free, ``b * row - a * pivot``, and is
+    followed by division by the content, so the integers stay small and
+    nothing is ever rounded.  Zero entries may be present or omitted.
+    Rows whose leading columns are all distinct, as in the W ladder and
+    the Torelli matrix, enter the echelon without a single reduction.
+    """
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec = _primitive(_integer_row(row))
+        while vec:
+            lead = min(vec)
+            pivot = echelon.get(lead)
+            if pivot is None:
+                echelon[lead] = vec
+                break
+            vec = _eliminate(vec, pivot, lead)
+    return len(echelon)
+
+
+def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """The nonzero entries of a rational row, times the lcm of their
+    denominators."""
+    entries = {col: x for col, x in row.items() if x}
+    if all(isinstance(x, int) for x in entries.values()):
+        return entries
+    fracs = {col: Fraction(x) for col, x in entries.items()}
+    scale = lcm(*(f.denominator for f in fracs.values()))
+    return {col: f.numerator * (scale // f.denominator) for col, f in fracs.items()}
+
+
+def _primitive(vec: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*vec.values())
+    return {col: x // g for col, x in vec.items()} if g > 1 else vec
+
+
+def _eliminate(vec: dict[int, int], pivot: dict[int, int], lead: int) -> dict[int, int]:
+    """`vec` with its `lead` entry cleared by a multiple of `pivot`."""
+    g = gcd(vec[lead], pivot[lead])
+    a, b = vec[lead] // g, pivot[lead] // g
+    out = {col: b * x for col, x in vec.items()}
+    for col, x in pivot.items():
+        out[col] = out.get(col, 0) - a * x
+    return _primitive({col: x for col, x in out.items() if x})
 
 
 def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals by Bareiss fraction-free elimination.
-
-    Rows are scaled to integers first; all intermediate divisions are
-    exact, so the result is never subject to rounding.
-    """
-    matrix: list[list[int]] = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        matrix.append([int(f * scale) for f in fracs])
-    if not matrix or not matrix[0]:
-        return 0
-    n_rows, n_cols = len(matrix), len(matrix[0])
-    rank = 0
-    prev_pivot = 1
-    for col in range(n_cols):
-        pivot_row = next(
-            (r for r in range(rank, n_rows) if matrix[r][col]), None
-        )
-        if pivot_row is None:
-            continue
-        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
-        pivot = matrix[rank][col]
-        for r in range(rank + 1, n_rows):
-            # Bareiss: update every row, zero factor included, so the
-            # exact-division invariant survives to the next step.
-            factor = matrix[r][col]
-            row_r, row_p = matrix[r], matrix[rank]
-            for c in range(col + 1, n_cols):
-                row_r[c] = (pivot * row_r[c] - factor * row_p[c]) // prev_pivot
-            row_r[col] = 0
-        prev_pivot = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    """Rank over the rationals of a dense matrix, given row by row; the
+    dense front end of `sparse_rank`."""
+    return sparse_rank(dict(enumerate(row)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
 # the W-ladder quotients (d = 3) and the period-map differential
+
+# A sparse matrix row: its nonzero entries as (column, value) pairs in
+# column order, immutable so that the quotients holding it stay hashable.
+SparseRow = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class GradedQuotient:
     """One rung of the W ladder, presented as ambient square-free
     monomials modulo explicit relation rows.
+
+    Each relation row is a `SparseRow` over the columns of
+    `ambient_basis`.  In the ladder every relation row is a unit vector
+    (one ambient monomial carrying exactly one cover variable), and
+    distinct relations hit distinct monomials; the rank is still
+    computed by elimination, never read off that structure.
+    `relation_rank` is computed once per quotient.
 
     `basis` is the candidate basis (monomials in the base variables
     alone, plus the products carrying both cover variables); it is
@@ -319,13 +358,13 @@ class GradedQuotient:
 
     degree: int
     ambient_basis: tuple[tuple[int, ...], ...]
-    relation_rows: tuple[tuple[int, ...], ...]
+    relation_rows: tuple[SparseRow, ...]
     basis: tuple[tuple[int, ...], ...]
     alternative_basis_count: int
 
-    @property
+    @cached_property
     def relation_rank(self) -> int:
-        return exact_rank(self.relation_rows) if self.relation_rows else 0
+        return sparse_rank(dict(row) for row in self.relation_rows)
 
     @property
     def dimension(self) -> int:
@@ -339,13 +378,11 @@ class GradedQuotient:
         if not self.basis:
             return True
         index = {mono: j for j, mono in enumerate(self.ambient_basis)}
-        unit_rows = []
-        for mono in self.basis:
-            row = [0] * len(self.ambient_basis)
-            row[index[mono]] = 1
-            unit_rows.append(tuple(row))
-        combined = list(self.relation_rows) + unit_rows
-        return exact_rank(combined) == self.relation_rank + len(self.basis)
+        combined = chain(
+            (dict(row) for row in self.relation_rows),
+            ({index[mono]: 1} for mono in self.basis),
+        )
+        return sparse_rank(combined) == self.relation_rank + len(self.basis)
 
 
 def _empty_quotient(m: int) -> GradedQuotient:
@@ -357,10 +394,10 @@ def build_w_quotient(k: int, p: int) -> GradedQuotient:
 
     Ambient: square-free monomials in x_0..x_{k+2}.  Relations: every
     multiple of a cover variable x_{k+1} or x_{k+2} by a square-free
-    monomial in the base variables x_0..x_k.  The quotient therefore
-    keeps exactly the monomials with no cover variable or with both, and
-    its dimension must reproduce the corresponding entry of the W table
-    built by the tensor construction.
+    monomial in the base variables x_0..x_k, one unit row per product.
+    The quotient therefore keeps exactly the monomials with no cover
+    variable or with both, and its dimension must reproduce the
+    corresponding entry of the W table built by the tensor construction.
     """
     if k < 2:
         raise UnsupportedCaseError(f"ladder needs k >= 2, got {k}")
@@ -372,36 +409,23 @@ def build_w_quotient(k: int, p: int) -> GradedQuotient:
     cover = (k + 1, k + 2)
     ambient = tuple(combinations(range(n_vars), m))
     index = {mono: j for j, mono in enumerate(ambient)}
-    rows = []
-    for mu in (combinations(base, m - 1) if m >= 1 else ()):
-        for c in cover:
-            row = [0] * len(ambient)
-            row[index[tuple(sorted(mu + (c,)))]] = 1
-            rows.append(tuple(row))
+    # cover variables come after every base variable, so mu + (c,) is
+    # already the sorted monomial
+    rows = tuple(
+        ((index[mu + (c,)], 1),)
+        for mu in (combinations(base, m - 1) if m >= 1 else ())
+        for c in cover
+    )
     basis = tuple(
         mono for mono in ambient if len(set(mono) & set(cover)) in (0, 2)
     )
     alt = comb(k, m) + (comb(k, m - 2) if m >= 2 else 0)
-    return GradedQuotient(m, ambient, tuple(rows), basis, alt)
+    return GradedQuotient(m, ambient, rows, basis, alt)
 
 
 def w_ladder_steps(k: int) -> list[int]:
     """The p values whose ladder degree 3p + 3 - k is in range."""
     return [p for p in range(k + 2) if 0 <= 3 * p + 3 - k <= k + 3]
-
-
-def _quotient_product(
-    mono: tuple[int, ...], cubic_mono: frozenset[int], cover: set[int]
-) -> Optional[tuple[int, ...]]:
-    """Product of a quotient basis monomial with a base-variable cubic;
-    None when a square appears (x_i^2 = 0) or the result leaves the
-    quotient (exactly one cover variable cannot occur here)."""
-    s = set(mono)
-    if s & cubic_mono:
-        return None
-    out = tuple(sorted(s | cubic_mono))
-    assert len(set(out) & cover) in (0, 2)
-    return out
 
 
 def torelli_deformation_dimension(k: int) -> int:
@@ -410,48 +434,58 @@ def torelli_deformation_dimension(k: int) -> int:
     return comb(k + 1, 3)
 
 
-def _torelli_vector(
-    k: int,
-    cubic: frozenset[int],
-    quotients: dict[int, GradedQuotient],
-) -> dict[tuple[int, tuple, tuple], int]:
-    """Nonzero entries of the tuple of multiplication maps induced by a
-    single square-free cubic monomial, keyed by (p, in, out)."""
-    cover = {k + 1, k + 2}
-    entries: dict[tuple[int, tuple, tuple], int] = {}
+def _torelli_entries(
+    k: int, quotients: dict[int, GradedQuotient]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, tuple, tuple]]]:
+    """Nonzero entries of the multiplication maps along the W ladder, as
+    (cubic, (p, in, out)): `in` is a basis monomial of rung p, the cubic
+    is square-free in the base variables x_0..x_k, and `out` = in * cubic.
+    Cubics meeting `in` give x_i^2 = 0 and are skipped without being
+    formed.  Since the cubic carries no cover variable, `out` must be a
+    basis monomial of rung p + 1; `InvariantError` if it is not."""
     for p, source in quotients.items():
         target = quotients.get(p + 1)
         if target is None:
             continue
         target_set = set(target.basis)
         for mono in source.basis:
-            out = _quotient_product(mono, cubic, cover)
-            if out is not None and out in target_set:
-                entries[(p, mono, out)] = 1
-    return entries
+            free = [x for x in range(k + 1) if x not in mono]
+            for cubic in combinations(free, 3):
+                out = tuple(sorted(mono + cubic))
+                if out not in target_set:
+                    raise InvariantError(
+                        f"{mono} times the cubic {cubic} leaves rung {p + 1}"
+                    )
+                yield cubic, (p, mono, out)
+
+
+def _ladder_quotients(k: int) -> dict[int, GradedQuotient]:
+    return {p: build_w_quotient(k, p) for p in w_ladder_steps(k)}
 
 
 def torelli_differential_rank(k: int) -> int:
     """Exact rank of the period-map differential of the cubic (k-1)-fold
     at the Fermat point: a deformation cubic goes to the tuple of
     multiplication maps along the W ladder.  Rank equal to the
-    deformation dimension means the differential is injective."""
+    deformation dimension means the differential is injective.
+
+    The matrix has a row per cubic and a column per (p, in, out).  Every
+    column has exactly one nonzero, since `out` and its factor `in` fix
+    the cubic `out \\ in`; that is checked here, and a column met twice
+    raises `InvariantError`.
+    """
     if k <= 3 or k % 3 != 1:
         raise UnsupportedCaseError(
             f"rank computation needs k = 3q + 1 with k > 3, got {k}"
         )
-    quotients = {p: build_w_quotient(k, p) for p in w_ladder_steps(k)}
-    cubics = [frozenset(c) for c in combinations(range(k + 1), 3)]
-    vectors = [_torelli_vector(k, g, quotients) for g in cubics]
-    columns = sorted({key for vec in vectors for key in vec})
-    col_index = {key: j for j, key in enumerate(columns)}
-    rows = []
-    for vec in vectors:
-        row = [0] * len(columns)
-        for key, val in vec.items():
-            row[col_index[key]] = val
-        rows.append(row)
-    return exact_rank(rows)
+    rows: dict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
+    col_index: dict[tuple[int, tuple, tuple], int] = {}
+    for cubic, key in _torelli_entries(k, _ladder_quotients(k)):
+        if key in col_index:
+            raise InvariantError(f"Torelli column {key} has more than one nonzero")
+        col_index[key] = len(col_index)
+        rows[cubic][col_index[key]] = 1
+    return sparse_rank(rows.values())
 
 
 def torelli_witness_nonzero(k: int, cubic: Optional[frozenset[int]] = None) -> bool:
@@ -459,8 +493,12 @@ def torelli_witness_nonzero(k: int, cubic: Optional[frozenset[int]] = None) -> b
     nonzero tuple of multiplication maps."""
     if cubic is None:
         cubic = frozenset({0, 1, 2})
-    quotients = {p: build_w_quotient(k, p) for p in w_ladder_steps(k)}
-    return bool(_torelli_vector(k, cubic, quotients))
+    if len(cubic) != 3 or not cubic <= set(range(k + 1)):
+        raise UnsupportedCaseError(
+            f"need a square-free cubic in x_0..x_{k}, got {sorted(cubic)}"
+        )
+    wanted = tuple(sorted(cubic))
+    return any(c == wanted for c, _ in _torelli_entries(k, _ladder_quotients(k)))
 
 
 # ---------------------------------------------------------------------------

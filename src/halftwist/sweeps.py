@@ -7,8 +7,10 @@ rendering, which makes the output independent of the worker count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import Optional
 
 from . import covers, hodge, jacobian
 from .covers import CoverSpec
@@ -155,14 +157,30 @@ def _run_cell(args: tuple[str, int, int]) -> SweepCell:
     return run_check(*args)
 
 
+def worker_count(jobs: int, cells: int, cpus: Optional[int]) -> int:
+    """Worker processes for a sweep of `cells` cells: `jobs`, but never
+    more than the cells or the `cpus` cores (unknown counts as one)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, cells, cpus or 1))
+
+
 def run_sweep(
     check: str, d_max: int = 9, k_max: int = 7, jobs: int = 1
 ) -> list[SweepCell]:
+    """Run one check over the grid 3 <= d <= d_max, 1 <= k <= k_max.
+    Bad arguments, an empty grid included, raise ValueError before any
+    cell runs."""
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
     cells = [(check, d, k) for d in range(3, d_max + 1) for k in range(1, k_max + 1)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    if not cells:
+        raise ValueError(
+            f"empty grid: need d_max >= 3 and k_max >= 1, got {d_max} and {k_max}"
+        )
+    workers = worker_count(jobs, len(cells), os.cpu_count())
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.map(_run_cell, cells)
     else:
         results = [_run_cell(cell) for cell in cells]

@@ -1,6 +1,6 @@
 import json
 
-from halftwist import claims
+from halftwist import claims, covers
 
 
 def test_ledger_is_large_enough():
@@ -85,3 +85,10 @@ def test_crashing_claim_reports_failure():
     report = claims.evaluate(claim)
     assert report.status == claims.STATUS_FAIL
     assert "broken computation" in report.computed
+
+
+def test_gamma_exponent_claim_compares_the_exponents(monkeypatch):
+    claim = next(c for c in claims.all_claims() if c.claim_id == "gamma.exponents_are_cmtype")
+    assert claims.evaluate(claim).status == claims.STATUS_PASS
+    monkeypatch.setattr(covers, "fermat_gamma_invariants", lambda d: [1])
+    assert claims.evaluate(claim).status == claims.STATUS_FAIL

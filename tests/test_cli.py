@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from halftwist import cli
-from halftwist.sweeps import CHECKS, run_sweep
+from halftwist.sweeps import CHECKS, run_sweep, worker_count
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +134,24 @@ def test_verify_output_is_stable(capsys):
     assert first == second
 
 
+def test_verify_statuses_survive_optimized_mode(capsys):
+    # python -O strips assert statements; no claim may depend on one
+    _, expected, _ = run_cli(capsys, "verify")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "halftwist.cli", "verify"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "65 claims: 60 pass, 5 known discrepancies, 0 failures"
+    )
+    assert proc.stdout == expected
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -140,6 +162,37 @@ def test_sweep_all_checks_pass_small_grid(capsys):
             capsys, "sweep", "--check", check, "--d-max", "5", "--k-max", "3"
         )
         assert code == 0, (check, out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--d-max", "2"],
+        ["--k-max", "0"],
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+    ],
+)
+def test_sweep_rejects_bad_input_before_running(capsys, monkeypatch, argv):
+    def no_cell_may_run(_args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("halftwist.sweeps._run_cell", no_cell_may_run)
+    code, out, err = run_cli(capsys, "sweep", "--check", "w-rank", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_worker_count_is_clamped():
+    assert worker_count(1, 100, 8) == 1
+    assert worker_count(4, 100, 8) == 4
+    assert worker_count(10**6, 100, 8) == 8
+    assert worker_count(10**6, 3, 8) == 3
+    assert worker_count(5, 100, None) == 1
+    for jobs in (0, -1):
+        with pytest.raises(ValueError):
+            worker_count(jobs, 100, 8)
 
 
 def test_sweep_unknown_check_is_usage_error(capsys):

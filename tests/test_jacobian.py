@@ -1,10 +1,13 @@
 from fractions import Fraction
 from itertools import product
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halftwist import jacobian
+from halftwist.cyclotomic import InvariantError
 from halftwist.jacobian import (
     MonomialCountQuery,
     SquareFreeElement,
@@ -17,6 +20,7 @@ from halftwist.jacobian import (
     hypersurface_hodge_numbers,
     sf_multiply,
     shioda_tuple_count,
+    sparse_rank,
     torelli_deformation_dimension,
     torelli_differential_rank,
     torelli_witness_nonzero,
@@ -294,6 +298,93 @@ def test_rank_matches_sympy(rows):
     assert exact_rank(rows) == sympy.Matrix(rows).rank()
 
 
+def bareiss_rank(rows):
+    """Dense oracle: rank over the rationals by Bareiss fraction-free
+    elimination (Bareiss 1968) on integer-scaled rows; every division
+    in the loop is exact."""
+    matrix = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
+        matrix.append([int(f * scale) for f in fracs])
+    if not matrix or not matrix[0]:
+        return 0
+    n_rows, n_cols = len(matrix), len(matrix[0])
+    rank = 0
+    prev_pivot = 1
+    for col in range(n_cols):
+        pivot_row = next((r for r in range(rank, n_rows) if matrix[r][col]), None)
+        if pivot_row is None:
+            continue
+        matrix[rank], matrix[pivot_row] = matrix[pivot_row], matrix[rank]
+        pivot = matrix[rank][col]
+        for r in range(rank + 1, n_rows):
+            # update every row, zero factor included, so the
+            # exact-division invariant survives to the next step
+            factor = matrix[r][col]
+            row_r, row_p = matrix[r], matrix[rank]
+            for c in range(col + 1, n_cols):
+                row_r[c] = (pivot * row_r[c] - factor * row_p[c]) // prev_pivot
+            row_r[col] = 0
+        prev_pivot = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices, wide or tall, with negative entries and
+    with zero and duplicate rows spliced in."""
+    n_cols = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(min_value=-5, max_value=5),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), max_size=7))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        spliced = [0] * n_cols
+        if rows and draw(st.booleans()):
+            spliced = list(draw(st.sampled_from(rows)))
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), spliced)
+    return rows
+
+
+@given(rational_matrices(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sparse_rank_matches_dense_oracle(rows, keep_zeros):
+    expected = bareiss_rank(rows)
+    sparse = [
+        {col: x for col, x in enumerate(row) if keep_zeros or x} for row in rows
+    ]
+    assert sparse_rank(sparse) == expected
+    assert exact_rank(rows) == expected
+
+
+def test_bareiss_oracle_known_matrices():
+    assert bareiss_rank([]) == 0
+    assert bareiss_rank([[1, 2], [2, 4]]) == 1
+    assert bareiss_rank([[2, 0, 1], [0, 3, 0], [2, 3, 1]]) == 2
+    assert bareiss_rank([[1, 1], [1, 1 + Fraction(1, 10**40)]]) == 2
+
+
+def test_sparse_rank_reduces_dependent_rows():
+    # every row shares its leading column with the one before, so each
+    # row is reduced; the last three are combinations of the first two
+    rows = [
+        {0: 6, 1: 4},
+        {0: 9, 2: Fraction(3, 2)},
+        {0: 3, 1: 2},
+        {1: 4, 2: Fraction(-1, 1)},
+        {0: 12, 1: 8, 2: 0},
+    ]
+    assert sparse_rank(rows) == 2
+    assert sparse_rank(rows[:1] + rows[2:3] + rows[4:]) == 1
+    assert sparse_rank([{}, {5: 0}]) == 0
+
+
 # ---------------------------------------------------------------------------
 # the W ladder
 
@@ -328,10 +419,41 @@ def test_narrower_basis_count_is_flagged():
 def test_ladder_matches_tensor_W_table():
     from halftwist.covers import CoverSpec, build_W
 
-    for k in range(2, 8):
+    for k in range(2, 11):
         table = build_W(CoverSpec(3, k)).hodge_numbers()
         for p in w_ladder_steps(k):
-            assert build_w_quotient(k, p).dimension == table.get(k - p, 0), (k, p)
+            q = build_w_quotient(k, p)
+            assert q.dimension == table.get(k - p, 0), (k, p)
+            assert q.basis_matches_dimension(), (k, p)
+            assert q.basis_is_independent(), (k, p)
+
+
+def test_relation_rows_are_sparse_unit_rows():
+    q = build_w_quotient(7, 3)
+    assert q.relation_rows and len(set(q.relation_rows)) == len(q.relation_rows)
+    for row in q.relation_rows:
+        ((col, value),) = row
+        assert value == 1
+        assert len({8, 9} & set(q.ambient_basis[col])) == 1
+    hash(q)
+
+
+def test_relation_rank_is_eliminated_once_per_quotient(monkeypatch):
+    calls = []
+
+    def counting_rank(rows):
+        calls.append(None)
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(jacobian, "sparse_rank", counting_rank)
+    q = build_w_quotient(7, 3)
+    assert q.dimension == q.dimension == 112
+    assert q.basis_matches_dimension()
+    assert len(calls) == 1
+    assert q.basis_is_independent()  # its own elimination, relations + basis
+    assert len(calls) == 2
+    assert q.relation_rank == len(q.relation_rows)
+    assert len(calls) == 2
 
 
 def test_ladder_needs_k_at_least_two():
@@ -361,6 +483,40 @@ def test_witness_cubic_is_nonzero():
 
 def test_differential_rank_k4():
     assert torelli_differential_rank(4) == 10
+
+
+def test_differential_rank_is_injective_at_higher_levels():
+    assert torelli_differential_rank(7) == comb(8, 3) == 56
+    assert torelli_differential_rank(10) == comb(11, 3) == 165
+
+
+def test_shared_torelli_column_is_rejected(monkeypatch):
+    entries = jacobian._torelli_entries
+
+    def first_entry_twice(k, quotients):
+        stream = entries(k, quotients)
+        first = next(stream)
+        yield first
+        yield (0, 1, 3), first[1]
+        yield from stream
+
+    monkeypatch.setattr(jacobian, "_torelli_entries", first_entry_twice)
+    with pytest.raises(InvariantError, match="more than one nonzero"):
+        torelli_differential_rank(4)
+
+
+def test_product_leaving_the_ladder_is_rejected():
+    quotients = {p: build_w_quotient(4, p) for p in w_ladder_steps(4)}
+    quotients[2] = jacobian._empty_quotient(quotients[2].degree)
+    with pytest.raises(InvariantError, match="leaves rung 2"):
+        list(jacobian._torelli_entries(4, quotients))
+
+
+def test_witness_rejects_a_non_cubic():
+    with pytest.raises(UnsupportedCaseError):
+        torelli_witness_nonzero(4, frozenset({0, 1}))
+    with pytest.raises(UnsupportedCaseError):
+        torelli_witness_nonzero(4, frozenset({0, 1, 5}))
 
 
 def test_differential_rank_rejects_bad_k():
