@@ -3,20 +3,26 @@ location, its provenance, and an exact recomputation.
 
 Provenance tags: "paper" marks a value read off the source text,
 "derived" a value fixed by an independent computation (enumeration,
-recursion, exact rank), "trivial" a value forced by definitions.  Two
-claim families are pre-registered as known discrepancies: the stated
-closed form of the existence criterion for odd degree, and the stated
-degree bound for surfaces.  For those, the computed (direct) value
-disagrees with the stated one by design, and they report status
+recursion, exact rank), "trivial" a value forced by definitions.
+
+A claim over a grid of (d, k) cells runs the registered sweep check on
+every cell (`sweeps.run_check`), so the ledger and the sweeps share one
+definition of each property.
+
+Two claim families are pre-registered as known discrepancies: the
+stated closed form of the existence criterion for odd degree, and the
+stated degree bound for surfaces.  For those, the computed (direct)
+value disagrees with the stated one by design, and they report status
 "discrepancy-known" instead of "fail".
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import covers, hodge, jacobian
+from . import covers, hodge, jacobian, sweeps
 from .covers import CoverSpec
 from .cyclotomic import make_cyclotomic
 
@@ -119,7 +125,8 @@ def _matches(claim: Claim, section: Optional[str]) -> bool:
     if section is None:
         return True
     want = section.lower().lstrip("§")
-    return claim.location.lower().startswith(want) or claim.tag.lower() == want
+    loc = claim.location.lower()
+    return loc == want or loc.startswith(want + ".") or claim.tag.lower() == want
 
 
 def exit_code(reports: list[VerificationReport]) -> int:
@@ -177,53 +184,31 @@ def _printed_pattern(d: int):
     return [covers.half_twist_exists_printed(CoverSpec(d, k)) for k in GRID_K]
 
 
-def _thm_disagreements():
+def _disagreements(left, right) -> list[list[int]]:
+    """The cells [d, k] of GRID_D x GRID_K where two predicates on a
+    CoverSpec differ."""
     return [
         [d, k]
         for d in GRID_D
         for k in GRID_K
-        if covers.half_twist_exists_printed(CoverSpec(d, k))
-        != covers.half_twist_exists_direct(CoverSpec(d, k), tate=True)
+        if left(CoverSpec(d, k)) != right(CoverSpec(d, k))
     ]
 
 
-def _cor_disagreements():
-    return [
-        [d, k]
-        for d in GRID_D
-        for k in GRID_K
-        if covers.corollary_check(CoverSpec(d, k)).printed
-        != covers.corollary_check(CoverSpec(d, k)).direct
-    ]
+def _direct_tate(spec: CoverSpec) -> bool:
+    return covers.half_twist_exists_direct(spec, tate=True)
 
 
-def _even_degree_agreement():
-    return all(
-        covers.half_twist_exists_printed(CoverSpec(d, k))
-        == covers.half_twist_exists_direct(CoverSpec(d, k), tate=True)
-        for d in GRID_D
-        if d % 2 == 0
-        for k in GRID_K
-    )
+def _cor_printed(spec: CoverSpec) -> bool:
+    return covers.corollary_check(spec).printed
 
 
-def _even_degree_corollary_agreement():
-    return all(
-        covers.corollary_check(CoverSpec(d, k)).printed
-        == covers.corollary_check(CoverSpec(d, k)).direct
-        for d in GRID_D
-        if d % 2 == 0
-        for k in GRID_K
-    )
+def _cor_direct(spec: CoverSpec) -> bool:
+    return covers.corollary_check(spec).direct
 
 
-def _derived_matches_direct():
-    return all(
-        covers.half_twist_exists_derived(CoverSpec(d, k))
-        == covers.half_twist_exists_direct(CoverSpec(d, k), tate=True)
-        for d in GRID_D
-        for k in GRID_K
-    )
+def _no_even_degree(cells: list[list[int]]) -> bool:
+    return all(d % 2 for d, _ in cells)
 
 
 def _cubics_W_identity():
@@ -260,79 +245,25 @@ def _lemma37_example(d: int, k: int):
     return [total, [lower, same]]
 
 
-def _lemma37_grid():
-    return all(
-        covers.dim_identity_check(CoverSpec(d, k))
-        for d in GRID_D
-        for k in GRID_K
-        if k >= 2
-    )
+def _sweep_holds(check: str, cells) -> bool:
+    """Whether the sweep check passes on every (d, k) cell."""
+    return all(sweeps.run_check(check, d, k).ok for d, k in cells)
 
 
-def _z_checksum_grid():
-    try:
-        for d in GRID_D:
-            for k in GRID_K:
-                covers.z_decomposition(CoverSpec(d, k))
-    except ValueError:
-        return False
-    return True
+def _grid(ds, ks) -> list[tuple[int, int]]:
+    return [(d, k) for d in ds for k in ks]
 
 
-def _euler_matches_griffiths():
-    return all(
-        covers.euler_recursion_rank(CoverSpec(d, k))
-        == jacobian.primitive_middle_rank(d, k)
-        for d in GRID_D
-        for k in range(0, 8)
-    )
-
-
-def _ks_table(d: int, k: int):
-    try:
-        covers.ks_invariant_space(CoverSpec(d, k))
-    except ValueError:
-        return False
-    return True
-
-
-def _roundtrip_grid():
-    for d in range(3, 9):
-        for k in range(1, 9):
-            spec = CoverSpec(d, k)
-            V = covers.primitive_V(spec)
-            if covers.half_twist_exists_direct(spec):
-                if hodge.neg_half_twist(hodge.pos_half_twist(V)) != V:
-                    return False
-            if covers.half_twist_exists_direct(spec, tate=True):
-                Vq = hodge.tate_twist(V, covers.qt_decompose(spec).q)
-                if hodge.neg_half_twist(hodge.pos_half_twist(Vq)) != Vq:
-                    return False
-    return True
-
-
-def _tate_commutation_grid():
-    # compare only where both composites are defined: twisting moves the
-    # weight, so one side can exist without the other
+def _tate_commutes_on_grid() -> bool:
+    # the round-trip check compares twist and Tate twist wherever both
+    # composites are defined; the claim needs at least one comparison
     compared = 0
-    for d in GRID_D:
-        for k in GRID_K:
-            V = covers.primitive_V(CoverSpec(d, k))
-            max_m = min((p for (p, _) in V.table), default=0)
-            for m in range(0, max_m + 1):
-                try:
-                    lhs = hodge.pos_half_twist(hodge.tate_twist(V, m))
-                except ValueError:
-                    lhs = None
-                try:
-                    rhs = hodge.tate_twist(hodge.pos_half_twist(V), m)
-                except ValueError:
-                    rhs = None
-                if lhs is None or rhs is None:
-                    continue
-                if lhs != rhs:
-                    return False
-                compared += 1
+    for d, k in _grid(GRID_D, GRID_K):
+        cell = sweeps.run_check("round-trip", d, k)
+        if not cell.ok:
+            return False
+        found = re.search(r"commutations: (\d+)", cell.detail)
+        compared += int(found.group(1)) if found else 0
     return compared > 0
 
 
@@ -475,24 +406,25 @@ def all_claims() -> tuple[Claim, ...]:
               lambda: _lemma37_example(4, 2)),
         Claim("lemma3.7.cubic4", "3.7", "dims", "paper", [42, [20, 22]],
               lambda: _lemma37_example(3, 4)),
-        Claim("lemma3.7.grid", "3.7", "dims", "derived", True, _lemma37_grid),
+        Claim("lemma3.7.grid", "3.7", "dims", "derived", True,
+              lambda: _sweep_holds("dim-identity", _grid(GRID_D, range(2, 8)))),
         Claim("prop3.5.checksum_grid", "3.5", "dims", "derived", True,
-              _z_checksum_grid),
+              lambda: _sweep_holds("z-checksum", _grid(GRID_D, GRID_K))),
         Claim("euler.matches_griffiths", "3.7", "dims", "derived", True,
-              _euler_matches_griffiths),
+              lambda: _sweep_holds("dim-identity", _grid(GRID_D, range(0, 8)))),
         # --- Kuga-Satake dimension space
         Claim("ks.cubic4_table", "5.2", "ks", "paper", True,
-              lambda: _ks_table(3, 4)),
+              lambda: _sweep_holds("ks-space", [(3, 4)])),
         Claim("ks.kondo_table", "5.2", "ks", "paper", True,
-              lambda: _ks_table(4, 2)),
+              lambda: _sweep_holds("ks-space", [(4, 2)])),
         Claim("ks.elliptic_curve_d3", "5.2", "ks", "paper", [2, 1],
               lambda: [hodge.k_minus_half(K3).rank,
                        hodge.abelian_summary(hodge.k_minus_half(K3)).dim_abelian]),
         # --- twist algebra
         Claim("twists.roundtrip_grid", "7.2", "twists", "paper", True,
-              _roundtrip_grid),
+              lambda: _sweep_holds("round-trip", _grid(range(3, 9), range(1, 9)))),
         Claim("twists.tate_commutation", "1.4", "twists", "paper", True,
-              _tate_commutation_grid),
+              _tate_commutes_on_grid),
         Claim("twists.k_minus_half_d4", "1.4", "twists", "trivial", [2, 1],
               lambda: [hodge.k_minus_half(K4).rank,
                        hodge.k_minus_half(K4).entry(1, 1)]),
@@ -527,21 +459,25 @@ def all_claims() -> tuple[Claim, ...]:
               PRINTED_PATTERNS["9"], lambda: _direct_pattern(9),
               known_discrepancy=True),
         Claim("thm2.6.even_degree_agreement", "2.6", "thm2.6", "derived",
-              True, _even_degree_agreement),
+              True, lambda: _no_even_degree(
+                  _disagreements(covers.half_twist_exists_printed, _direct_tate))),
         Claim("thm2.6.derived_matches_direct", "2.6", "thm2.6", "derived",
-              True, _derived_matches_direct),
+              True, lambda: not _disagreements(
+                  covers.half_twist_exists_derived, _direct_tate)),
         Claim("thm2.6.disagreement_set", "2.6", "thm2.6", "derived",
               [[3, 3], [3, 6], [5, 1], [5, 6], [7, 2], [9, 3]],
-              _thm_disagreements),
+              lambda: _disagreements(covers.half_twist_exists_printed, _direct_tate)),
         Claim("cor2.7.surfaces_bound", "4.1", "cor2.7", "paper",
               [True, True, True, True, True, False, False],
               lambda: [covers.half_twist_exists_direct(CoverSpec(d, 2))
                        for d in GRID_D],
               known_discrepancy=True),
         Claim("cor2.7.even_degree_agreement", "2.7", "cor2.7", "derived",
-              True, _even_degree_corollary_agreement),
+              True, lambda: _no_even_degree(
+                  _disagreements(_cor_printed, _cor_direct))),
         Claim("cor2.7.disagreement_set", "2.7", "cor2.7", "derived",
-              [[5, 1], [7, 2], [9, 3]], _cor_disagreements),
+              [[5, 1], [7, 2], [9, 3]],
+              lambda: _disagreements(_cor_printed, _cor_direct)),
         Claim("cor2.7.no_cmtype_helps_d7k2", "4.5", "cor2.7", "derived",
               False, lambda: covers.half_twist_any_cmtype(CoverSpec(7, 2))),
         Claim("cmtype.optimality_grid", "2.1", "cor2.7", "derived", True,

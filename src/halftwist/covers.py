@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import ceil, gcd
 from typing import NamedTuple, Union
 
-from .cyclotomic import CyclotomicData, InvariantError, all_cm_types, make_cyclotomic
+from .cyclotomic import CyclotomicData, InvariantError, make_cyclotomic
 from .hodge import (
     AbelianSummary,
     CMHodgeStructure,
@@ -24,6 +24,7 @@ from .hodge import (
     direct_sum,
     k_minus_half,
     pos_half_twist,
+    require_equal,
     tate_twist,
     tensor,
     tensor_invariants,
@@ -237,12 +238,16 @@ def corollary_check(spec: CoverSpec) -> CorollaryCheck:
 
 
 def half_twist_any_cmtype(spec: CoverSpec) -> bool:
-    """Exhaustive search over all 2^(phi(d)/2) CM-types for one that
-    makes the top Hodge piece of V one-sided."""
+    """Whether some CM-type makes the top Hodge piece of V one-sided.
+
+    A CM-type picks one embedding from each conjugate pair {a, d - a},
+    so some CM-type contains the top support exactly when the support
+    holds no such pair: O(phi(d)).  The exhaustive search over all
+    2^(phi(d)/2) CM-types is its test oracle, `any_cmtype_exhaustive`
+    in tests/test_covers.py."""
     dims = eigenspace_dims(spec.d, spec.k)
-    field = spec.field
-    top_support = {a for a in field.units if dims[(spec.k, a)]}
-    return any(top_support <= sigma for sigma in all_cm_types(field))
+    top_support = {a for a in spec.field.units if dims[(spec.k, a)]}
+    return all(spec.d - a not in top_support for a in top_support)
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +325,7 @@ def quartic_W_split(spec: CoverSpec) -> DecompositionReport:
     twisted = tate_twist(pos_half_twist(V), -1)
     third = tensor(v_prime, collapse_residues(k_minus_half(field)))
     recombined = direct_sum(twisted, twisted, third)
-    if recombined != W:
-        raise ValueError(
-            f"quartic split fails at table level for k={spec.k}: "
-            f"{W.table} != {recombined.table}"
-        )
+    require_equal(W, recombined, f"quartic split fails at table level for k={spec.k}")
     return DecompositionReport(
         label=f"W for d=4, k={spec.k}",
         parts=(
@@ -409,7 +410,7 @@ def ks_invariant_space(spec: CoverSpec) -> CMHodgeStructure:
                 key = (p1 + p2 + p3, a)
                 table[key] = table.get(key, 0) + dim * d2 * d3
     S = CMHodgeStructure(field, spec.k + 2, table)
-    expected = tate_twist(V, -1)
-    if S != expected:
-        raise ValueError(f"invariant space differs from V(-1) for {spec}")
+    require_equal(
+        S, tate_twist(V, -1), f"invariant space differs from V(-1) for {spec}"
+    )
     return S

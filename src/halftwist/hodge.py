@@ -162,6 +162,27 @@ class AbelianSummary:
         return next(iter(self.signature.values()))
 
 
+def require_equal(
+    actual: CMHodgeStructure, expected: CMHodgeStructure, context: str
+) -> None:
+    """ValueError unless the structures are equal.  The message names
+    the first difference only: the degree, the weight, or the first
+    differing (p, residue) entry with both dimensions."""
+    if actual.field.d != expected.field.d:
+        diff = f"degree {actual.field.d} != {expected.field.d}"
+    elif actual.weight != expected.weight:
+        diff = f"weight {actual.weight} != {expected.weight}"
+    else:
+        for p, a in sorted(actual._table.keys() | expected._table.keys()):
+            left, right = actual.entry(p, a), expected.entry(p, a)
+            if left != right:
+                diff = f"entry (p={p}, residue={a}): {left} != {right}"
+                break
+        else:
+            return
+    raise ValueError(f"{context}: {diff}")
+
+
 def level(structure: CMHodgeStructure) -> int:
     """max |2p - k| over nonzero entries; level <= 1 means abelian type."""
     if not structure._table:
@@ -180,16 +201,6 @@ def tate_twist(structure: CMHodgeStructure, m: int) -> CMHodgeStructure:
             )
     table = {(p - m, a): dim for (p, a), dim in structure._table.items()}
     return CMHodgeStructure(structure.field, structure.weight - 2 * m, table)
-
-
-def unit_structure(field: CyclotomicData) -> CMHodgeStructure:
-    """The tensor unit: weight 0, dimension 1 at residue 0."""
-    return CMHodgeStructure(field, 0, {(0, 0): 1})
-
-
-def trivial_on_units(field: CyclotomicData) -> CMHodgeStructure:
-    """The field itself as a weight-0 structure: one dimension per unit."""
-    return CMHodgeStructure(field, 0, {(0, a): 1 for a in field.units})
 
 
 def k_minus_half(field: CyclotomicData) -> CMHodgeStructure:
@@ -311,18 +322,6 @@ def tensor_invariants(
                 table[key] = table.get(key, 0) + dim1 * dim2
     return CMHodgeStructure(
         left.field, left.weight + right.weight, table, check_symmetry=(shift == 0)
-    )
-
-
-def invariant_part(structure: CMHodgeStructure, shift: int = 0) -> CMHodgeStructure:
-    """Entries whose residue equals shift; shift 0 picks the invariants
-    of the grading automorphism."""
-    d = structure.field.d
-    shift %= d
-    table = {key: dim for key, dim in structure._table.items() if key[1] == shift}
-    symmetric = shift == conjugate_residue(structure.field, shift)
-    return CMHodgeStructure(
-        structure.field, structure.weight, table, check_symmetry=symmetric
     )
 
 

@@ -2,8 +2,8 @@
 
 Everything here is integer or rational arithmetic: bounded-exponent
 monomial counts (the graded dimensions of the Jacobian ring of a Fermat
-hypersurface), the eigenspace dimension tables of cyclic covers, exact
-square-free polynomial arithmetic in the d=3 Jacobian ring, and the
+hypersurface), the eigenspace dimension tables of cyclic covers, the
+W-ladder quotients of the d = 3 Jacobian ring, and the
 fraction-free linear algebra backing the period-map rank computation.
 
 Two independent routes exist for every count: a closed form by
@@ -39,18 +39,6 @@ class UnsupportedCaseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # bounded-exponent monomial counting
-
-
-@dataclass(frozen=True)
-class MonomialCountQuery:
-    """#(monomials of total degree m in n_vars variables, exponents <= d-2)."""
-
-    n_vars: int
-    d: int
-    m: int
-
-    def count(self) -> int:
-        return count_bounded_monomials(self.n_vars, self.d, self.m)
 
 
 def count_bounded_monomials(n_vars: int, d: int, m: int) -> int:
@@ -146,125 +134,6 @@ def shioda_tuple_count(d: int, k: int, q: int, i: int) -> int:
     if not 1 <= i <= d - 1:
         raise ValueError(f"eigenvalue index must lie in [1, {d - 1}], got {i}")
     return _tuple_sum_counts(d, k).get(d * (q + 1) - i, 0)
-
-
-# ---------------------------------------------------------------------------
-# square-free polynomial arithmetic (the d = 3 Jacobian ring)
-
-
-class SquareFreeElement:
-    """Exact-rational combination of square-free monomials in a fixed
-    variable set; multiplication kills any repeated variable (x_i^2 = 0,
-    the relations of the Fermat-cubic Jacobian ring)."""
-
-    def __init__(
-        self,
-        variable_count: int,
-        terms: Mapping[frozenset[int], Fraction | int] | None = None,
-    ):
-        if variable_count < 1:
-            raise ValueError("need at least one variable")
-        self.variable_count = variable_count
-        clean: dict[frozenset, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            mono = frozenset(mono)
-            if mono and (min(mono) < 0 or max(mono) >= variable_count):
-                raise ValueError(f"monomial {sorted(mono)} outside variable range")
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[mono] = clean.get(mono, Fraction(0)) + coeff
-        self.terms = {m: c for m, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls, variable_count: int) -> "SquareFreeElement":
-        return cls(variable_count, {})
-
-    @classmethod
-    def monomial(
-        cls, variable_count: int, indices: Iterable[int], coeff: Fraction | int = 1
-    ) -> "SquareFreeElement":
-        return cls(variable_count, {frozenset(indices): Fraction(coeff)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> Optional[int]:
-        """Common degree of all terms; None for zero, error if mixed."""
-        if not self.terms:
-            return None
-        degrees = {len(m) for m in self.terms}
-        if len(degrees) > 1:
-            raise ValueError(f"inhomogeneous element with degrees {sorted(degrees)}")
-        return degrees.pop()
-
-    def __add__(self, other: "SquareFreeElement") -> "SquareFreeElement":
-        self._check_universe(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return SquareFreeElement(self.variable_count, terms)
-
-    def __neg__(self) -> "SquareFreeElement":
-        return SquareFreeElement(
-            self.variable_count, {m: -c for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "SquareFreeElement") -> "SquareFreeElement":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SquareFreeElement):
-            return sf_multiply(self, other)
-        return SquareFreeElement(
-            self.variable_count,
-            {m: c * Fraction(other) for m, c in self.terms.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def _check_universe(self, other: "SquareFreeElement") -> None:
-        if self.variable_count != other.variable_count:
-            raise ValueError(
-                f"mixed variable universes: {self.variable_count} vs "
-                f"{other.variable_count}"
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SquareFreeElement):
-            return NotImplemented
-        return (
-            self.variable_count == other.variable_count
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.variable_count, tuple(sorted(
-            (tuple(sorted(m)), c) for m, c in self.terms.items()
-        ))))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "SquareFreeElement(0)"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), sorted(m))):
-            coeff = self.terms[mono]
-            name = "*".join(f"x{i}" for i in sorted(mono)) or "1"
-            bits.append(name if coeff == 1 else f"{coeff}*{name}")
-        return f"SquareFreeElement({' + '.join(bits)})"
-
-
-def sf_multiply(a: SquareFreeElement, b: SquareFreeElement) -> SquareFreeElement:
-    """Bilinear product with x_i^2 = 0: terms sharing a variable vanish."""
-    a._check_universe(b)
-    terms: dict[frozenset, Fraction] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            if m1 & m2:
-                continue
-            key = m1 | m2
-            terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-    return SquareFreeElement(a.variable_count, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 
-from halftwist import claims, covers
+import pytest
+
+from halftwist import claims, covers, sweeps
 
 
 def test_ledger_is_large_enough():
@@ -55,6 +57,17 @@ def test_section_filters():
     thm = claims.run_verification("thm2.6")
     assert any(r.status == claims.STATUS_KNOWN for r in thm)
     assert claims.run_verification("no-such-section") == []
+    # sections match whole dotted components: 3.1 is not a prefix of 3.10
+    assert claims.run_verification("3.1") == []
+    assert sorted(r.claim_id for r in claims.run_verification("3.10")) == [
+        "quartics.curve_h10_eigenspaces",
+        "quartics.split_table_equality",
+    ]
+    chapter4 = {
+        c.claim_id for c in claims.all_claims() if c.location.split(".")[0] == "4"
+    }
+    assert chapter4
+    assert {r.claim_id for r in claims.run_verification("4")} == chapter4
 
 
 def test_report_dict_schema_and_json_round_trip():
@@ -87,8 +100,60 @@ def test_crashing_claim_reports_failure():
     assert "broken computation" in report.computed
 
 
+def claim_named(claim_id):
+    return next(c for c in claims.all_claims() if c.claim_id == claim_id)
+
+
 def test_gamma_exponent_claim_compares_the_exponents(monkeypatch):
-    claim = next(c for c in claims.all_claims() if c.claim_id == "gamma.exponents_are_cmtype")
+    claim = claim_named("gamma.exponents_are_cmtype")
     assert claims.evaluate(claim).status == claims.STATUS_PASS
     monkeypatch.setattr(covers, "fermat_gamma_invariants", lambda d: [1])
     assert claims.evaluate(claim).status == claims.STATUS_FAIL
+
+
+# Each grid claim runs a sweep check; (claim, check, a cell of its grid).
+SWEEP_BACKED = [
+    ("lemma3.7.grid", "dim-identity", (9, 7)),
+    ("euler.matches_griffiths", "dim-identity", (9, 0)),
+    ("prop3.5.checksum_grid", "z-checksum", (9, 7)),
+    ("twists.roundtrip_grid", "round-trip", (8, 8)),
+    ("twists.tate_commutation", "round-trip", (9, 7)),
+    ("ks.cubic4_table", "ks-space", (3, 4)),
+    ("ks.kondo_table", "ks-space", (4, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "claim_id, check, cell", SWEEP_BACKED, ids=[c for c, _, _ in SWEEP_BACKED]
+)
+def test_sweep_backed_claim_fails_with_one_failing_cell(
+    monkeypatch, claim_id, check, cell
+):
+    claim = claim_named(claim_id)
+    assert claims.evaluate(claim).status == claims.STATUS_PASS
+    real = sweeps.CHECKS[check]
+
+    def one_cell_fails(d, k):
+        return (False, "forced failure") if (d, k) == cell else real(d, k)
+
+    monkeypatch.setitem(sweeps.CHECKS, check, one_cell_fails)
+    assert claims.evaluate(claim).status == claims.STATUS_FAIL
+
+
+def test_tate_commutation_needs_a_compared_commutation(monkeypatch):
+    claim = claim_named("twists.tate_commutation")
+    monkeypatch.setitem(
+        sweeps.CHECKS, "round-trip", lambda d, k: (True, "no twist exists here")
+    )
+    assert claims.evaluate(claim).status == claims.STATUS_FAIL
+
+
+def test_even_degree_claims_fail_on_an_even_disagreement(monkeypatch):
+    printed = covers.half_twist_exists_printed
+
+    def flipped_at_d4_k1(spec):
+        return printed(spec) != ((spec.d, spec.k) == (4, 1))
+
+    monkeypatch.setattr(covers, "half_twist_exists_printed", flipped_at_d4_k1)
+    for claim_id in ("thm2.6.even_degree_agreement", "thm2.6.disagreement_set"):
+        assert claims.evaluate(claim_named(claim_id)).status == claims.STATUS_FAIL

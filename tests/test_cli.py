@@ -123,9 +123,11 @@ def test_verify_section_six(capsys):
 
 
 def test_verify_unknown_section_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "--section", "zzz")
-    assert code == 2
-    assert "no claims" in err
+    # 3.1 holds no claim; matching it must not pick up section 3.10
+    for section in ("zzz", "3.1"):
+        code, out, err = run_cli(capsys, "verify", "--section", section)
+        assert code == 2
+        assert out == "" and "no claims" in err
 
 
 def test_verify_output_is_stable(capsys):

@@ -1,5 +1,9 @@
+from collections import defaultdict
+from itertools import combinations
+
 import pytest
 
+from halftwist import covers, sweeps
 from halftwist.covers import (
     CoverSpec,
     build_W,
@@ -23,7 +27,9 @@ from halftwist.covers import (
     secondary_parts,
     z_decomposition,
 )
+from halftwist.cyclotomic import all_cm_types
 from halftwist.hodge import (
+    CMHodgeStructure,
     has_positive_half_twist,
     pos_half_twist,
     tate_twist,
@@ -180,16 +186,61 @@ def test_corollary_disagreement_set():
     assert all(d % 2 == 1 for d, _ in disagreements)
 
 
+def any_cmtype_exhaustive(spec):
+    """Test oracle for `half_twist_any_cmtype`: search all 2^(phi(d)/2)
+    CM-types for one containing the top Hodge support of V."""
+    dims = covers.eigenspace_dims(spec.d, spec.k)
+    top_support = {a for a in spec.field.units if dims[(spec.k, a)]}
+    return any(top_support <= sigma for sigma in all_cm_types(spec.field))
+
+
 def test_cmtype_search_examples():
-    assert half_twist_any_cmtype(CoverSpec(4, 2)) is True
-    assert half_twist_any_cmtype(CoverSpec(7, 2)) is False
-    assert half_twist_any_cmtype(CoverSpec(3, 4)) is True
+    for d, k, expected in [(4, 2, True), (7, 2, False), (3, 4, True)]:
+        assert half_twist_any_cmtype(CoverSpec(d, k)) is expected
+        assert any_cmtype_exhaustive(CoverSpec(d, k)) is expected
 
 
 def test_cmtype_search_agrees_with_fixed_type_on_grid():
     for d, k in GRID:
         spec = CoverSpec(d, k)
-        assert half_twist_any_cmtype(spec) == half_twist_exists_direct(spec), (d, k)
+        direct = half_twist_exists_direct(spec)
+        assert half_twist_any_cmtype(spec) == direct, (d, k)
+        assert any_cmtype_exhaustive(spec) == direct, (d, k)
+
+
+def test_cmtype_closed_form_matches_exhaustive_oracle():
+    degrees = [d for d in range(3, 67) if len(CoverSpec(d, 1).field.units) <= 20]
+    assert len(degrees) == 39
+    mismatches = [
+        (d, k)
+        for d in degrees
+        for k in range(1, 11)
+        if half_twist_any_cmtype(CoverSpec(d, k))
+        != any_cmtype_exhaustive(CoverSpec(d, k))
+    ]
+    assert mismatches == []
+
+
+def test_cmtype_closed_form_matches_oracle_on_every_support(monkeypatch):
+    # a cover's top support is an initial segment of the units, where the
+    # closed form agrees with the fixed CM-type; arbitrary supports tell
+    # the two apart
+    for d in (5, 7, 8, 11, 12):
+        spec = CoverSpec(d, 1)
+        units = spec.field.units
+        for size in range(len(units) + 1):
+            for support in combinations(units, size):
+                dims = defaultdict(int, {(1, a): 1 for a in support})
+                monkeypatch.setattr(covers, "eigenspace_dims", lambda d, k: dims)
+                closed = half_twist_any_cmtype(spec)
+                assert closed == any_cmtype_exhaustive(spec), (d, support)
+
+
+def test_cmtype_search_reaches_large_prime_degree():
+    # 2^50 CM-types at d = 101: only the closed form can answer this
+    cell = sweeps.run_check("cmtype-search", 101, 2)
+    assert cell.ok
+    assert cell.detail.startswith("fixed CM-type is optimal")
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +346,53 @@ def test_quartic_split_table_equality():
         assert report.checksum == build_W(CoverSpec(4, k)).rank
         if k == 2:
             assert ranks == [28, 14]
+
+
+def bump_first_entry(structure):
+    """The structure with its first (p, residue) entry one larger."""
+    table = structure.table
+    key = min(table)
+    table[key] += 1
+    return key, CMHodgeStructure(
+        structure.field, structure.weight, table, check_symmetry=False
+    )
+
+
+def test_quartic_split_failure_names_one_entry(monkeypatch):
+    real = covers.build_W
+    bumped = {}
+
+    def build_W(spec):
+        key, W = bump_first_entry(real(spec))
+        bumped["key"] = key
+        return W
+
+    monkeypatch.setattr(covers, "build_W", build_W)
+    with pytest.raises(ValueError) as caught:
+        quartic_W_split(CoverSpec(4, 2))
+    message = str(caught.value)
+    p, a = bumped["key"]
+    assert message.count("entry") == 1 and "{" not in message
+    assert f"entry (p={p}, residue={a}): " in message
+
+
+def test_ks_space_failure_names_one_entry(monkeypatch):
+    real = covers.tate_twist
+    monkeypatch.setattr(
+        covers, "tate_twist", lambda V, m: bump_first_entry(real(V, m))[1]
+    )
+    with pytest.raises(ValueError) as caught:
+        ks_invariant_space(CoverSpec(3, 4))
+    message = str(caught.value)
+    assert message.count("entry") == 1 and "{" not in message
+    assert message.endswith("entry (p=2, residue=2): 1 != 2")
+
+
+def test_ks_space_failure_names_a_weight_mismatch(monkeypatch):
+    real = covers.tate_twist
+    monkeypatch.setattr(covers, "tate_twist", lambda V, m: real(V, m - 1))
+    with pytest.raises(ValueError, match=r"weight 6 != 8$"):
+        ks_invariant_space(CoverSpec(3, 4))
 
 
 def test_quartic_split_rejects_other_degrees():

@@ -13,16 +13,14 @@ from halftwist.hodge import (
     TwistRangeError,
     abelian_summary,
     has_positive_half_twist,
-    invariant_part,
     k_minus_half,
     level,
     neg_half_twist,
     pos_half_twist,
+    require_equal,
     tate_twist,
     tensor,
     tensor_invariants,
-    trivial_on_units,
-    unit_structure,
 )
 from halftwist.covers import CoverSpec, primitive_V
 
@@ -131,7 +129,9 @@ def test_k_minus_half_d5():
 
 def test_neg_twist_of_trivial_structure_is_k_minus_half():
     for field in (K3, K4, K5, make_cyclotomic(12)):
-        assert neg_half_twist(trivial_on_units(field)) == k_minus_half(field)
+        # the field itself: weight 0, one dimension per unit
+        trivial = CMHodgeStructure(field, 0, {(0, a): 1 for a in field.units})
+        assert neg_half_twist(trivial) == k_minus_half(field)
 
 
 def test_pos_twist_requires_one_sided_top():
@@ -193,8 +193,9 @@ def test_twist_tate_commutation():
 
 def test_tensor_unit_law():
     V = primitive_V(CoverSpec(4, 2))
-    assert tensor(V, unit_structure(K4)) == V
-    assert tensor(unit_structure(K4), V) == V
+    unit = CMHodgeStructure(K4, 0, {(0, 0): 1})
+    assert tensor(V, unit) == V
+    assert tensor(unit, V) == V
 
 
 def test_tensor_rank_is_multiplicative():
@@ -219,8 +220,8 @@ def test_invariant_part_of_absent_residue_is_empty():
     V = primitive_V(CoverSpec(4, 2))  # residues {1, 3}, so sums hit {0, 2}
     T = tensor(V, V)
     assert T.residues() == frozenset({0, 2})
-    assert invariant_part(T, 1).rank == 0
-    assert invariant_part(T, 3).rank == 0
+    assert T.restrict_residues([1]).rank == 0
+    assert T.restrict_residues([3]).rank == 0
 
 
 def test_invariant_part_slices_total_residue():
@@ -228,7 +229,22 @@ def test_invariant_part_slices_total_residue():
 
     # rank of the residue-0 slice of the tensor with the curve: (d-2) h_k
     T = tensor(primitive_cohomology(CoverSpec(3, 4)), curve_h1(3))
-    assert invariant_part(T, 0).rank == 22
+    assert T.restrict_residues([0]).rank == 22
+
+
+def test_require_equal_names_the_first_difference():
+    V = primitive_V(CoverSpec(4, 2))
+    require_equal(V, V, "same")
+    bumped = CMHodgeStructure(
+        K4, V.weight, {**V.table, (2, 1): V.entry(2, 1) + 1}, check_symmetry=False
+    )
+    with pytest.raises(ValueError) as caught:
+        require_equal(V, bumped, "ctx")
+    assert str(caught.value) == "ctx: entry (p=2, residue=1): 1 != 2"
+    with pytest.raises(ValueError, match=r"^ctx: weight 2 != 4$"):
+        require_equal(V, tate_twist(V, -1), "ctx")
+    with pytest.raises(ValueError, match=r"^ctx: degree 3 != 4$"):
+        require_equal(k_minus_half(K3), k_minus_half(K4), "ctx")
 
 
 def test_matched_tensor_reproduces_both_twists():
@@ -286,7 +302,7 @@ def test_operations_preserve_conjugation_symmetry(V):
     assert V.is_conjugation_symmetric()
     assert tensor(V, V).is_conjugation_symmetric()
     assert tensor_invariants(V, V, rule="sum").is_conjugation_symmetric()
-    assert invariant_part(tensor(V, V), 0).is_conjugation_symmetric()
+    assert tensor(V, V).restrict_residues([0]).is_conjugation_symmetric()
     if V.residues() <= frozenset(V.field.units):
         assert neg_half_twist(V).is_conjugation_symmetric()
         if has_positive_half_twist(V):

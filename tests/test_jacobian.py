@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from halftwist import jacobian
 from halftwist.cyclotomic import InvariantError
 from halftwist.jacobian import (
-    MonomialCountQuery,
-    SquareFreeElement,
     UnsupportedCaseError,
     build_w_quotient,
     count_bounded_monomials,
@@ -18,7 +16,6 @@ from halftwist.jacobian import (
     eigenspace_dims,
     exact_rank,
     hypersurface_hodge_numbers,
-    sf_multiply,
     shioda_tuple_count,
     sparse_rank,
     torelli_deformation_dimension,
@@ -60,10 +57,6 @@ def test_count_examples(n, d, m, expected):
 def test_count_out_of_range_is_zero():
     assert count_bounded_monomials(3, 4, -1) == 0
     assert count_bounded_monomials(3, 4, 7) == 0  # above 3 * (4 - 2)
-
-
-def test_query_dataclass():
-    assert MonomialCountQuery(3, 6, 2).count() == 6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -199,74 +192,47 @@ def test_monotonicity_along_extremal_row():
 
 
 # ---------------------------------------------------------------------------
-# square-free arithmetic
+# the square-free product along the W ladder (x_i^2 = 0 for d = 3)
 
 
-def x(*indices):
-    return SquareFreeElement.monomial(8, indices)
+def ladder_products(k):
+    """Every (p, in, cubic, out) the Torelli matrix is built from."""
+    quotients = jacobian._ladder_quotients(k)
+    entries = jacobian._torelli_entries(k, quotients)
+    return quotients, [(p, mono, cubic, out) for cubic, (p, mono, out) in entries]
 
 
 def test_square_kills():
-    assert sf_multiply(x(0), x(0)).is_zero
+    # a cubic sharing a variable with the basis monomial multiplies it
+    # to zero; every other square-free cubic gives a nonzero product
+    for k in (4, 7):
+        quotients, products = ladder_products(k)
+        found = {(p, mono, cubic) for p, mono, cubic, _ in products}
+        expected = {
+            (p, mono, cubic)
+            for p, quotient in quotients.items()
+            if p + 1 in quotients
+            for mono in quotient.basis
+            for cubic in combinations(range(k + 1), 3)
+            if not set(cubic) & set(mono)
+        }
+        assert found == expected, k
+        assert len(found) == len(products), k
 
 
 def test_disjoint_supports_multiply():
-    assert sf_multiply(x(0, 1, 2), x(5, 6, 3)) == x(0, 1, 2, 3, 5, 6)
-
-
-def test_one_term_survives():
-    lhs = x(0, 1, 2) + x(1, 2, 3)
-    assert sf_multiply(lhs, x(0, 4)) == x(1, 2, 3, 0, 4)
-
-
-def test_mixed_universe_rejected():
-    with pytest.raises(ValueError):
-        sf_multiply(x(0), SquareFreeElement.monomial(5, [0]))
+    _, products = ladder_products(4)
+    assert products
+    for _, mono, cubic, out in products:
+        assert set(out) == set(mono) | set(cubic)
+        assert out == tuple(sorted(out))
 
 
 def test_degree_bookkeeping():
-    assert x(0, 1).degree() == 2
-    assert SquareFreeElement.zero(8).degree() is None
-    with pytest.raises(ValueError):
-        (x(0) + x(1, 2)).degree()
-
-
-@st.composite
-def sf_elements(draw):
-    n_terms = draw(st.integers(min_value=0, max_value=4))
-    terms = {}
-    for _ in range(n_terms):
-        mono = frozenset(
-            draw(st.sets(st.integers(min_value=0, max_value=5), max_size=3))
-        )
-        coeff = Fraction(
-            draw(st.integers(min_value=-4, max_value=4)),
-            draw(st.integers(min_value=1, max_value=3)),
-        )
-        terms[mono] = terms.get(mono, 0) + coeff
-    return SquareFreeElement(6, terms)
-
-
-@given(sf_elements(), sf_elements(), sf_elements())
-@settings(max_examples=120, deadline=None)
-def test_sf_multiply_associative_commutative(a, b, c):
-    assert sf_multiply(a, b) == sf_multiply(b, a)
-    assert sf_multiply(sf_multiply(a, b), c) == sf_multiply(a, sf_multiply(b, c))
-    # bilinearity over addition
-    assert sf_multiply(a + b, c) == sf_multiply(a, c) + sf_multiply(b, c)
-
-
-@given(sf_elements(), sf_elements())
-@settings(max_examples=80, deadline=None)
-def test_sf_degree_additivity(a, b):
-    try:
-        da, db = a.degree(), b.degree()
-    except ValueError:
-        return
-    prod_ = sf_multiply(a, b)
-    if da is None or db is None or prod_.is_zero:
-        return
-    assert prod_.degree() == da + db
+    quotients, products = ladder_products(7)
+    for p, mono, cubic, out in products:
+        assert len(out) == len(mono) + 3 == quotients[p + 1].degree
+        assert quotients[p].degree == len(mono)
 
 
 # ---------------------------------------------------------------------------
