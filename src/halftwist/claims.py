@@ -287,9 +287,7 @@ def _gamma_exponents_are_cmtype():
 
 
 def _covermap_mutations():
-    import sympy as sp
-
-    u, v, y = sp.symbols("u v y")
+    _, _, _, y, u, v = jacobian.cover_variables()
     return [
         jacobian.verify_cover_parametrization(u_cube_rhs=-(v**2)),
         jacobian.verify_cover_parametrization(cover_numerator=u * y),

@@ -10,6 +10,11 @@ environment variable.  Reports go to stdout, diagnostics to stderr.
 Exit codes: 0 all pass (known discrepancies allowed), 1 unexpected
 failure, 2 usage error.  Output is byte-identical across runs and
 across ``--jobs`` settings.
+
+Inputs are bounded before any work starts: ``hodge``, ``eigenspaces``
+and ``half-twist`` take d <= MAX_D and k <= MAX_K (both 64), and
+``sweep`` takes --d-max <= SWEEP_MAX_D (32) and --k-max <= SWEEP_MAX_K
+(16).  Larger values exit with code 2.
 """
 
 from __future__ import annotations
@@ -22,6 +27,22 @@ from . import claims, covers, hodge, jacobian, sweeps
 from .covers import CoverSpec
 
 FORMATS = ("table", "json")
+
+# The cost of a cover grows fast with d and k together, and of a sweep
+# with its grid: on a 2-core machine `half-twist 64 64` takes about 3 s,
+# `sweep --check oracle-equivalence --d-max 32 --k-max 16` about 2.4 s,
+# and `half-twist 3 3000` does not finish in 20 s.
+MAX_D = MAX_K = 64
+SWEEP_MAX_D, SWEEP_MAX_K = 32, 16
+LIMITS = {"d": MAX_D, "k": MAX_K, "d_max": SWEEP_MAX_D, "k_max": SWEEP_MAX_K}
+
+
+def _check_limits(args) -> None:
+    for name, limit in LIMITS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > limit:
+            flag = name if len(name) == 1 else "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} = {value} is above the limit {limit}")
 
 
 def _render_json(payload) -> str:
@@ -255,24 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_hodge = sub.add_parser(
         "hodge", help="primitive Hodge numbers of a degree-d k-fold"
     )
-    p_hodge.add_argument("d", type=int)
-    p_hodge.add_argument("k", type=int)
+    p_hodge.add_argument("d", type=int, help=f"degree, at most {MAX_D}")
+    p_hodge.add_argument("k", type=int, help=f"dimension, at most {MAX_K}")
     p_hodge.add_argument("--format", choices=FORMATS, default="table")
     p_hodge.set_defaults(func=_cmd_hodge)
 
     p_eig = sub.add_parser(
         "eigenspaces", help="full (p, eigenvalue) dimension matrix of a cover"
     )
-    p_eig.add_argument("d", type=int)
-    p_eig.add_argument("k", type=int)
+    p_eig.add_argument("d", type=int, help=f"degree, at most {MAX_D}")
+    p_eig.add_argument("k", type=int, help=f"dimension, at most {MAX_K}")
     p_eig.add_argument("--format", choices=FORMATS, default="table")
     p_eig.set_defaults(func=_cmd_eigenspaces)
 
     p_half = sub.add_parser(
         "half-twist", help="existence predicates and the twisted structure"
     )
-    p_half.add_argument("d", type=int)
-    p_half.add_argument("k", type=int)
+    p_half.add_argument("d", type=int, help=f"degree, at most {MAX_D}")
+    p_half.add_argument("k", type=int, help=f"dimension, at most {MAX_K}")
     p_half.add_argument(
         "--tate",
         action="store_true",
@@ -297,8 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="run one registered property over the (d, k) grid"
     )
     p_sweep.add_argument("--check", required=True, choices=sorted(sweeps.CHECKS))
-    p_sweep.add_argument("--d-max", type=int, default=9)
-    p_sweep.add_argument("--k-max", type=int, default=7)
+    p_sweep.add_argument(
+        "--d-max", type=int, default=9, help=f"at most {SWEEP_MAX_D}"
+    )
+    p_sweep.add_argument(
+        "--k-max", type=int, default=7, help=f"at most {SWEEP_MAX_K}"
+    )
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--format", choices=FORMATS, default="table")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -310,6 +335,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

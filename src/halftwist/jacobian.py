@@ -18,6 +18,13 @@ straight from their combinatorics and are almost empty: every relation
 row of a ladder quotient is a unit vector, and every column of the
 Torelli matrix has exactly one nonzero entry.  The second fact is
 checked each time the Torelli matrix is built.
+
+The §6.4 cover-map identity is checked on exact integer polynomials
+(`Polynomial`, a dict from exponent tuples over L, Q, R, y, u, v to
+ints): the cover equation along the map, times L^3, is reduced fully
+modulo u^3 and y^6, i.e. every power of u or y at or above the
+relation's degree is rewritten, and the result must be zero.  The
+package has no runtime dependency outside the standard library.
 """
 
 from __future__ import annotations
@@ -371,31 +378,121 @@ def torelli_witness_nonzero(k: int, cubic: Optional[frozenset[int]] = None) -> b
 
 
 # ---------------------------------------------------------------------------
-# the cover parametrization identity
+# the cover parametrization identity (§6.4)
+
+COVER_VARIABLES = ("L", "Q", "R", "y", "u", "v")
+_CONSTANT = (0,) * len(COVER_VARIABLES)
 
 
-def verify_cover_parametrization(u_cube_rhs=None, cover_numerator=None) -> bool:
-    """Check symbolically that the rational map onto the cubic cover
-    satisfies the cover's equation.
+class Polynomial(dict):
+    """An exact polynomial in L, Q, R, y, u, v: a dict from exponent
+    tuples, in the order of COVER_VARIABLES, to nonzero int coefficients.
+    The zero polynomial is the empty dict.  A polynomial on the left of
+    +, - or *, with a polynomial or int on the right, an int times a
+    polynomial, and ** with a non-negative int exponent give new
+    polynomials."""
 
-    Substitutes x_k = (v*y^3 - L*Q)/L^2 and x_{k+1} = u*y^2/L into
-    x_{k+1}^3 + L*x_k^2 + 2*Q*x_k + R and reduces modulo the two curve
-    relations u^3 = -v^2 - 1 and y^6 = L^3*R - L^2*Q^2, treating
-    L, Q, R, y, u, v as independent variables.  True exactly when the
-    reduced numerator vanishes identically.  The two keyword arguments
-    exist so mutated versions of the map can be shown to fail.
-    """
-    import sympy as sp
+    @staticmethod
+    def lift(value: Polynomial | int) -> Polynomial:
+        if isinstance(value, Polynomial):
+            return value
+        if isinstance(value, int):
+            return Polynomial({_CONSTANT: value} if value else {})
+        raise TypeError(f"not a polynomial in {COVER_VARIABLES}: {value!r}")
 
-    L, Q, R, y, u, v = sp.symbols("L Q R y u v")
+    def __add__(self, other):
+        total = Counter(self)
+        total.update(Polynomial.lift(other))
+        return Polynomial({m: c for m, c in total.items() if c})
+
+    def __neg__(self):
+        return Polynomial({m: -c for m, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -Polynomial.lift(other)
+
+    def __mul__(self, other):
+        product = Counter()
+        for ma, ca in self.items():
+            for mb, cb in Polynomial.lift(other).items():
+                product[tuple(a + b for a, b in zip(ma, mb))] += ca * cb
+        return Polynomial({m: c for m, c in product.items() if c})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError(f"negative exponent {exponent}")
+        result = Polynomial.lift(1)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+
+def cover_variables() -> tuple[Polynomial, ...]:
+    """L, Q, R, y, u, v as polynomials, to build the arguments of
+    `verify_cover_parametrization` (for instance `-(v**2)` or `u * y`)."""
+    n = len(COVER_VARIABLES)
+    return tuple(
+        Polynomial({tuple(int(i == j) for j in range(n)): 1}) for i in range(n)
+    )
+
+
+def _rewrite(poly: Polynomial, var: str, power: int, rhs) -> Polynomial:
+    """Reduce `poly` modulo var**power - rhs: replace var**power by `rhs`
+    in every term, again and again, until no term has var-degree `power`
+    or more.  `rhs` must have var-degree below `power`, so this ends."""
+    i = COVER_VARIABLES.index(var)
+    rhs = Polynomial.lift(rhs)
+    if any(m[i] >= power for m in rhs):
+        raise ValueError(
+            f"the rewrite {var}^{power} -> rhs needs rhs of {var}-degree below {power}"
+        )
+    reduced = Polynomial()
+    while poly:
+        reduced = reduced + Polynomial(
+            {m: c for m, c in poly.items() if m[i] < power}
+        )
+        poly = Polynomial({
+            m[:i] + (m[i] - power,) + m[i + 1:]: c
+            for m, c in poly.items() if m[i] >= power
+        }) * rhs
+    return reduced
+
+
+def reduced_cover_numerator(u_cube_rhs=None, cover_numerator=None) -> Polynomial:
+    """The numerator of the cover equation along the map, reduced modulo
+    the two curve relations; see `verify_cover_parametrization`."""
+    L, Q, R, y, u, v = cover_variables()
     if u_cube_rhs is None:
         u_cube_rhs = -(v**2) - 1
     if cover_numerator is None:
         cover_numerator = u * y**2
-    x_k = (v * y**3 - L * Q) / L**2
-    x_top = cover_numerator / L
-    equation = x_top**3 + L * x_k**2 + 2 * Q * x_k + R
-    poly = sp.expand(equation * L**3)
-    poly = sp.expand(poly.subs(u**3, u_cube_rhs))
-    poly = sp.expand(poly.subs(y**6, L**3 * R - L**2 * Q**2))
-    return poly == 0
+    n = Polynomial.lift(cover_numerator)
+    w = v * y**3 - L * Q  # L^2 * x_k
+    numerator = n**3 + w**2 + 2 * Q * L * w + R * L**3
+    numerator = _rewrite(numerator, "u", 3, u_cube_rhs)
+    return _rewrite(numerator, "y", 6, L**3 * R - L**2 * Q**2)
+
+
+def verify_cover_parametrization(u_cube_rhs=None, cover_numerator=None) -> bool:
+    """Check exactly that the rational map onto the cubic cover satisfies
+    the cover's equation.
+
+    Substitutes x_k = (v*y^3 - L*Q)/L^2 and x_{k+1} = n/L, with cover
+    numerator n = u*y^2, into x_{k+1}^3 + L*x_k^2 + 2*Q*x_k + R.  Times
+    L^3 this is the integer polynomial
+    N = n^3 + (v*y^3 - L*Q)^2 + 2*Q*L*(v*y^3 - L*Q) + R*L^3
+    in the independent variables L, Q, R, y, u, v.  N is reduced fully
+    modulo the two curve relations, first u^3 = -v^2 - 1, then
+    y^6 = L^3*R - L^2*Q^2: every u^(3a+b) becomes (-v^2 - 1)^a * u^b,
+    unlike sympy's `subs`, which replaces only exact multiples of the
+    exponent (`(u**4).subs(u**3, a)` stays `u**4`).  True exactly when
+    the reduced N is zero.
+
+    The two keyword arguments exist so mutated maps can be shown to
+    fail: `u_cube_rhs` replaces -v^2 - 1 and `cover_numerator` replaces
+    u*y^2.  Both are `Polynomial`s (or ints) built from
+    `cover_variables()`, e.g. `-(v**2)` or `u * y`.
+    """
+    return not reduced_cover_numerator(u_cube_rhs, cover_numerator)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from halftwist import cli
-from halftwist.sweeps import CHECKS, run_sweep, worker_count
+from halftwist.sweeps import CHECKS, SweepCell, run_sweep, worker_count
 
 
 def run_cli(capsys, *argv):
@@ -184,6 +184,47 @@ def test_sweep_rejects_bad_input_before_running(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def _no_work_may_start(*_args, **_kwargs):
+    raise AssertionError("work started")
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["hodge", "3", "3000"], "jacobian.hypersurface_hodge_numbers"),
+        (["hodge", "65", "2"], "jacobian.hypersurface_hodge_numbers"),
+        (["eigenspaces", "3", "65"], "jacobian.eigenspace_dims"),
+        (["eigenspaces", "65", "2"], "jacobian.eigenspace_dims"),
+        (["half-twist", "3", "3000"], "covers.qt_decompose"),
+        (["half-twist", "65", "2", "--tate"], "covers.qt_decompose"),
+        (["sweep", "--check", "w-rank", "--d-max", "33"], "sweeps._run_cell"),
+        (["sweep", "--check", "w-rank", "--k-max", "17"], "sweeps._run_cell"),
+    ],
+)
+def test_inputs_above_the_limits_are_rejected_before_running(
+    capsys, monkeypatch, argv, entry
+):
+    monkeypatch.setattr(f"halftwist.{entry}", _no_work_may_start)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "above the limit" in err
+
+
+def test_inputs_at_the_limits_are_accepted(capsys, monkeypatch):
+    monkeypatch.setattr("halftwist.jacobian.hypersurface_hodge_numbers",
+                        lambda d, k: [])
+    code, _, _ = run_cli(capsys, "hodge", str(cli.MAX_D), str(cli.MAX_K))
+    assert code == 0
+    monkeypatch.setattr("halftwist.sweeps._run_cell",
+                        lambda args: SweepCell(args[1], args[2], args[0], True, ""))
+    code, _, _ = run_cli(
+        capsys, "sweep", "--check", "w-rank",
+        "--d-max", str(cli.SWEEP_MAX_D), "--k-max", str(cli.SWEEP_MAX_K),
+    )
+    assert code == 0
 
 
 def test_worker_count_is_clamped():

@@ -3,19 +3,24 @@ from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halftwist import jacobian
 from halftwist.cyclotomic import InvariantError
 from halftwist.jacobian import (
+    COVER_VARIABLES,
+    Polynomial,
     UnsupportedCaseError,
     build_w_quotient,
     count_bounded_monomials,
     count_bounded_monomials_enumerated,
+    cover_variables,
     eigenspace_dims,
     exact_rank,
     hypersurface_hodge_numbers,
+    reduced_cover_numerator,
     shioda_tuple_count,
     sparse_rank,
     torelli_deformation_dimension,
@@ -259,8 +264,6 @@ def test_rank_known_matrices():
 )
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_sympy(rows):
-    import sympy
-
     assert exact_rank(rows) == sympy.Matrix(rows).rank()
 
 
@@ -500,8 +503,93 @@ def test_cover_parametrization_holds():
 
 
 def test_cover_parametrization_mutations_fail():
-    import sympy
-
-    u, v, y = sympy.symbols("u v y")
+    _, _, _, y, u, v = cover_variables()
     assert verify_cover_parametrization(u_cube_rhs=-(v**2)) is False
     assert verify_cover_parametrization(cover_numerator=u * y) is False
+
+
+def to_sympy(poly):
+    """A `Polynomial` (or int) as a sympy expression in L, Q, R, y, u, v."""
+    symbols = sympy.symbols(COVER_VARIABLES)
+    return sympy.Add(*(
+        c * sympy.Mul(*(s**e for s, e in zip(symbols, m)))
+        for m, c in Polynomial.lift(poly).items()
+    ))
+
+
+def cover_identity_sympy(u_cube_rhs=None, cover_numerator=None):
+    """Oracle: the reduced numerator by sympy, with sympy arguments.
+    `subs` replaces only exact multiples of u^3 and y^6, so this agrees
+    with the full reduction only while no higher power occurs."""
+    L, Q, R, y, u, v = sympy.symbols(COVER_VARIABLES)
+    if u_cube_rhs is None:
+        u_cube_rhs = -(v**2) - 1
+    if cover_numerator is None:
+        cover_numerator = u * y**2
+    x_k = (v * y**3 - L * Q) / L**2
+    x_top = cover_numerator / L
+    equation = x_top**3 + L * x_k**2 + 2 * Q * x_k + R
+    poly = sympy.expand(equation * L**3)
+    poly = sympy.expand(poly.subs(u**3, u_cube_rhs))
+    return sympy.expand(poly.subs(y**6, L**3 * R - L**2 * Q**2))
+
+
+def assert_routes_agree(**mutation):
+    exact = reduced_cover_numerator(**mutation)
+    oracle = cover_identity_sympy(**{k: to_sympy(p) for k, p in mutation.items()})
+    assert sympy.expand(to_sympy(exact) - oracle) == 0
+    assert verify_cover_parametrization(**mutation) is (oracle == 0)
+
+
+def test_exact_reducer_matches_sympy_on_the_named_maps():
+    _, _, _, y, u, v = cover_variables()
+    assert_routes_agree()
+    assert_routes_agree(u_cube_rhs=-(v**2))
+    assert_routes_agree(cover_numerator=u * y)
+
+
+def _v_polynomial(coefficients):
+    return Polynomial({(0, 0, 0, 0, 0, e): c for e, c in coefficients.items()})
+
+
+# exponents over (L, Q, R, y, u, v): u-degree <= 1 and y-degree <= 2 keep
+# every power of u in N at most 3 and of y at most 6, where sympy's
+# `subs` and the full reduction coincide
+_numerator_terms = st.tuples(*(st.integers(0, top) for top in (1, 1, 1, 2, 1, 2)))
+_coefficients = st.integers(-3, 3).filter(bool)
+
+
+@given(
+    numerator=st.dictionaries(
+        _numerator_terms, _coefficients, min_size=1, max_size=3
+    ).map(Polynomial),
+    rhs=st.dictionaries(
+        st.integers(0, 3), _coefficients, max_size=4
+    ).map(_v_polynomial),
+)
+@settings(max_examples=40, deadline=None)
+def test_exact_reducer_matches_sympy_on_mutated_maps(numerator, rhs):
+    assert_routes_agree(u_cube_rhs=rhs, cover_numerator=numerator)
+
+
+def test_reduction_rewrites_every_power_above_the_relation():
+    L, _, _, y, u, v = cover_variables()
+    assert jacobian._rewrite(u**7 + 3 * u, "u", 3, v + 1) == u * (v + 1) ** 2 + 3 * u
+    assert jacobian._rewrite(y**13, "y", 6, L) == y * L**2
+    # sympy leaves u^4 alone; the exact reducer does not
+    assert to_sympy(u**4).subs(to_sympy(u**3), to_sympy(v)) == to_sympy(u**4)
+    assert jacobian._rewrite(u**4, "u", 3, v) == u * v
+    with pytest.raises(ValueError):
+        jacobian._rewrite(u**3, "u", 3, u**3 + 1)
+
+
+def test_polynomial_arithmetic():
+    *_, u, v = cover_variables()
+    assert (u + v) ** 2 - u**2 - 2 * u * v == v**2
+    assert u - u + 1 - 1 == Polynomial() == u * 0 == 0 * u
+    assert (u - v) * (u + v) == u**2 - v**2
+    assert (u + 1) ** 0 == Polynomial.lift(1)
+    with pytest.raises(TypeError):
+        u + 0.5
+    with pytest.raises(ValueError):
+        u ** -1

@@ -1,0 +1,52 @@
+"""The package runs on the standard library alone: sympy is a test-time
+oracle, and neither `verify` nor any module of `src/halftwist` may pull
+it (or anything else outside the standard library) back in."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import halftwist
+
+PACKAGE = Path(halftwist.__file__).resolve().parent
+
+
+def test_verify_leaves_sympy_unimported():
+    script = (
+        "import contextlib, io, sys\n"
+        "from halftwist import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify'])\n"
+        "print(code, 'sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+def imported_top_level_names(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_every_import_is_standard_library_or_halftwist():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    foreign = {
+        (path.name, name)
+        for path in modules
+        for name in imported_top_level_names(path)
+        if name != "halftwist" and name not in sys.stdlib_module_names
+    }
+    assert foreign == set()
