@@ -7,11 +7,17 @@ structure W inside the tensor with the degree-d Fermat curve, the (q, t)
 normal form of k, and the three half-twist existence predicates (the
 direct eigenspace check, which is authoritative, and the two closed
 forms it is compared against).
+
+A `CoverSpec` owns its Hodge data: the eigenspace table is built once
+per spec, on first use, and every predicate and structure here reads
+that one table through `primitive_cohomology` and `primitive_V`.  There
+is no cache across specs, so a table is freed with its spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil, gcd
 from typing import NamedTuple, Union
 
@@ -28,6 +34,7 @@ from .hodge import (
     tate_twist,
     tensor,
     tensor_invariants,
+    top_offenders,
 )
 from .jacobian import (
     UnsupportedCaseError,
@@ -39,7 +46,11 @@ from .jacobian import (
 
 @dataclass(frozen=True)
 class CoverSpec:
-    """Degree d >= 3 cover of projective k-space, k >= 0."""
+    """Degree d >= 3 cover of projective k-space, k >= 0.
+
+    The field, the eigenspace table and V are cached on the spec: a spec
+    builds its table at most once, and every predicate given the same
+    spec shares it.  The cache lives and dies with the spec."""
 
     d: int
     k: int
@@ -50,9 +61,17 @@ class CoverSpec:
         if self.k < 0:
             raise ValueError(f"dimension must be >= 0, got {self.k}")
 
-    @property
+    @cached_property
     def field(self) -> CyclotomicData:
         return make_cyclotomic(self.d)
+
+    @cached_property
+    def cohomology(self) -> CMHodgeStructure:
+        return CMHodgeStructure(self.field, self.k, eigenspace_dims(self.d, self.k))
+
+    @cached_property
+    def V(self) -> CMHodgeStructure:
+        return self.cohomology.restrict_residues(self.field.units)
 
 
 @dataclass(frozen=True)
@@ -107,25 +126,15 @@ class DecompositionReport:
 
 def primitive_cohomology(spec: CoverSpec) -> CMHodgeStructure:
     """Full eigenspace table of the middle primitive cohomology, all
-    residues 1..d-1."""
-    table = {
-        (p, i): dim for (p, i), dim in eigenspace_dims(spec.d, spec.k).items()
-    }
-    return CMHodgeStructure(spec.field, spec.k, table)
+    residues 1..d-1 (`spec.cohomology`)."""
+    return spec.cohomology
 
 
 def primitive_V(spec: CoverSpec) -> CMHodgeStructure:
     """The piece with primitive eigenvalues: the unit-residue columns of
-    the eigenspace table.  For prime d this is all of the primitive
-    middle cohomology."""
-    field = spec.field
-    units = frozenset(field.units)
-    table = {
-        (p, i): dim
-        for (p, i), dim in eigenspace_dims(spec.d, spec.k).items()
-        if i in units
-    }
-    return CMHodgeStructure(field, spec.k, table, support=units)
+    the eigenspace table (`spec.V`).  For prime d this is all of the
+    primitive middle cohomology."""
+    return spec.V
 
 
 def secondary_parts(spec: CoverSpec) -> list[tuple[int, CMHodgeStructure]]:
@@ -157,7 +166,7 @@ def order_part_as_substructure(spec: CoverSpec, e: int) -> CMHodgeStructure:
     )
     subfield = make_cyclotomic(e)
     table = {(p, i // step): dim for (p, i), dim in slice_.items()}
-    return CMHodgeStructure(subfield, spec.k, table, support=subfield.units)
+    return CMHodgeStructure(subfield, spec.k, table)
 
 
 def curve_h1(d: int) -> CMHodgeStructure:
@@ -180,27 +189,21 @@ def qt_decompose(spec: CoverSpec) -> QTDecomposition:
     t = k - q * d
     if not -1 <= t <= d - 2:
         raise InvariantError(f"normal form of {spec} has t={t} outside [-1, {d - 2}]")
-    dims = eigenspace_dims(d, k)
-    top = k - q
-    if not any(dims[(top, i)] for i in range(1, d)):
-        raise InvariantError(f"extremal piece p={top} of {spec} is zero")
-    for p in range(top + 1, k + 1):
-        if any(dims[(p, i)] for i in range(1, d)):
-            raise InvariantError(
-                f"{spec} has a nonzero piece above the extremal one at p={p}"
-            )
+    highest = max(primitive_cohomology(spec).hodge_numbers(), default=None)
+    if highest != k - q:
+        raise InvariantError(
+            f"highest nonzero piece of {spec} is p={highest}, "
+            f"not the extremal p={k - q}"
+        )
     return QTDecomposition(q=q, t=t)
 
 
 def half_twist_exists_direct(spec: CoverSpec, tate: bool = False) -> bool:
-    """The authoritative predicate: no unit residue above d/2 carries
-    dimension in the top Hodge piece (of V itself, or of the extremal
-    piece of V(q) when tate=True)."""
-    d, k = spec.d, spec.k
-    dims = eigenspace_dims(d, k)
-    top = k - qt_decompose(spec).q if tate else k
-    field = spec.field
-    return all(dims[(top, a)] == 0 for a in field.units if 2 * a > d)
+    """The authoritative predicate: the top Hodge piece of V (or the
+    extremal piece, the top of V(q), when tate=True) is one-sided, i.e.
+    `hodge.top_offenders` finds no residue outside sigma0 there."""
+    top = spec.k - qt_decompose(spec).q if tate else spec.k
+    return not top_offenders(primitive_V(spec), top)
 
 
 def half_twist_exists_printed(spec: CoverSpec) -> bool:
@@ -245,8 +248,8 @@ def half_twist_any_cmtype(spec: CoverSpec) -> bool:
     holds no such pair: O(phi(d)).  The exhaustive search over all
     2^(phi(d)/2) CM-types is its test oracle, `any_cmtype_exhaustive`
     in tests/test_covers.py."""
-    dims = eigenspace_dims(spec.d, spec.k)
-    top_support = {a for a in spec.field.units if dims[(spec.k, a)]}
+    V = primitive_V(spec)
+    top_support = {a for a in spec.field.units if V.entry(spec.k, a)}
     return all(spec.d - a not in top_support for a in top_support)
 
 
@@ -281,9 +284,7 @@ def build_W(spec: CoverSpec) -> CMHodgeStructure:
     """Invariants of the product automorphism inside (middle primitive
     cohomology of the cover) tensor (H^1 of the Fermat curve), graded by
     the cover-side residue.  Rank is pinned to (d-2) * h_k."""
-    W = tensor_invariants(
-        primitive_cohomology(spec), curve_h1(spec.d), rule="sum", shift=0
-    )
+    W = tensor_invariants(primitive_cohomology(spec), curve_h1(spec.d), rule="sum")
     expected = (spec.d - 2) * euler_recursion_rank(spec)
     if W.rank != expected:
         raise ValueError(f"W rank {W.rank} != (d-2) h_k = {expected}")

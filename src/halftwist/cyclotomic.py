@@ -40,9 +40,6 @@ class CyclotomicData:
     def is_unit(self, a: int) -> bool:
         return 0 < a % self.d and gcd(a, self.d) == 1
 
-    def conjugate(self, a: int) -> int:
-        return conjugate(self, a)
-
     def __repr__(self) -> str:
         return f"CyclotomicData(d={self.d})"
 

@@ -10,6 +10,12 @@ cyclic cover are supported on units.
 
 All operations are pure and exact: dimensions are Python integers and
 every identity asserted here is an equality of full tables.
+
+The positive half twist exists exactly when the top Hodge piece is
+one-sided: no residue outside the CM-type sigma0 carries dimension
+there.  `top_offenders` is the one definition of that test; the
+predicate `has_positive_half_twist`, the error of `pos_half_twist` and
+the cover predicates of `covers` all read it.
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ class CMHodgeStructure:
         field: CyclotomicData,
         weight: int,
         table: Mapping[tuple[int, int], int],
-        support: Optional[Iterable[int]] = None,
         check_symmetry: bool = True,
     ):
         if weight < 0:
@@ -75,13 +80,6 @@ class CMHodgeStructure:
         self.field = field
         self.weight = weight
         self._table = clean
-        self.support = None if support is None else frozenset(
-            a % field.d for a in support
-        )
-        if self.support is not None:
-            stray = {a for (_, a) in clean} - self.support
-            if stray:
-                raise MalformedStructureError(f"residues {sorted(stray)} outside support")
         if check_symmetry and not self.is_conjugation_symmetric():
             raise MalformedStructureError("table breaks conjugation symmetry")
 
@@ -208,7 +206,7 @@ def k_minus_half(field: CyclotomicData) -> CMHodgeStructure:
     tangent directions exactly on the sigma0 embeddings."""
     table = {(1, a): 1 for a in field.sigma0}
     table.update({(0, field.d - a): 1 for a in field.sigma0})
-    return CMHodgeStructure(field, 1, table, support=field.units)
+    return CMHodgeStructure(field, 1, table)
 
 
 def _require_unit_support(structure: CMHodgeStructure, op: str) -> None:
@@ -244,11 +242,7 @@ def pos_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
     _require_unit_support(structure, "positive half twist")
     field = structure.field
     k = structure.weight
-    offending = sorted(
-        (k, a)
-        for (p, a), dim in structure._table.items()
-        if p == k and a not in field.sigma0 and dim > 0
-    )
+    offending = [(k, a) for a in top_offenders(structure, k)]
     if offending:
         raise NoHalfTwistError(
             f"top Hodge piece is not one-sided at entries {offending}"
@@ -265,15 +259,17 @@ def pos_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
     return CMHodgeStructure(field, k - 1, table)
 
 
+def top_offenders(structure: CMHodgeStructure, p: int) -> list[int]:
+    """The residues outside sigma0 that carry dimension at Hodge index p,
+    ascending.  The top piece is one-sided when there are none at
+    p = weight."""
+    sigma0 = structure.field.sigma0
+    return sorted(a for (row, a) in structure._table if row == p and a not in sigma0)
+
+
 def has_positive_half_twist(structure: CMHodgeStructure) -> bool:
     """Whether the top Hodge piece is one-sided for the fixed CM-type."""
-    field = structure.field
-    k = structure.weight
-    return all(
-        a in field.sigma0
-        for (p, a), dim in structure.table.items()
-        if p == k and dim
-    )
+    return not top_offenders(structure, structure.weight)
 
 
 def tensor(left: CMHodgeStructure, right: CMHodgeStructure) -> CMHodgeStructure:
@@ -295,13 +291,12 @@ def tensor_invariants(
     left: CMHodgeStructure,
     right: CMHodgeStructure,
     rule: str = "sum",
-    shift: int = 0,
 ) -> CMHodgeStructure:
     """Sub-structure of left (x) right cut out by a residue matching rule,
     graded by the left-hand residue (the surviving quotient action).
 
-    rule="sum" keeps pairs with a + b = shift mod d (invariants of the
-    product automorphism); rule="difference" keeps a - b = shift mod d
+    rule="sum" keeps pairs with a + b = 0 mod d (invariants of the
+    product automorphism); rule="difference" keeps a = b mod d
     (invariants of alpha (x) zeta^{-1}).
     """
     if left.field.d != right.field.d:
@@ -310,9 +305,9 @@ def tensor_invariants(
     table: dict[tuple[int, int], int] = {}
     for (p1, a1), dim1 in left._table.items():
         if rule == "sum":
-            b = (shift - a1) % d
+            b = (-a1) % d
         elif rule == "difference":
-            b = (a1 - shift) % d
+            b = a1
         else:
             raise ValueError(f"unknown matching rule {rule!r}")
         for p2 in range(right.weight + 1):
@@ -320,9 +315,7 @@ def tensor_invariants(
             if dim2:
                 key = (p1 + p2, a1)
                 table[key] = table.get(key, 0) + dim1 * dim2
-    return CMHodgeStructure(
-        left.field, left.weight + right.weight, table, check_symmetry=(shift == 0)
-    )
+    return CMHodgeStructure(left.field, left.weight + right.weight, table)
 
 
 def collapse_residues(structure: CMHodgeStructure) -> CMHodgeStructure:

@@ -7,9 +7,10 @@ W-ladder quotients of the d = 3 Jacobian ring, and the
 fraction-free linear algebra backing the period-map rank computation.
 
 Two independent routes exist for every count: a closed form by
-inclusion-exclusion and a literal enumeration (tuple listing for small
-search spaces, an exact integer convolution otherwise).  Tests sweep
-their agreement; neither route is ever collapsed into the other.
+inclusion-exclusion and an exact integer convolution over the tuple
+entries.  Tests sweep their agreement, and check the convolution itself
+against a literal listing of tuples; neither route is ever collapsed
+into the other.
 
 Every rank is computed by one sparse fraction-free eliminator,
 `sparse_rank`, on rows stored as {column: value} maps; `exact_rank` is
@@ -111,22 +112,13 @@ def eigenspace_dims(d: int, k: int) -> dict[tuple[int, int], int]:
     }
 
 
-_ENUMERATION_LIMIT = 150_000
-
-
 @lru_cache(maxsize=None)
 def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:
-    """Number of (k+1)-tuples over {1..d-1} for each total sum.
-
-    Small search spaces are enumerated literally; larger ones use an
-    exact integer convolution.  Both are independent of the
-    inclusion-exclusion closed form they are checked against.
-    """
-    n = k + 1
-    if (d - 1) ** n <= _ENUMERATION_LIMIT:
-        return dict(Counter(sum(t) for t in product(range(1, d), repeat=n)))
+    """Number of (k+1)-tuples over {1..d-1} for each total sum, by an
+    exact integer convolution, one tuple entry at a time.  Independent
+    of the inclusion-exclusion closed form it is checked against."""
     ways: dict[int, int] = {0: 1}
-    for _ in range(n):
+    for _ in range(k + 1):
         nxt: dict[int, int] = defaultdict(int)
         for s, c in ways.items():
             for a in range(1, d):

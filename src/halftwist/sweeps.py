@@ -91,9 +91,9 @@ def _round_trip(d: int, k: int) -> tuple[bool, str]:
 def _monotonicity(d: int, k: int) -> tuple[bool, str]:
     spec = CoverSpec(d, k)
     top = k - covers.qt_decompose(spec).q
-    dims = jacobian.eigenspace_dims(d, k)
+    cohomology = covers.primitive_cohomology(spec)
     for i in range(1, d - 1):
-        if dims[(top, i)] < dims[(top, i + 1)]:
+        if cohomology.entry(top, i) < cohomology.entry(top, i + 1):
             return False, f"extremal eigenspaces grow at i={i}"
     return True, f"nonincreasing along the extremal row p={top}"
 

@@ -1,9 +1,9 @@
-from collections import defaultdict
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from halftwist import covers, sweeps
+from halftwist import cli, covers, sweeps
 from halftwist.covers import (
     CoverSpec,
     build_W,
@@ -27,9 +27,10 @@ from halftwist.covers import (
     secondary_parts,
     z_decomposition,
 )
-from halftwist.cyclotomic import all_cm_types
+from halftwist.cyclotomic import InvariantError, all_cm_types
 from halftwist.hodge import (
     CMHodgeStructure,
+    NoHalfTwistError,
     has_positive_half_twist,
     pos_half_twist,
     tate_twist,
@@ -121,6 +122,21 @@ def test_qt_uniqueness_on_grid():
         assert -1 <= qt.t <= d - 2
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        {},  # no piece at all
+        {(2, 1): 1, (2, 2): 1},  # the extremal piece p = 3 is zero
+        {(3, 1): 1, (1, 2): 1, (4, 1): 1, (0, 2): 1},  # a piece above it
+    ],
+)
+def test_qt_rejects_a_table_without_a_top_extremal_piece(monkeypatch, table):
+    # d = 3, k = 4 has q = 1, so the highest nonzero piece must be p = 3
+    monkeypatch.setattr(covers, "eigenspace_dims", lambda d, k: table)
+    with pytest.raises(InvariantError, match="extremal p=3"):
+        qt_decompose(CoverSpec(3, 4))
+
+
 # ---------------------------------------------------------------------------
 # existence predicates
 
@@ -132,6 +148,21 @@ def test_direct_predicate_examples():
     # the surface of degree seven: the stated bound says yes, the count
     # says no
     assert half_twist_exists_direct(CoverSpec(7, 2)) is False
+
+
+@pytest.mark.parametrize("tate", [False, True])
+def test_direct_predicate_is_the_one_sided_test_of_V(tate):
+    for d, k in GRID:
+        spec = CoverSpec(d, k)
+        V = primitive_V(spec)
+        target = tate_twist(V, qt_decompose(spec).q) if tate else V
+        exists = half_twist_exists_direct(spec, tate=tate)
+        assert exists == has_positive_half_twist(target), (d, k)
+        if exists:
+            pos_half_twist(target)
+        else:
+            with pytest.raises(NoHalfTwistError):
+                pos_half_twist(target)
 
 
 def test_closed_form_examples():
@@ -189,8 +220,8 @@ def test_corollary_disagreement_set():
 def any_cmtype_exhaustive(spec):
     """Test oracle for `half_twist_any_cmtype`: search all 2^(phi(d)/2)
     CM-types for one containing the top Hodge support of V."""
-    dims = covers.eigenspace_dims(spec.d, spec.k)
-    top_support = {a for a in spec.field.units if dims[(spec.k, a)]}
+    V = covers.primitive_V(spec)
+    top_support = {a for a in spec.field.units if V.entry(spec.k, a)}
     return any(top_support <= sigma for sigma in all_cm_types(spec.field))
 
 
@@ -230,8 +261,10 @@ def test_cmtype_closed_form_matches_oracle_on_every_support(monkeypatch):
         units = spec.field.units
         for size in range(len(units) + 1):
             for support in combinations(units, size):
-                dims = defaultdict(int, {(1, a): 1 for a in support})
-                monkeypatch.setattr(covers, "eigenspace_dims", lambda d, k: dims)
+                V = CMHodgeStructure(
+                    spec.field, 1, {(1, a): 1 for a in support}, check_symmetry=False
+                )
+                monkeypatch.setattr(covers, "primitive_V", lambda spec: V)
                 closed = half_twist_any_cmtype(spec)
                 assert closed == any_cmtype_exhaustive(spec), (d, support)
 
@@ -433,3 +466,33 @@ def test_ks_invariant_space_rank_preserved_on_grid():
     for d, k in GRID:
         spec = CoverSpec(d, k)
         assert ks_invariant_space(spec).rank == primitive_V(spec).rank, (d, k)
+
+
+# ---------------------------------------------------------------------------
+# one eigenspace table per cover
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts the eigenspace tables built, by (d, k)."""
+    builds = Counter()
+    build = covers.eigenspace_dims
+
+    def counted(d, k):
+        builds[(d, k)] += 1
+        return build(d, k)
+
+    monkeypatch.setattr(covers, "eigenspace_dims", counted)
+    return builds
+
+
+@pytest.mark.parametrize("d, k", [(3, 4), (7, 2), (4, 3), (6, 5), (8, 1)])
+def test_round_trip_cell_builds_one_table(table_builds, d, k):
+    assert sweeps.run_check("round-trip", d, k).ok
+    assert table_builds == {(d, k): 1}
+
+
+def test_half_twist_command_builds_one_table(table_builds, capsys):
+    assert cli.main(["half-twist", "7", "5", "--tate"]) == 0
+    assert "half twist of V(q)" in capsys.readouterr().out
+    assert table_builds == {(7, 5): 1}

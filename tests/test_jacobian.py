@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
@@ -177,6 +178,24 @@ def test_shioda_rejects_bad_eigenvalue_index():
         shioda_tuple_count(5, 2, 0, 0)
     with pytest.raises(ValueError):
         shioda_tuple_count(5, 2, 0, 5)
+
+
+def tuple_sum_counts_listed(d, k):
+    """Oracle for the convolution in `_tuple_sum_counts`: list every
+    (k+1)-tuple over 1..d-1 and count the sums."""
+    return dict(Counter(sum(t) for t in product(range(1, d), repeat=k + 1)))
+
+
+def test_tuple_sum_convolution_matches_listing():
+    cells = [
+        (d, k)
+        for k in range(1, 14)
+        for d in range(3, 143)
+        if (d - 1) ** (k + 1) <= 20_000
+    ]
+    assert (142, 1) in cells and (3, 13) in cells and len(cells) == 198
+    for d, k in cells:
+        assert jacobian._tuple_sum_counts(d, k) == tuple_sum_counts_listed(d, k), (d, k)
 
 
 def test_oracle_equivalence_small_grid():

@@ -1,6 +1,8 @@
 """The package runs on the standard library alone: sympy is a test-time
 oracle, and neither `verify` nor any module of `src/halftwist` may pull
-it (or anything else outside the standard library) back in."""
+it (or anything else outside the standard library) back in.  Nor may a
+module keep an import it no longer uses: the package has no linter, so
+an `ast` scan stands in for one."""
 
 import ast
 import os
@@ -50,3 +52,25 @@ def test_every_import_is_standard_library_or_halftwist():
         if name != "halftwist" and name not in sys.stdlib_module_names
     }
     assert foreign == set()
+
+
+def unused_imports(path):
+    """Names a module imports and never mentions again."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).partition(".")[0]
+                         for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports only to re-export, so it is the one exception
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {(path.name, name) for path in modules for name in unused_imports(path)}
+    assert unused == set()
