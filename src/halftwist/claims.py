@@ -6,8 +6,13 @@ Provenance tags: "paper" marks a value read off the source text,
 recursion, exact rank), "trivial" a value forced by definitions.
 
 A claim over a grid of (d, k) cells runs the registered sweep check on
-every cell (`sweeps.run_check`), so the ledger and the sweeps share one
+every cell (`sweeps.check_cover`), so the ledger and the sweeps share one
 definition of each property.
+
+One ledger run holds one `CoverSpec` per cover: `all_claims` makes a
+memo of specs, and every claim, helper and grid check takes its covers
+from it, so each cover's eigenspace table is built once per run and
+read only through its spec.
 
 Two claim families are pre-registered as known discrepancies: the
 stated closed form of the existence criterion for odd degree, and the
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from . import covers, hodge, jacobian, sweeps
@@ -43,6 +49,9 @@ PRINTED_PATTERNS = {
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_KNOWN = "discrepancy-known"
+
+# the run's memo of covers: (d, k) -> its one CoverSpec
+Specs = Callable[[int, int], CoverSpec]
 
 
 @dataclass(frozen=True)
@@ -142,53 +151,48 @@ def _kondo_isogeny():
     return [report.expected_rank, [p.multiplicity * p.rank for p in report.parts]]
 
 
-def _jz5_dims():
-    z5 = covers.euler_recursion_rank(CoverSpec(3, 5)) // 2
+def _jz5_dims(spec: Specs):
+    z5 = covers.euler_recursion_rank(spec(3, 5)) // 2
     x3 = jacobian.primitive_middle_rank(3, 3) // 2
     twist = hodge.abelian_summary(
-        hodge.pos_half_twist(hodge.tate_twist(covers.primitive_V(CoverSpec(3, 4)), 1))
+        hodge.pos_half_twist(hodge.tate_twist(covers.primitive_V(spec(3, 4)), 1))
     ).dim_abelian
     return [z5, x3, twist]
 
 
-def _sextic_part(order: int):
-    parts = dict(covers.secondary_parts(CoverSpec(6, 2)))
+def _sextic_part(spec: Specs, order: int):
+    parts = dict(covers.secondary_parts(spec(6, 2)))
     part = parts[order]
     hn = part.hodge_numbers()
     return [part.rank, [hn.get(2, 0), hn.get(1, 0), hn.get(0, 0)]]
 
 
-def _sextic_half_twists():
-    spec = CoverSpec(6, 2)
-    v6 = covers.half_twist_exists_direct(spec)
-    cube_part = covers.order_part_as_substructure(spec, 3)
+def _sextic_half_twists(spec: Specs):
+    v6 = covers.half_twist_exists_direct(spec(6, 2))
+    cube_part = covers.order_part_as_substructure(spec(6, 2), 3)
     return [v6, hodge.has_positive_half_twist(cube_part)]
 
 
-def _quintic_extremal(k: int):
-    spec = CoverSpec(5, k)
-    qt = covers.qt_decompose(spec)
-    top = k - qt.q
+def _quintic_extremal(spec: Specs, k: int):
+    cover = spec(5, k)
+    top = k - covers.qt_decompose(cover).q
     full = dict(jacobian.hypersurface_hodge_numbers(5, k))[top]
-    dims = jacobian.eigenspace_dims(5, k)
-    return [full, [dims[(top, 1)], dims[(top, 2)]]]
+    return [full, [cover.cohomology.entry(top, 1), cover.cohomology.entry(top, 2)]]
 
 
-def _direct_pattern(d: int, tate: bool = True):
-    return [
-        covers.half_twist_exists_direct(CoverSpec(d, k), tate=tate) for k in GRID_K
-    ]
+def _direct_pattern(spec: Specs, d: int):
+    return [covers.half_twist_exists_direct(spec(d, k), tate=True) for k in GRID_K]
 
 
-def _printed_pattern(d: int):
-    return [covers.half_twist_exists_printed(CoverSpec(d, k)) for k in GRID_K]
+def _printed_pattern(spec: Specs, d: int):
+    return [covers.half_twist_exists_printed(spec(d, k)) for k in GRID_K]
 
 
-def _disagreements(left, right) -> list[list[int]]:
+def _disagreements(spec: Specs, left, right) -> list[list[int]]:
     """The cells [d, k] of GRID_D x GRID_K where two predicates on a
-    CoverSpec differ.  Both read one spec per cell, so one table."""
-    cells = (CoverSpec(d, k) for d in GRID_D for k in GRID_K)
-    return [[spec.d, spec.k] for spec in cells if left(spec) != right(spec)]
+    CoverSpec differ."""
+    cells = (spec(d, k) for d in GRID_D for k in GRID_K)
+    return [[cover.d, cover.k] for cover in cells if left(cover) != right(cover)]
 
 
 def _direct_tate(spec: CoverSpec) -> bool:
@@ -207,28 +211,28 @@ def _no_even_degree(cells: list[list[int]]) -> bool:
     return all(d % 2 for d, _ in cells)
 
 
-def _cubics_W_identity():
+def _cubics_W_identity(spec: Specs):
     for k in range(2, 8):
-        spec = CoverSpec(3, k)
-        W = covers.build_W(spec)
-        twisted = hodge.tate_twist(hodge.pos_half_twist(covers.primitive_V(spec)), -1)
+        cover = spec(3, k)
+        W = covers.build_W(cover)
+        twisted = hodge.tate_twist(hodge.pos_half_twist(covers.primitive_V(cover)), -1)
         if W != twisted:
             return False
     return True
 
 
-def _cubics_extremal_dims():
+def _cubics_extremal_dims(spec: Specs):
     out = []
     for k in (4, 7):
-        qt = covers.qt_decompose(CoverSpec(3, k))
+        qt = covers.qt_decompose(spec(3, k))
         out.append(dict(jacobian.hypersurface_hodge_numbers(3, k))[k - qt.q])
     return out
 
 
-def _quartic_splits():
+def _quartic_splits(spec: Specs):
     try:
         for k in (1, 2, 3):
-            covers.quartic_W_split(CoverSpec(4, k))
+            covers.quartic_W_split(spec(4, k))
     except ValueError:
         return False
     return True
@@ -241,21 +245,21 @@ def _lemma37_example(d: int, k: int):
     return [total, [lower, same]]
 
 
-def _sweep_holds(check: str, cells) -> bool:
+def _sweep_holds(spec: Specs, check: str, cells) -> bool:
     """Whether the sweep check passes on every (d, k) cell."""
-    return all(sweeps.run_check(check, d, k).ok for d, k in cells)
+    return all(sweeps.check_cover(check, spec(d, k)).ok for d, k in cells)
 
 
 def _grid(ds, ks) -> list[tuple[int, int]]:
     return [(d, k) for d in ds for k in ks]
 
 
-def _tate_commutes_on_grid() -> bool:
+def _tate_commutes_on_grid(spec: Specs) -> bool:
     # the round-trip check compares twist and Tate twist wherever both
     # composites are defined; the claim needs at least one comparison
     compared = 0
     for d, k in _grid(GRID_D, GRID_K):
-        cell = sweeps.run_check("round-trip", d, k)
+        cell = sweeps.check_cover("round-trip", spec(d, k))
         if not cell.ok:
             return False
         found = re.search(r"commutations: (\d+)", cell.detail)
@@ -263,8 +267,8 @@ def _tate_commutes_on_grid() -> bool:
     return compared > 0
 
 
-def _torelli_quotients_match_W():
-    W = covers.build_W(CoverSpec(3, 4)).hodge_numbers()
+def _torelli_quotients_match_W(spec: Specs):
+    W = covers.build_W(spec(3, 4)).hodge_numbers()
     return all(
         jacobian.build_w_quotient(4, p).dimension == W.get(4 - p, 0)
         for p in jacobian.w_ladder_steps(4)
@@ -295,10 +299,11 @@ def _covermap_mutations():
 
 
 def all_claims() -> tuple[Claim, ...]:
+    spec = cache(CoverSpec)
     K4 = make_cyclotomic(4)
     K3 = make_cyclotomic(3)
-    kondo = CoverSpec(4, 2)
-    cubic4 = CoverSpec(3, 4)
+    kondo = spec(4, 2)
+    cubic4 = spec(3, 4)
 
     claims = [
         # --- quartic surface / genus-3 suite
@@ -342,52 +347,50 @@ def all_claims() -> tuple[Claim, ...]:
               lambda: list(hodge.abelian_summary(hodge.pos_half_twist(
                   hodge.tate_twist(covers.primitive_V(cubic4), 1))).cm_type)),
         Claim("cubic4.jz5_dims", "6.1", "cubic4", "paper", [21, 5, 11],
-              _jz5_dims),
+              lambda: _jz5_dims(spec)),
         # --- sextic surface suite
         Claim("sextic.primitive_rank", "4.4", "sextic", "paper", 105,
-              lambda: covers.primitive_cohomology(CoverSpec(6, 2)).rank),
+              lambda: covers.primitive_cohomology(spec(6, 2)).rank),
         Claim("sextic.V6", "4.4", "sextic", "paper", [42, [6, 30, 6]],
-              lambda: _sextic_part(6)),
+              lambda: _sextic_part(spec, 6)),
         Claim("sextic.V2", "4.4", "sextic", "paper", [42, [3, 36, 3]],
-              lambda: _sextic_part(3)),
+              lambda: _sextic_part(spec, 3)),
         Claim("sextic.h11_eigenspaces", "4.4", "sextic", "paper", [15, 18],
-              lambda: [jacobian.eigenspace_dims(6, 2)[(1, 1)],
-                       jacobian.eigenspace_dims(6, 2)[(1, 2)]]),
+              lambda: [spec(6, 2).cohomology.entry(1, 1),
+                       spec(6, 2).cohomology.entry(1, 2)]),
         Claim("sextic.half_twists", "4.4", "sextic", "paper", [True, True],
-              _sextic_half_twists),
+              lambda: _sextic_half_twists(spec)),
         # --- quintic suite
         Claim("quintic.extremal_k2", "4.3", "quintic", "paper", [4, [3, 1]],
-              lambda: _quintic_extremal(2)),
+              lambda: _quintic_extremal(spec, 2)),
         Claim("quintic.extremal_k7", "4.3", "quintic", "paper", [9, [8, 1]],
-              lambda: _quintic_extremal(7)),
+              lambda: _quintic_extremal(spec, 7)),
         Claim("quintic.curve_eigenspaces", "4.3", "quintic", "paper",
               [3, 2, 1, 0],
-              lambda: [jacobian.eigenspace_dims(5, 1)[(1, i)]
-                       for i in range(1, 5)]),
+              lambda: [spec(5, 1).cohomology.entry(1, i) for i in range(1, 5)]),
         Claim("quintic.halftwist_pattern", "4.3", "quintic", "paper",
               [False, True, True, False, False, False, True],
-              lambda: _direct_pattern(5)),
+              lambda: _direct_pattern(spec, 5)),
         # --- cubic covers in general
         Claim("cubics.halftwist_pattern", "3.8", "cubics", "paper",
               [False, False, True, False, False, True],
-              lambda: [covers.half_twist_exists_direct(CoverSpec(3, k), tate=True)
+              lambda: [covers.half_twist_exists_direct(spec(3, k), tate=True)
                        for k in range(2, 8)]),
         Claim("cubics.extremal_dim_is_one", "3.8", "cubics", "paper", [1, 1],
-              _cubics_extremal_dims),
+              lambda: _cubics_extremal_dims(spec)),
         Claim("cubics.W_equals_half_twist", "3.8", "cubics", "paper", True,
-              _cubics_W_identity),
+              lambda: _cubics_W_identity(spec)),
         Claim("cubics.surface_level_zero", "2.5", "cubics", "paper", 0,
-              lambda: hodge.level(covers.primitive_V(CoverSpec(3, 2)))),
+              lambda: hodge.level(covers.primitive_V(spec(3, 2)))),
         # --- quartic covers in general
         Claim("quartics.curve_h10_eigenspaces", "3.10", "quartics", "paper",
               [2, 1, 0],
-              lambda: [jacobian.eigenspace_dims(4, 1)[(1, i)]
-                       for i in range(1, 4)]),
+              lambda: [spec(4, 1).cohomology.entry(1, i) for i in range(1, 4)]),
         Claim("quartics.split_table_equality", "3.10", "quartics", "paper",
-              True, _quartic_splits),
+              True, lambda: _quartic_splits(spec)),
         Claim("quartics.halftwist_pattern", "3.9", "quartics", "paper",
               [True, True, False, False, True, True, False],
-              lambda: _direct_pattern(4)),
+              lambda: _direct_pattern(spec, 4)),
         # --- the Fermat curve lemma
         Claim("gamma.invariant_h1_dims", "3.2", "fermat-curve", "paper",
               [2, 2, 4, 4, 6, 6, 8],
@@ -401,24 +404,25 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("lemma3.7.cubic4", "3.7", "dims", "paper", [42, [20, 22]],
               lambda: _lemma37_example(3, 4)),
         Claim("lemma3.7.grid", "3.7", "dims", "derived", True,
-              lambda: _sweep_holds("dim-identity", _grid(GRID_D, range(2, 8)))),
+              lambda: _sweep_holds(spec, "dim-identity", _grid(GRID_D, range(2, 8)))),
         Claim("prop3.5.checksum_grid", "3.5", "dims", "derived", True,
-              lambda: _sweep_holds("z-checksum", _grid(GRID_D, GRID_K))),
+              lambda: _sweep_holds(spec, "z-checksum", _grid(GRID_D, GRID_K))),
         Claim("euler.matches_griffiths", "3.7", "dims", "derived", True,
-              lambda: _sweep_holds("dim-identity", _grid(GRID_D, range(0, 8)))),
+              lambda: _sweep_holds(spec, "dim-identity", _grid(GRID_D, range(0, 8)))),
         # --- Kuga-Satake dimension space
         Claim("ks.cubic4_table", "5.2", "ks", "paper", True,
-              lambda: _sweep_holds("ks-space", [(3, 4)])),
+              lambda: _sweep_holds(spec, "ks-space", [(3, 4)])),
         Claim("ks.kondo_table", "5.2", "ks", "paper", True,
-              lambda: _sweep_holds("ks-space", [(4, 2)])),
+              lambda: _sweep_holds(spec, "ks-space", [(4, 2)])),
         Claim("ks.elliptic_curve_d3", "5.2", "ks", "paper", [2, 1],
               lambda: [hodge.k_minus_half(K3).rank,
                        hodge.abelian_summary(hodge.k_minus_half(K3)).dim_abelian]),
         # --- twist algebra
         Claim("twists.roundtrip_grid", "7.2", "twists", "paper", True,
-              lambda: _sweep_holds("round-trip", _grid(range(3, 9), range(1, 9)))),
+              lambda: _sweep_holds(
+                  spec, "round-trip", _grid(range(3, 9), range(1, 9)))),
         Claim("twists.tate_commutation", "1.4", "twists", "paper", True,
-              _tate_commutes_on_grid),
+              lambda: _tate_commutes_on_grid(spec)),
         Claim("twists.k_minus_half_d4", "1.4", "twists", "trivial", [2, 1],
               lambda: [hodge.k_minus_half(K4).rank,
                        hodge.k_minus_half(K4).entry(1, 1)]),
@@ -430,7 +434,7 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("torelli.differential_rank", "7.4", "torelli", "derived", 10,
               lambda: jacobian.torelli_differential_rank(4)),
         Claim("torelli.quotients_match_W", "7.4", "torelli", "derived", True,
-              _torelli_quotients_match_W),
+              lambda: _torelli_quotients_match_W(spec)),
         # --- the dominant rational map
         Claim("covermap.identity", "6.4", "cover-map", "paper", True,
               jacobian.verify_cover_parametrization),
@@ -439,43 +443,44 @@ def all_claims() -> tuple[Claim, ...]:
         # --- known discrepancies: stated closed forms vs direct computation
         Claim("thm2.6.printed_formula_transcription", "2.6", "thm2.6",
               "paper", PRINTED_PATTERNS,
-              lambda: {str(d): _printed_pattern(d) for d in (3, 5, 7, 9)}),
+              lambda: {str(d): _printed_pattern(spec, d) for d in (3, 5, 7, 9)}),
         Claim("thm2.6.printed_vs_direct.d3", "2.6", "thm2.6", "paper",
-              PRINTED_PATTERNS["3"], lambda: _direct_pattern(3),
+              PRINTED_PATTERNS["3"], lambda: _direct_pattern(spec, 3),
               known_discrepancy=True),
         Claim("thm2.6.printed_vs_direct.d5", "2.6", "thm2.6", "paper",
-              PRINTED_PATTERNS["5"], lambda: _direct_pattern(5),
+              PRINTED_PATTERNS["5"], lambda: _direct_pattern(spec, 5),
               known_discrepancy=True),
         Claim("thm2.6.printed_vs_direct.d7", "2.6", "thm2.6", "paper",
-              PRINTED_PATTERNS["7"], lambda: _direct_pattern(7),
+              PRINTED_PATTERNS["7"], lambda: _direct_pattern(spec, 7),
               known_discrepancy=True),
         Claim("thm2.6.printed_vs_direct.d9", "2.6", "thm2.6", "paper",
-              PRINTED_PATTERNS["9"], lambda: _direct_pattern(9),
+              PRINTED_PATTERNS["9"], lambda: _direct_pattern(spec, 9),
               known_discrepancy=True),
         Claim("thm2.6.even_degree_agreement", "2.6", "thm2.6", "derived",
               True, lambda: _no_even_degree(
-                  _disagreements(covers.half_twist_exists_printed, _direct_tate))),
+                  _disagreements(
+                      spec, covers.half_twist_exists_printed, _direct_tate))),
         Claim("thm2.6.derived_matches_direct", "2.6", "thm2.6", "derived",
               True, lambda: not _disagreements(
-                  covers.half_twist_exists_derived, _direct_tate)),
+                  spec, covers.half_twist_exists_derived, _direct_tate)),
         Claim("thm2.6.disagreement_set", "2.6", "thm2.6", "derived",
               [[3, 3], [3, 6], [5, 1], [5, 6], [7, 2], [9, 3]],
-              lambda: _disagreements(covers.half_twist_exists_printed, _direct_tate)),
+              lambda: _disagreements(
+                  spec, covers.half_twist_exists_printed, _direct_tate)),
         Claim("cor2.7.surfaces_bound", "4.1", "cor2.7", "paper",
               [True, True, True, True, True, False, False],
-              lambda: [covers.half_twist_exists_direct(CoverSpec(d, 2))
-                       for d in GRID_D],
+              lambda: [covers.half_twist_exists_direct(spec(d, 2)) for d in GRID_D],
               known_discrepancy=True),
         Claim("cor2.7.even_degree_agreement", "2.7", "cor2.7", "derived",
               True, lambda: _no_even_degree(
-                  _disagreements(_cor_printed, _cor_direct))),
+                  _disagreements(spec, _cor_printed, _cor_direct))),
         Claim("cor2.7.disagreement_set", "2.7", "cor2.7", "derived",
               [[5, 1], [7, 2], [9, 3]],
-              lambda: _disagreements(_cor_printed, _cor_direct)),
+              lambda: _disagreements(spec, _cor_printed, _cor_direct)),
         Claim("cor2.7.no_cmtype_helps_d7k2", "4.5", "cor2.7", "derived",
-              False, lambda: covers.half_twist_any_cmtype(CoverSpec(7, 2))),
+              False, lambda: covers.half_twist_any_cmtype(spec(7, 2))),
         Claim("cmtype.optimality_grid", "2.1", "cor2.7", "derived", True,
               lambda: not _disagreements(
-                  covers.half_twist_any_cmtype, covers.half_twist_exists_direct)),
+                  spec, covers.half_twist_any_cmtype, covers.half_twist_exists_direct)),
     ]
     return tuple(claims)

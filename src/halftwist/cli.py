@@ -29,9 +29,10 @@ from .covers import CoverSpec
 FORMATS = ("table", "json")
 
 # The cost of a cover grows fast with d and k together, and of a sweep
-# with its grid: on a 2-core machine `half-twist 64 64` takes about 3 s,
-# `sweep --check oracle-equivalence --d-max 32 --k-max 16` about 2.4 s,
-# and `half-twist 3 3000` does not finish in 20 s.
+# with its grid: on a 2-core machine (whole-process medians of 7 runs)
+# `half-twist 64 64` takes about 0.5 s, `sweep --check oracle-equivalence
+# --d-max 32 --k-max 16` about 1.3 s, and the (3, 3000) cover does not
+# finish in 20 s.
 MAX_D = MAX_K = 64
 SWEEP_MAX_D, SWEEP_MAX_K = 32, 16
 LIMITS = {"d": MAX_D, "k": MAX_K, "d_max": SWEEP_MAX_D, "k_max": SWEEP_MAX_K}

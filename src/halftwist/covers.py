@@ -11,13 +11,15 @@ forms it is compared against).
 A `CoverSpec` owns its Hodge data: the eigenspace table is built once
 per spec, on first use, and every predicate and structure here reads
 that one table through `primitive_cohomology` and `primitive_V`.  There
-is no cache across specs, so a table is freed with its spec.
+is no cache across specs, so a table is freed with its spec.  The one
+exception is `curve_h1`, the Fermat-curve table that `build_W` tensors
+with: it is cached per degree, and has at most 2(d-1) entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import ceil, gcd
 from typing import NamedTuple, Union
 
@@ -169,9 +171,10 @@ def order_part_as_substructure(spec: CoverSpec, e: int) -> CMHodgeStructure:
     return CMHodgeStructure(subfield, spec.k, table)
 
 
+@cache
 def curve_h1(d: int) -> CMHodgeStructure:
     """H^1 of the degree-d Fermat curve, from the same eigenspace table
-    with k = 1 (no hard-coded values)."""
+    with k = 1 (no hard-coded values); built once per degree."""
     return primitive_cohomology(CoverSpec(d, 1))
 
 
@@ -391,26 +394,14 @@ def gamma_invariant_h1_dimension(d: int) -> int:
 def ks_invariant_space(spec: CoverSpec) -> CMHodgeStructure:
     """The subspace of V (x) K_half (x) K_half cut out by eigen-triples
     (a, b, c) with a + b = 0 and b + c = 0 mod d, with Hodge bidegrees
-    added.  Must coincide with the Tate twist V(-1) as a full table."""
-    field = spec.field
-    d = field.d
+    added: the "sum" invariants of V (x) K_half, then the "difference"
+    invariants of that with K_half.  Must coincide with the Tate twist
+    V(-1) as a full table."""
     V = primitive_V(spec)
-    K = k_minus_half(field)
-    table: dict[tuple[int, int], int] = {}
-    for (p1, a), dim in V.table.items():
-        b = (-a) % d
-        c = (-b) % d
-        for p2 in (0, 1):
-            d2 = K.entry(p2, b)
-            if not d2:
-                continue
-            for p3 in (0, 1):
-                d3 = K.entry(p3, c)
-                if not d3:
-                    continue
-                key = (p1 + p2 + p3, a)
-                table[key] = table.get(key, 0) + dim * d2 * d3
-    S = CMHodgeStructure(field, spec.k + 2, table)
+    K = k_minus_half(spec.field)
+    S = tensor_invariants(
+        tensor_invariants(V, K, rule="sum"), K, rule="difference"
+    )
     require_equal(
         S, tate_twist(V, -1), f"invariant space differs from V(-1) for {spec}"
     )

@@ -34,7 +34,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -68,14 +68,6 @@ def count_bounded_monomials(n_vars: int, d: int, m: int) -> int:
             break
         total += (-1) ** j * comb(n_vars, j) * comb(upper, n_vars - 1)
     return total
-
-
-def count_bounded_monomials_enumerated(n_vars: int, d: int, m: int) -> int:
-    """The same count by listing every exponent vector; the independent
-    oracle for the closed form.  Cost is (d-1)^n_vars."""
-    return sum(
-        1 for exps in product(range(d - 1), repeat=n_vars) if sum(exps) == m
-    )
 
 
 def hypersurface_hodge_numbers(d: int, k: int) -> list[tuple[int, int]]:

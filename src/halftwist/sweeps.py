@@ -1,8 +1,11 @@
 """Grid sweeps of the structural properties.
 
-Each registered check is a pure function of one (d, k) cell, so the grid
-is embarrassingly parallel; results are sorted by (d, k) before
-rendering, which makes the output independent of the worker count.
+Each registered check is a pure function of one `CoverSpec`, so every
+property it reads comes from that cover's one eigenspace table, and a
+caller that already holds the spec (the claim ledger) shares it.  A
+sweep builds one spec per cell inside the worker, so the grid is
+embarrassingly parallel; results are sorted by (d, k) before rendering,
+which makes the output independent of the worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ class SweepCell:
         }
 
 
-def _oracle_equivalence(d: int, k: int) -> tuple[bool, str]:
+def _oracle_equivalence(spec: CoverSpec) -> tuple[bool, str]:
+    # the raw table, zero entries included, against the tuple count
+    d, k = spec.d, spec.k
     dims = jacobian.eigenspace_dims(d, k)
     bad = [
         (p, i)
@@ -46,20 +51,19 @@ def _oracle_equivalence(d: int, k: int) -> tuple[bool, str]:
     return True, f"{len(dims)} entries agree"
 
 
-def _dim_identity(d: int, k: int) -> tuple[bool, str]:
-    euler = covers.euler_recursion_rank(CoverSpec(d, k))
-    griffiths = jacobian.primitive_middle_rank(d, k)
+def _dim_identity(spec: CoverSpec) -> tuple[bool, str]:
+    euler = covers.euler_recursion_rank(spec)
+    griffiths = jacobian.primitive_middle_rank(spec.d, spec.k)
     if euler != griffiths:
         return False, f"euler {euler} != griffiths {griffiths}"
-    if k < 2:
+    if spec.k < 2:
         return True, "euler=griffiths (identity needs k>=2)"
-    if not covers.dim_identity_check(CoverSpec(d, k)):
+    if not covers.dim_identity_check(spec):
         return False, "h_{k+1} != (d-1) h_{k-1} + (d-2) h_k"
     return True, "identity and euler oracle hold"
 
 
-def _round_trip(d: int, k: int) -> tuple[bool, str]:
-    spec = CoverSpec(d, k)
+def _round_trip(spec: CoverSpec) -> tuple[bool, str]:
     V = covers.primitive_V(spec)
     done = []
     if covers.half_twist_exists_direct(spec):
@@ -88,44 +92,33 @@ def _round_trip(d: int, k: int) -> tuple[bool, str]:
     return True, f"round trips: {','.join(done) or 'none'}; commutations: {compared}"
 
 
-def _monotonicity(d: int, k: int) -> tuple[bool, str]:
-    spec = CoverSpec(d, k)
-    top = k - covers.qt_decompose(spec).q
+def _monotonicity(spec: CoverSpec) -> tuple[bool, str]:
+    top = spec.k - covers.qt_decompose(spec).q
     cohomology = covers.primitive_cohomology(spec)
-    for i in range(1, d - 1):
+    for i in range(1, spec.d - 1):
         if cohomology.entry(top, i) < cohomology.entry(top, i + 1):
             return False, f"extremal eigenspaces grow at i={i}"
     return True, f"nonincreasing along the extremal row p={top}"
 
 
-def _w_rank(d: int, k: int) -> tuple[bool, str]:
-    try:
-        W = covers.build_W(CoverSpec(d, k))
-    except ValueError as exc:
-        return False, str(exc)
+def _w_rank(spec: CoverSpec) -> tuple[bool, str]:
+    W = covers.build_W(spec)
     return True, f"rank {W.rank} = (d-2) h_k"
 
 
-def _z_checksum(d: int, k: int) -> tuple[bool, str]:
-    try:
-        report = covers.z_decomposition(CoverSpec(d, k))
-    except ValueError as exc:
-        return False, str(exc)
+def _z_checksum(spec: CoverSpec) -> tuple[bool, str]:
+    report = covers.z_decomposition(spec)
     return True, f"checksum {report.checksum}"
 
 
-def _ks_space(d: int, k: int) -> tuple[bool, str]:
-    try:
-        S = covers.ks_invariant_space(CoverSpec(d, k))
-    except ValueError as exc:
-        return False, str(exc)
+def _ks_space(spec: CoverSpec) -> tuple[bool, str]:
+    S = covers.ks_invariant_space(spec)
     return True, f"invariant space = V(-1), rank {S.rank}"
 
 
-def _cmtype_search(d: int, k: int) -> tuple[bool, str]:
+def _cmtype_search(spec: CoverSpec) -> tuple[bool, str]:
     # reported, never asserted: a disagreement would mean the fixed
     # CM-type is not optimal for this cell
-    spec = CoverSpec(d, k)
     direct = covers.half_twist_exists_direct(spec)
     any_type = covers.half_twist_any_cmtype(spec)
     if direct == any_type:
@@ -145,12 +138,24 @@ CHECKS = {
 }
 
 
-def run_check(check: str, d: int, k: int) -> SweepCell:
+def check_cover(check: str, spec: CoverSpec) -> SweepCell:
+    """Run one registered check on one cover.  A ValueError from the
+    check (a rank, checksum or table identity that does not hold) is a
+    failing cell that carries its message; an unknown check name is a
+    ValueError of the caller."""
+    if check not in CHECKS:
+        raise ValueError(f"unknown check {check!r}")
     try:
-        ok, detail = CHECKS[check](d, k)
-    except KeyError:
-        raise ValueError(f"unknown check {check!r}") from None
-    return SweepCell(d=d, k=k, check=check, ok=ok, detail=detail)
+        ok, detail = CHECKS[check](spec)
+    except ValueError as exc:
+        ok, detail = False, str(exc)
+    return SweepCell(d=spec.d, k=spec.k, check=check, ok=ok, detail=detail)
+
+
+def run_check(check: str, d: int, k: int) -> SweepCell:
+    """One sweep cell: `check_cover` on a new spec for (d, k).  Sweep
+    workers run this, so only (check, d, k) crosses a process boundary."""
+    return check_cover(check, CoverSpec(d, k))
 
 
 def _run_cell(args: tuple[str, int, int]) -> SweepCell:

@@ -133,8 +133,8 @@ def test_sweep_backed_claim_fails_with_one_failing_cell(
     assert claims.evaluate(claim).status == claims.STATUS_PASS
     real = sweeps.CHECKS[check]
 
-    def one_cell_fails(d, k):
-        return (False, "forced failure") if (d, k) == cell else real(d, k)
+    def one_cell_fails(spec):
+        return (False, "forced failure") if (spec.d, spec.k) == cell else real(spec)
 
     monkeypatch.setitem(sweeps.CHECKS, check, one_cell_fails)
     assert claims.evaluate(claim).status == claims.STATUS_FAIL
@@ -143,7 +143,7 @@ def test_sweep_backed_claim_fails_with_one_failing_cell(
 def test_tate_commutation_needs_a_compared_commutation(monkeypatch):
     claim = claim_named("twists.tate_commutation")
     monkeypatch.setitem(
-        sweeps.CHECKS, "round-trip", lambda d, k: (True, "no twist exists here")
+        sweeps.CHECKS, "round-trip", lambda spec: (True, "no twist exists here")
     )
     assert claims.evaluate(claim).status == claims.STATUS_FAIL
 

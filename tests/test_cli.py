@@ -238,6 +238,28 @@ def test_worker_count_is_clamped():
             worker_count(jobs, 100, 8)
 
 
+def test_value_error_in_a_check_is_a_failing_cell(capsys, monkeypatch):
+    def check(spec):
+        if (spec.d, spec.k) == (4, 2):
+            raise ValueError("rank 5 != 6")
+        return True, "holds"
+
+    monkeypatch.setitem(CHECKS, "raises", check)
+    code, out, err = run_cli(
+        capsys, "sweep", "--check", "raises", "--d-max", "4", "--k-max", "2"
+    )
+    assert code == 1
+    assert err == ""
+    rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
+    assert rows == [
+        ["3", "1", "pass", "holds"],
+        ["3", "2", "pass", "holds"],
+        ["4", "1", "pass", "holds"],
+        ["4", "2", "FAIL", "rank 5 != 6"],
+    ]
+    assert out.splitlines()[-1] == "check raises: 3/4 cells pass"
+
+
 def test_sweep_unknown_check_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--check", "nonsense"])

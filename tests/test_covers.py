@@ -496,3 +496,12 @@ def test_half_twist_command_builds_one_table(table_builds, capsys):
     assert cli.main(["half-twist", "7", "5", "--tate"]) == 0
     assert "half twist of V(q)" in capsys.readouterr().out
     assert table_builds == {(7, 5): 1}
+
+
+def test_verify_builds_one_table_per_cover(table_builds, capsys):
+    # 55 covers, plus the curve tables of d = 3..9 that build_W tensors
+    # with and the spec quartic_isogeny_report builds for itself
+    curve_h1.cache_clear()
+    assert cli.main(["verify"]) == 0
+    capsys.readouterr()
+    assert sum(table_builds.values()) <= 63

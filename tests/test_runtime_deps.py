@@ -74,3 +74,42 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert modules
     unused = {(path.name, name) for path in modules for name in unused_imports(path)}
     assert unused == set()
+
+
+def callers(path, name):
+    """The dotted scopes (class and function names) in a module that call
+    `name`, bare or as an attribute; module level is the empty string."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None
+                )
+                if called == name:
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_a_cover_table_is_read_only_through_its_spec():
+    # the ledger takes every cover from its one memo of specs, and only
+    # the raw-table oracle and the printer read a table around a spec
+    assert callers(PACKAGE / "claims.py", "CoverSpec") == set()
+    raw = {
+        (path.stem, scope)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope in callers(path, "eigenspace_dims")
+    }
+    assert raw == {
+        ("covers", "CoverSpec.cohomology"),
+        ("sweeps", "_oracle_equivalence"),
+        ("cli", "_cmd_eigenspaces"),
+    }
