@@ -6,9 +6,7 @@ from .cyclotomic import (
     CyclotomicData,
     InvariantError,
     InvalidDegreeError,
-    InvalidEmbeddingError,
     all_cm_types,
-    conjugate,
     make_cyclotomic,
 )
 from .hodge import (
@@ -51,14 +49,13 @@ from .jacobian import (
     w_ladder_steps,
 )
 from .covers import (
-    CorollaryCheck,
     CoverSpec,
     DecompositionPart,
     DecompositionReport,
     QTDecomposition,
     build_W,
-    corollary_check,
     curve_h1,
+    degree_bound_printed,
     dim_identity_check,
     euler_recursion_rank,
     fermat_gamma_invariants,
@@ -70,7 +67,6 @@ from .covers import (
     ks_invariant_space,
     order_part_as_substructure,
     primitive_V,
-    primitive_cohomology,
     qt_decompose,
     quartic_W_split,
     quartic_isogeny_report,

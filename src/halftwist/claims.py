@@ -102,20 +102,14 @@ def evaluate(claim: Claim) -> VerificationReport:
     try:
         computed = _canonical(claim.compute())
     except Exception as exc:  # a crashed recomputation is a failed claim
-        return VerificationReport(
-            claim_id=claim.claim_id,
-            location=claim.location,
-            provenance=claim.provenance,
-            expected=expected,
-            computed=f"error: {exc}",
-            status=STATUS_FAIL,
-        )
-    if computed == expected:
-        status = STATUS_PASS
-    elif claim.known_discrepancy:
-        status = STATUS_KNOWN
+        computed, status = f"error: {exc}", STATUS_FAIL
     else:
-        status = STATUS_FAIL
+        if computed == expected:
+            status = STATUS_PASS
+        elif claim.known_discrepancy:
+            status = STATUS_KNOWN
+        else:
+            status = STATUS_FAIL
     return VerificationReport(
         claim_id=claim.claim_id,
         location=claim.location,
@@ -146,8 +140,8 @@ def exit_code(reports: list[VerificationReport]) -> int:
 # computed helpers
 
 
-def _kondo_isogeny():
-    report = covers.quartic_isogeny_report()
+def _kondo_isogeny(kondo: CoverSpec):
+    report = covers.quartic_isogeny_report(kondo)
     return [report.expected_rank, [p.multiplicity * p.rank for p in report.parts]]
 
 
@@ -197,14 +191,6 @@ def _disagreements(spec: Specs, left, right) -> list[list[int]]:
 
 def _direct_tate(spec: CoverSpec) -> bool:
     return covers.half_twist_exists_direct(spec, tate=True)
-
-
-def _cor_printed(spec: CoverSpec) -> bool:
-    return covers.corollary_check(spec).printed
-
-
-def _cor_direct(spec: CoverSpec) -> bool:
-    return covers.corollary_check(spec).direct
 
 
 def _no_even_degree(cells: list[list[int]]) -> bool:
@@ -322,7 +308,7 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("kondo.h21_quartic_threefold", "4.2", "kondo", "paper", 30,
               lambda: dict(jacobian.hypersurface_hodge_numbers(4, 3))[2]),
         Claim("kondo.isogeny_checksum", "4.2", "kondo", "paper",
-              [30, [9, 14, 7]], _kondo_isogeny),
+              [30, [9, 14, 7]], lambda: _kondo_isogeny(kondo)),
         Claim("kondo.genus", "4.2", "kondo", "paper", 3,
               lambda: covers.curve_h1(4).rank // 2),
         # --- cubic fourfold suite
@@ -350,7 +336,7 @@ def all_claims() -> tuple[Claim, ...]:
               lambda: _jz5_dims(spec)),
         # --- sextic surface suite
         Claim("sextic.primitive_rank", "4.4", "sextic", "paper", 105,
-              lambda: covers.primitive_cohomology(spec(6, 2)).rank),
+              lambda: spec(6, 2).cohomology.rank),
         Claim("sextic.V6", "4.4", "sextic", "paper", [42, [6, 30, 6]],
               lambda: _sextic_part(spec, 6)),
         Claim("sextic.V2", "4.4", "sextic", "paper", [42, [3, 36, 3]],
@@ -473,10 +459,13 @@ def all_claims() -> tuple[Claim, ...]:
               known_discrepancy=True),
         Claim("cor2.7.even_degree_agreement", "2.7", "cor2.7", "derived",
               True, lambda: _no_even_degree(
-                  _disagreements(spec, _cor_printed, _cor_direct))),
+                  _disagreements(
+                      spec, covers.degree_bound_printed,
+                      covers.half_twist_exists_direct))),
         Claim("cor2.7.disagreement_set", "2.7", "cor2.7", "derived",
               [[5, 1], [7, 2], [9, 3]],
-              lambda: _disagreements(spec, _cor_printed, _cor_direct)),
+              lambda: _disagreements(
+                  spec, covers.degree_bound_printed, covers.half_twist_exists_direct)),
         Claim("cor2.7.no_cmtype_helps_d7k2", "4.5", "cor2.7", "derived",
               False, lambda: covers.half_twist_any_cmtype(spec(7, 2))),
         Claim("cmtype.optimality_grid", "2.1", "cor2.7", "derived", True,

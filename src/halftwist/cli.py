@@ -88,10 +88,12 @@ def _cmd_hodge(args) -> int:
 
 def _cmd_eigenspaces(args) -> int:
     d, k = args.d, args.k
-    dims = jacobian.eigenspace_dims(d, k)
-    units = set(covers.CoverSpec(d, k).field.units)
+    spec = CoverSpec(d, k)
+    dims = {
+        p: [spec.cohomology.entry(p, i) for i in range(1, d)] for p in range(k, -1, -1)
+    }
+    units = set(spec.field.units)
     hodge_totals = dict(jacobian.hypersurface_hodge_numbers(d, k))
-    ps = sorted({p for p, _ in dims}, reverse=True)
     if args.format == "json":
         payload = {
             "command": "eigenspaces",
@@ -99,24 +101,16 @@ def _cmd_eigenspaces(args) -> int:
             "k": k,
             "units": sorted(units),
             "rows": [
-                {
-                    "p": p,
-                    "dims": [dims[(p, i)] for i in range(1, d)],
-                    "total": sum(dims[(p, i)] for i in range(1, d)),
-                }
-                for p in ps
+                {"p": p, "dims": row, "total": sum(row)} for p, row in dims.items()
             ],
-            "hodge_totals": [[p, hodge_totals[p]] for p in ps],
+            "hodge_totals": [[p, hodge_totals[p]] for p in dims],
         }
         print(_render_json(payload))
         return 0
     header = ["p\\i"] + [f"{i}{'*' if i in units else ''}" for i in range(1, d)]
     rows = [header + ["total", "hodge"]]
-    for p in ps:
-        row = [str(p)] + [str(dims[(p, i)]) for i in range(1, d)]
-        row.append(str(sum(dims[(p, i)] for i in range(1, d))))
-        row.append(str(hodge_totals[p]))
-        rows.append(row)
+    for p, row in dims.items():
+        rows.append([str(p), *map(str, row), str(sum(row)), str(hodge_totals[p])])
     _print_aligned(rows)
     print("(* = unit residue; row totals must match the hodge column)")
     return 0
@@ -136,7 +130,8 @@ def _cmd_half_twist(args) -> int:
     direct = covers.half_twist_exists_direct(spec, tate=args.tate)
     printed = covers.half_twist_exists_printed(spec)
     derived = covers.half_twist_exists_derived(spec)
-    corollary = covers.corollary_check(spec)
+    bound_printed = covers.degree_bound_printed(spec)
+    bound_direct = covers.half_twist_exists_direct(spec)
     V = covers.primitive_V(spec)
     target = hodge.tate_twist(V, qt.q) if args.tate else V
     twisted = hodge.pos_half_twist(target) if direct else None
@@ -146,7 +141,7 @@ def _cmd_half_twist(args) -> int:
     flags = []
     if args.tate and printed != direct:
         flags.append("stated criterion disagrees with the direct check")
-    if not args.tate and corollary.printed != corollary.direct:
+    if not args.tate and bound_printed != bound_direct:
         flags.append("stated degree bound disagrees with the direct check")
     if args.format == "json":
         payload = {
@@ -159,8 +154,8 @@ def _cmd_half_twist(args) -> int:
             "exists_direct": direct,
             "criterion_printed": printed,
             "criterion_derived": derived,
-            "corollary_printed": corollary.printed,
-            "corollary_direct": corollary.direct,
+            "corollary_printed": bound_printed,
+            "corollary_direct": bound_direct,
             "flags": flags,
             "twist": None if twisted is None else _structure_entries(twisted),
             "abelian": None
@@ -182,7 +177,7 @@ def _cmd_half_twist(args) -> int:
         ("derived criterion for V(q)", str(derived).lower()),
         (
             "degree bound for V (stated/direct)",
-            f"{str(corollary.printed).lower()}/{str(corollary.direct).lower()}",
+            f"{str(bound_printed).lower()}/{str(bound_direct).lower()}",
         ),
     ]
     width = max(len(label) for label, _ in lines)

@@ -4,13 +4,13 @@ A degree-d cover of projective k-space totally branched along a degree-d
 hypersurface carries an order-d automorphism; this module assembles the
 primitive-eigenvalue structure V, the lower-order pieces, the invariant
 structure W inside the tensor with the degree-d Fermat curve, the (q, t)
-normal form of k, and the three half-twist existence predicates (the
+normal form of k, the three half-twist existence predicates (the
 direct eigenspace check, which is authoritative, and the two closed
-forms it is compared against).
+forms it is compared against), and the stated degree bound for V.
 
 A `CoverSpec` owns its Hodge data: the eigenspace table is built once
 per spec, on first use, and every predicate and structure here reads
-that one table through `primitive_cohomology` and `primitive_V`.  There
+that one table through `spec.cohomology` and `primitive_V`.  There
 is no cache across specs, so a table is freed with its spec.  The one
 exception is `curve_h1`, the Fermat-curve table that `build_W` tensors
 with: it is cached per degree, and has at most 2(d-1) entries.
@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import ceil, gcd
-from typing import NamedTuple, Union
 
 from .cyclotomic import CyclotomicData, InvariantError, make_cyclotomic
 from .hodge import (
-    AbelianSummary,
     CMHodgeStructure,
     abelian_summary,
     collapse_residues,
@@ -84,22 +82,14 @@ class QTDecomposition:
     t: int
 
 
-class CorollaryCheck(NamedTuple):
-    printed: bool
-    direct: bool
-
-
 @dataclass(frozen=True)
 class DecompositionPart:
-    label: str
-    item: Union[CMHodgeStructure, AbelianSummary]
-    multiplicity: int
+    """One summand of a `DecompositionReport`: its rank (for an abelian
+    variety, its dimension) and how many copies of it occur."""
 
-    @property
-    def rank(self) -> int:
-        if isinstance(self.item, AbelianSummary):
-            return self.item.dim_abelian
-        return self.item.rank
+    label: str
+    rank: int
+    multiplicity: int
 
 
 @dataclass(frozen=True)
@@ -126,12 +116,6 @@ class DecompositionReport:
 # the basic structures
 
 
-def primitive_cohomology(spec: CoverSpec) -> CMHodgeStructure:
-    """Full eigenspace table of the middle primitive cohomology, all
-    residues 1..d-1 (`spec.cohomology`)."""
-    return spec.cohomology
-
-
 def primitive_V(spec: CoverSpec) -> CMHodgeStructure:
     """The piece with primitive eigenvalues: the unit-residue columns of
     the eigenspace table (`spec.V`).  For prime d this is all of the
@@ -144,7 +128,7 @@ def secondary_parts(spec: CoverSpec) -> list[tuple[int, CMHodgeStructure]]:
     descending; the e = d part is V.  Ranks add up to the full
     primitive rank."""
     d = spec.d
-    full = primitive_cohomology(spec)
+    full = spec.cohomology
     orders = sorted({d // gcd(i, d) for i in range(1, d)}, reverse=True)
     parts = []
     for e in orders:
@@ -163,7 +147,7 @@ def order_part_as_substructure(spec: CoverSpec, e: int) -> CMHodgeStructure:
     step = spec.d // e
     slice_ = dict(
         (key, dim)
-        for key, dim in primitive_cohomology(spec).table.items()
+        for key, dim in spec.cohomology.table.items()
         if spec.d // gcd(key[1], spec.d) == e
     )
     subfield = make_cyclotomic(e)
@@ -175,7 +159,7 @@ def order_part_as_substructure(spec: CoverSpec, e: int) -> CMHodgeStructure:
 def curve_h1(d: int) -> CMHodgeStructure:
     """H^1 of the degree-d Fermat curve, from the same eigenspace table
     with k = 1 (no hard-coded values); built once per degree."""
-    return primitive_cohomology(CoverSpec(d, 1))
+    return CoverSpec(d, 1).cohomology
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +176,7 @@ def qt_decompose(spec: CoverSpec) -> QTDecomposition:
     t = k - q * d
     if not -1 <= t <= d - 2:
         raise InvariantError(f"normal form of {spec} has t={t} outside [-1, {d - 2}]")
-    highest = max(primitive_cohomology(spec).hodge_numbers(), default=None)
+    highest = max(spec.cohomology.hodge_numbers(), default=None)
     if highest != k - q:
         raise InvariantError(
             f"highest nonzero piece of {spec} is p={highest}, "
@@ -235,12 +219,12 @@ def half_twist_exists_derived(spec: CoverSpec) -> bool:
     return a - d // 2 - 1 < 0
 
 
-def corollary_check(spec: CoverSpec) -> CorollaryCheck:
-    """The stated degree bound for V itself (d < 2k+4 for even k,
-    d <= 2k+4 for odd k) next to the direct predicate."""
+def degree_bound_printed(spec: CoverSpec) -> bool:
+    """The stated degree bound for V itself: d < 2k+4 for even k,
+    d <= 2k+4 for odd k.  (Kept exactly as stated; the direct check it
+    is compared against is `half_twist_exists_direct(spec)`.)"""
     d, k = spec.d, spec.k
-    printed = (d < 2 * k + 4 and k % 2 == 0) or (d <= 2 * k + 4 and k % 2 == 1)
-    return CorollaryCheck(printed=printed, direct=half_twist_exists_direct(spec))
+    return (d < 2 * k + 4 and k % 2 == 0) or (d <= 2 * k + 4 and k % 2 == 1)
 
 
 def half_twist_any_cmtype(spec: CoverSpec) -> bool:
@@ -287,7 +271,7 @@ def build_W(spec: CoverSpec) -> CMHodgeStructure:
     """Invariants of the product automorphism inside (middle primitive
     cohomology of the cover) tensor (H^1 of the Fermat curve), graded by
     the cover-side residue.  Rank is pinned to (d-2) * h_k."""
-    W = tensor_invariants(primitive_cohomology(spec), curve_h1(spec.d), rule="sum")
+    W = tensor_invariants(spec.cohomology, curve_h1(spec.d), rule="sum")
     expected = (spec.d - 2) * euler_recursion_rank(spec)
     if W.rank != expected:
         raise ValueError(f"W rank {W.rank} != (d-2) h_k = {expected}")
@@ -307,8 +291,8 @@ def z_decomposition(spec: CoverSpec) -> DecompositionReport:
     return DecompositionReport(
         label=f"H^{k + 1}_0(Z_{k + 1}) for d={d}",
         parts=(
-            DecompositionPart("X(-1)", branch_twisted, d - 1),
-            DecompositionPart("W", W, 1),
+            DecompositionPart("X(-1)", branch_twisted.rank, d - 1),
+            DecompositionPart("W", W.rank, 1),
         ),
         expected_rank=euler_recursion_rank(CoverSpec(d, k + 1)),
     )
@@ -325,7 +309,7 @@ def quartic_W_split(spec: CoverSpec) -> DecompositionReport:
     field = spec.field
     W = build_W(spec)
     V = primitive_V(spec)
-    v_prime = primitive_cohomology(spec).restrict_residues([2])
+    v_prime = spec.cohomology.restrict_residues([2])
     twisted = tate_twist(pos_half_twist(V), -1)
     third = tensor(v_prime, collapse_residues(k_minus_half(field)))
     recombined = direct_sum(twisted, twisted, third)
@@ -333,27 +317,29 @@ def quartic_W_split(spec: CoverSpec) -> DecompositionReport:
     return DecompositionReport(
         label=f"W for d=4, k={spec.k}",
         parts=(
-            DecompositionPart("V_half(-1)", twisted, 2),
-            DecompositionPart("Vprime(x)K_half", third, 1),
+            DecompositionPart("V_half(-1)", twisted.rank, 2),
+            DecompositionPart("Vprime(x)K_half", third.rank, 1),
         ),
         expected_rank=W.rank,
     )
 
 
-def quartic_isogeny_report() -> DecompositionReport:
+def quartic_isogeny_report(spec: CoverSpec) -> DecompositionReport:
     """Dimension bookkeeping for the intermediate Jacobian of the quartic
-    threefold over a plane quartic: three copies of the genus-3 Jacobian,
-    two copies of the half-twist abelian 7-fold, seven CM elliptic
-    curves.  No actual isogeny is encoded, only ranks."""
-    spec = CoverSpec(4, 2)
+    threefold over a plane quartic, from the quartic surface cover `spec`
+    (d = 4, k = 2): three copies of the genus-3 Jacobian, two copies of
+    the half-twist abelian 7-fold, seven CM elliptic curves.  No actual
+    isogeny is encoded, only ranks."""
+    if (spec.d, spec.k) != (4, 2):
+        raise UnsupportedCaseError(f"report needs d = 4, k = 2, got {spec}")
     genus = curve_h1(4).rank // 2
-    a_c = abelian_summary(pos_half_twist(primitive_V(spec)))
-    a_k = abelian_summary(k_minus_half(spec.field))
+    a_c = abelian_summary(pos_half_twist(primitive_V(spec))).dim_abelian
+    a_k = abelian_summary(k_minus_half(spec.field)).dim_abelian
     h21 = dict(hypersurface_hodge_numbers(4, 3))[2]
     return DecompositionReport(
         label="J of the quartic threefold",
         parts=(
-            DecompositionPart("J(C)", AbelianSummary(genus, None), 3),
+            DecompositionPart("J(C)", genus, 3),
             DecompositionPart("A_C", a_c, 2),
             DecompositionPart("A_K", a_k, 7),
         ),

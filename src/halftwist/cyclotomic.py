@@ -19,10 +19,6 @@ class InvalidDegreeError(ValueError):
     """Degree d < 3; the cyclotomic field is not CM."""
 
 
-class InvalidEmbeddingError(ValueError):
-    """Residue is not a unit mod d, so it indexes no embedding."""
-
-
 class InvariantError(RuntimeError):
     """An identity that the mathematics guarantees failed to hold: a
     defect in this package, never a bad input.  Raised explicitly, so
@@ -55,15 +51,9 @@ def make_cyclotomic(d: int) -> CyclotomicData:
     return CyclotomicData(d=d, units=units, sigma0=sigma0)
 
 
-def conjugate(field: CyclotomicData, a: int) -> int:
-    """Complex conjugation on embeddings: sigma_a -> sigma_{d-a}."""
-    if a not in field.units:
-        raise InvalidEmbeddingError(f"{a} is not a unit mod {field.d}")
-    return field.d - a
-
-
 def conjugate_residue(field: CyclotomicData, a: int) -> int:
-    """Conjugation extended to arbitrary residues (0 is self-conjugate)."""
+    """Complex conjugation on residues, a -> -a mod d: on units it takes
+    sigma_a to sigma_{d-a}, and 0 is self-conjugate."""
     return (-a) % field.d
 
 

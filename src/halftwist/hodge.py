@@ -21,7 +21,7 @@ the cover predicates of `covers` all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .cyclotomic import CyclotomicData, InvariantError, conjugate_residue
 
@@ -145,17 +145,16 @@ class CMHodgeStructure:
 class AbelianSummary:
     """Weight-one bookkeeping: dim of the abelian variety and, per
     embedding a in sigma0, the multiplicities of (sigma_a, conjugate)
-    on the tangent space.  signature is None for structures that carry
-    no cyclotomic action (plain Jacobians in isogeny reports)."""
+    on the tangent space."""
 
     dim_abelian: int
-    signature: Optional[dict[int, tuple[int, int]]]
+    signature: dict[int, tuple[int, int]]
 
     @property
     def cm_type(self) -> tuple[int, int]:
         """The (r, s) type when the field acts through a single sigma0
         embedding (imaginary quadratic case)."""
-        if self.signature is None or len(self.signature) != 1:
+        if len(self.signature) != 1:
             raise ValueError("cm_type is only defined for a single embedding pair")
         return next(iter(self.signature.values()))
 
@@ -220,16 +219,22 @@ def _require_unit_support(structure: CMHodgeStructure, op: str) -> None:
         )
 
 
+def _shift_sigma0(structure: CMHodgeStructure, step: int) -> CMHodgeStructure:
+    # weight and the sigma0 side move by step, the conjugate side stays;
+    # an entry's residue fixes its shift, so no two entries collide
+    sigma0 = structure.field.sigma0
+    table = {
+        (p + step if a in sigma0 else p, a): dim
+        for (p, a), dim in structure._table.items()
+    }
+    return CMHodgeStructure(structure.field, structure.weight + step, table)
+
+
 def neg_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
     """Weight k+1 structure on the same space: the sigma0 side of the
     table moves up one Hodge step, the conjugate side keeps its p."""
     _require_unit_support(structure, "negative half twist")
-    sigma0 = structure.field.sigma0
-    table: dict[tuple[int, int], int] = {}
-    for (p, a), dim in structure._table.items():
-        shifted = p + 1 if a in sigma0 else p
-        table[(shifted, a)] = table.get((shifted, a), 0) + dim
-    return CMHodgeStructure(structure.field, structure.weight + 1, table)
+    return _shift_sigma0(structure, 1)
 
 
 def pos_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
@@ -237,26 +242,18 @@ def pos_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
 
     Defined only when the top piece is one-sided, i.e. carries no
     residue outside sigma0; otherwise the dropped entries would leave
-    no Hodge structure at all.
+    no Hodge structure at all.  A sigma0 entry at p = 0, which
+    conjugation symmetry rules out once the top is one-sided, fails the
+    constructor's effectivity check.
     """
     _require_unit_support(structure, "positive half twist")
-    field = structure.field
     k = structure.weight
     offending = [(k, a) for a in top_offenders(structure, k)]
     if offending:
         raise NoHalfTwistError(
             f"top Hodge piece is not one-sided at entries {offending}"
         )
-    table: dict[tuple[int, int], int] = {}
-    for (p, a), dim in structure._table.items():
-        shifted = p - 1 if a in field.sigma0 else p
-        if shifted < 0:
-            # ruled out by conjugation symmetry once the top is one-sided
-            raise MalformedStructureError(
-                f"half twist produced a negative Hodge index from {(p, a)}"
-            )
-        table[(shifted, a)] = table.get((shifted, a), 0) + dim
-    return CMHodgeStructure(field, k - 1, table)
+    return _shift_sigma0(structure, -1)
 
 
 def top_offenders(structure: CMHodgeStructure, p: int) -> list[int]:

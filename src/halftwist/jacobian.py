@@ -211,16 +211,12 @@ class GradedQuotient:
     `basis` is the candidate basis (monomials in the base variables
     alone, plus the products carrying both cover variables); it is
     checked against the computed dimension, never assumed.
-    `alternative_basis_count` counts the same description with the last
-    base variable excluded, kept so a mismatch is surfaced rather than
-    silently corrected.
     """
 
     degree: int
     ambient_basis: tuple[tuple[int, ...], ...]
     relation_rows: tuple[SparseRow, ...]
     basis: tuple[tuple[int, ...], ...]
-    alternative_basis_count: int
 
     @cached_property
     def relation_rank(self) -> int:
@@ -246,7 +242,7 @@ class GradedQuotient:
 
 
 def _empty_quotient(m: int) -> GradedQuotient:
-    return GradedQuotient(m, (), (), (), 0)
+    return GradedQuotient(m, (), (), ())
 
 
 def build_w_quotient(k: int, p: int) -> GradedQuotient:
@@ -279,8 +275,7 @@ def build_w_quotient(k: int, p: int) -> GradedQuotient:
     basis = tuple(
         mono for mono in ambient if len(set(mono) & set(cover)) in (0, 2)
     )
-    alt = comb(k, m) + (comb(k, m - 2) if m >= 2 else 0)
-    return GradedQuotient(m, ambient, rows, basis, alt)
+    return GradedQuotient(m, ambient, rows, basis)
 
 
 def w_ladder_steps(k: int) -> list[int]:

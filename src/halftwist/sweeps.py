@@ -94,9 +94,8 @@ def _round_trip(spec: CoverSpec) -> tuple[bool, str]:
 
 def _monotonicity(spec: CoverSpec) -> tuple[bool, str]:
     top = spec.k - covers.qt_decompose(spec).q
-    cohomology = covers.primitive_cohomology(spec)
     for i in range(1, spec.d - 1):
-        if cohomology.entry(top, i) < cohomology.entry(top, i + 1):
+        if spec.cohomology.entry(top, i) < spec.cohomology.entry(top, i + 1):
             return False, f"extremal eigenspaces grow at i={i}"
     return True, f"nonincreasing along the extremal row p={top}"
 

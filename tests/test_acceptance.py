@@ -12,7 +12,7 @@ from halftwist import claims
 from halftwist.covers import (
     CoverSpec,
     build_W,
-    corollary_check,
+    degree_bound_printed,
     dim_identity_check,
     euler_recursion_rank,
     half_twist_any_cmtype,
@@ -20,7 +20,6 @@ from halftwist.covers import (
     half_twist_exists_printed,
     ks_invariant_space,
     primitive_V,
-    primitive_cohomology,
     qt_decompose,
     quartic_W_split,
     quartic_isogeny_report,
@@ -74,7 +73,7 @@ def test_c01_kondo_quartic_surface_suite():
         assert summary.dim_abelian == 7
         assert summary.cm_type == (1, 6)
         assert dict(hypersurface_hodge_numbers(4, 3))[2] == 30
-        isogeny = quartic_isogeny_report()
+        isogeny = quartic_isogeny_report(spec)
         assert isogeny.expected_rank == 30
         assert [p.multiplicity * p.rank for p in isogeny.parts] == [9, 14, 7]
 
@@ -97,7 +96,7 @@ def test_c02_cubic_fourfold_suite():
 def test_c03_sextic_suite():
     with criterion(3, "sextic surface suite", 1.0):
         spec = CoverSpec(6, 2)
-        assert primitive_cohomology(spec).rank == 105
+        assert spec.cohomology.rank == 105
         parts = dict(secondary_parts(spec))
         assert parts[6].rank == 42
         assert parts[6].hodge_numbers() == {2: 6, 1: 30, 0: 6}
@@ -195,8 +194,8 @@ def test_c09_known_discrepancy_detection():
         cor = [
             (d, k)
             for d, k in GRID
-            if corollary_check(CoverSpec(d, k)).printed
-            != corollary_check(CoverSpec(d, k)).direct
+            if degree_bound_printed(CoverSpec(d, k))
+            != half_twist_exists_direct(CoverSpec(d, k))
         ]
         assert cor == [(5, 1), (7, 2), (9, 3)]
         assert all(d % 2 == 1 for d, _ in thm + cor)
@@ -206,8 +205,7 @@ def test_c09_known_discrepancy_detection():
                 assert half_twist_exists_printed(spec) == (
                     half_twist_exists_direct(spec, tate=True)
                 )
-                check = corollary_check(spec)
-                assert check.printed == check.direct
+                assert degree_bound_printed(spec) == half_twist_exists_direct(spec)
         # degree seven surfaces: no CM-type at all rescues the twist
         assert half_twist_any_cmtype(CoverSpec(7, 2)) is False
         # and the ledger reports exactly these families as known

@@ -7,8 +7,8 @@ from halftwist import cli, covers, sweeps
 from halftwist.covers import (
     CoverSpec,
     build_W,
-    corollary_check,
     curve_h1,
+    degree_bound_printed,
     dim_identity_check,
     euler_recursion_rank,
     fermat_gamma_invariants,
@@ -20,7 +20,6 @@ from halftwist.covers import (
     ks_invariant_space,
     order_part_as_substructure,
     primitive_V,
-    primitive_cohomology,
     qt_decompose,
     quartic_W_split,
     quartic_isogeny_report,
@@ -57,7 +56,7 @@ def test_prime_degree_primitive_part_is_everything():
     for d in (3, 5, 7):
         for k in (1, 2, 3):
             spec = CoverSpec(d, k)
-            assert primitive_V(spec) == primitive_cohomology(spec)
+            assert primitive_V(spec) == spec.cohomology
             assert primitive_V(spec).rank == primitive_middle_rank(d, k)
 
 
@@ -202,16 +201,20 @@ def test_printed_form_disagreement_set():
         assert qt_decompose(CoverSpec(d, k)).t == (d - 3) // 2
 
 
+def corollary_pair(spec):
+    return degree_bound_printed(spec), half_twist_exists_direct(spec)
+
+
 def test_corollary_examples():
-    assert corollary_check(CoverSpec(4, 2)) == (True, True)
-    assert corollary_check(CoverSpec(7, 2)) == (True, False)
-    assert corollary_check(CoverSpec(3, 1)) == (True, True)
+    assert corollary_pair(CoverSpec(4, 2)) == (True, True)
+    assert corollary_pair(CoverSpec(7, 2)) == (True, False)
+    assert corollary_pair(CoverSpec(3, 1)) == (True, True)
 
 
 def test_corollary_disagreement_set():
     disagreements = [
-        (d, k) for d, k in GRID if corollary_check(CoverSpec(d, k)).printed
-        != corollary_check(CoverSpec(d, k)).direct
+        (d, k) for d, k in GRID if degree_bound_printed(CoverSpec(d, k))
+        != half_twist_exists_direct(CoverSpec(d, k))
     ]
     assert disagreements == [(5, 1), (7, 2), (9, 3)]
     assert all(d % 2 == 1 for d, _ in disagreements)
@@ -327,7 +330,7 @@ def test_W_is_the_matched_tensor():
     spec = CoverSpec(3, 4)
     W = build_W(spec)
     assert W == tensor_invariants(
-        primitive_cohomology(spec), curve_h1(3), rule="sum"
+        spec.cohomology, curve_h1(3), rule="sum"
     )
     assert W.rank == 22
 
@@ -434,9 +437,15 @@ def test_quartic_split_rejects_other_degrees():
 
 
 def test_quartic_isogeny_report():
-    report = quartic_isogeny_report()
+    report = quartic_isogeny_report(CoverSpec(4, 2))
     assert report.expected_rank == 30
     assert [p.multiplicity * p.rank for p in report.parts] == [9, 14, 7]
+
+
+@pytest.mark.parametrize("d, k", [(4, 1), (4, 3), (3, 2), (5, 2)])
+def test_quartic_isogeny_report_rejects_other_covers(d, k):
+    with pytest.raises(UnsupportedCaseError):
+        quartic_isogeny_report(CoverSpec(d, k))
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +508,8 @@ def test_half_twist_command_builds_one_table(table_builds, capsys):
 
 
 def test_verify_builds_one_table_per_cover(table_builds, capsys):
-    # 55 covers, plus the curve tables of d = 3..9 that build_W tensors
-    # with and the spec quartic_isogeny_report builds for itself
+    # 55 covers, plus the curve tables of d = 3..9 that build_W tensors with
     curve_h1.cache_clear()
     assert cli.main(["verify"]) == 0
     capsys.readouterr()
-    assert sum(table_builds.values()) <= 63
+    assert sum(table_builds.values()) <= 62

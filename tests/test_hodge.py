@@ -141,6 +141,15 @@ def test_pos_twist_requires_one_sided_top():
     assert not has_positive_half_twist(V)
 
 
+def test_pos_twist_rejects_a_sigma0_entry_at_the_bottom():
+    # one-sided top, but without conjugation symmetry the sigma0 entry at
+    # p = 0 would drop below effectivity
+    V = CMHodgeStructure(K4, 1, {(0, 1): 1}, check_symmetry=False)
+    assert has_positive_half_twist(V)
+    with pytest.raises(MalformedStructureError):
+        pos_half_twist(V)
+
+
 def test_kondo_twist_table():
     V = primitive_V(CoverSpec(4, 2))
     tw = pos_half_twist(V)
@@ -199,9 +208,9 @@ def test_tensor_unit_law():
 
 
 def test_tensor_rank_is_multiplicative():
-    from halftwist.covers import curve_h1, primitive_cohomology
+    from halftwist.covers import curve_h1
 
-    H2 = primitive_cohomology(CoverSpec(4, 2))
+    H2 = CoverSpec(4, 2).cohomology
     H1 = curve_h1(4)
     assert H2.rank == 21 and H1.rank == 6
     assert tensor(H2, H1).rank == 126
@@ -225,10 +234,10 @@ def test_invariant_part_of_absent_residue_is_empty():
 
 
 def test_invariant_part_slices_total_residue():
-    from halftwist.covers import curve_h1, primitive_cohomology
+    from halftwist.covers import curve_h1
 
     # rank of the residue-0 slice of the tensor with the curve: (d-2) h_k
-    T = tensor(primitive_cohomology(CoverSpec(3, 4)), curve_h1(3))
+    T = tensor(CoverSpec(3, 4).cohomology, curve_h1(3))
     assert T.restrict_residues([0]).rank == 22
 
 

@@ -393,14 +393,6 @@ def test_ladder_basis_is_verified_not_assumed():
             assert q.basis_is_independent(), (k, p)
 
 
-def test_narrower_basis_count_is_flagged():
-    # the same description over one fewer variable undercounts, and the
-    # quotient surfaces the mismatch instead of adopting it
-    q = build_w_quotient(4, 1)
-    assert q.alternative_basis_count == 7
-    assert q.alternative_basis_count != q.dimension
-
-
 def test_ladder_matches_tensor_W_table():
     from halftwist.covers import CoverSpec, build_W
 

@@ -101,7 +101,7 @@ def callers(path, name):
 
 def test_a_cover_table_is_read_only_through_its_spec():
     # the ledger takes every cover from its one memo of specs, and only
-    # the raw-table oracle and the printer read a table around a spec
+    # the raw-table oracle reads a table around a spec
     assert callers(PACKAGE / "claims.py", "CoverSpec") == set()
     raw = {
         (path.stem, scope)
@@ -111,5 +111,4 @@ def test_a_cover_table_is_read_only_through_its_spec():
     assert raw == {
         ("covers", "CoverSpec.cohomology"),
         ("sweeps", "_oracle_equivalence"),
-        ("cli", "_cmd_eigenspaces"),
     }
