@@ -7,7 +7,7 @@ recursion, exact rank), "trivial" a value forced by definitions.
 
 A claim over a grid of (d, k) cells runs the registered sweep check on
 every cell (`sweeps.check_cover`), so the ledger and the sweeps share one
-definition of each property.
+definition of each property; a claim reads a cell's `ok`, never its text.
 
 One ledger run holds one `CoverSpec` per cover: `all_claims` makes a
 memo of specs, and every claim, helper and grid check takes its covers
@@ -23,7 +23,6 @@ value disagrees with the stated one by design, and they report status
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
@@ -149,7 +148,7 @@ def _jz5_dims(spec: Specs):
     z5 = covers.euler_recursion_rank(spec(3, 5)) // 2
     x3 = jacobian.primitive_middle_rank(3, 3) // 2
     twist = hodge.abelian_summary(
-        hodge.pos_half_twist(hodge.tate_twist(covers.primitive_V(spec(3, 4)), 1))
+        hodge.pos_half_twist(covers.full_level_V(spec(3, 4)))
     ).dim_abelian
     return [z5, x3, twist]
 
@@ -169,7 +168,7 @@ def _sextic_half_twists(spec: Specs):
 
 def _quintic_extremal(spec: Specs, k: int):
     cover = spec(5, k)
-    top = k - covers.qt_decompose(cover).q
+    top = covers.qt_decompose(cover).top
     full = dict(jacobian.hypersurface_hodge_numbers(5, k))[top]
     return [full, [cover.cohomology.entry(top, 1), cover.cohomology.entry(top, 2)]]
 
@@ -210,8 +209,8 @@ def _cubics_W_identity(spec: Specs):
 def _cubics_extremal_dims(spec: Specs):
     out = []
     for k in (4, 7):
-        qt = covers.qt_decompose(spec(3, k))
-        out.append(dict(jacobian.hypersurface_hodge_numbers(3, k))[k - qt.q])
+        top = covers.qt_decompose(spec(3, k)).top
+        out.append(dict(jacobian.hypersurface_hodge_numbers(3, k))[top])
     return out
 
 
@@ -243,14 +242,10 @@ def _grid(ds, ks) -> list[tuple[int, int]]:
 def _tate_commutes_on_grid(spec: Specs) -> bool:
     # the round-trip check compares twist and Tate twist wherever both
     # composites are defined; the claim needs at least one comparison
-    compared = 0
-    for d, k in _grid(GRID_D, GRID_K):
-        cell = sweeps.check_cover("round-trip", spec(d, k))
-        if not cell.ok:
-            return False
-        found = re.search(r"commutations: (\d+)", cell.detail)
-        compared += int(found.group(1)) if found else 0
-    return compared > 0
+    cells = _grid(GRID_D, GRID_K)
+    return _sweep_holds(spec, "round-trip", cells) and any(
+        hodge.tate_commutations(covers.primitive_V(spec(d, k))) for d, k in cells
+    )
 
 
 def _torelli_quotients_match_W(spec: Specs):
@@ -321,17 +316,15 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("cubic4.rank_V", "6.1", "cubic4", "derived", 22,
               lambda: covers.primitive_V(cubic4).rank),
         Claim("cubic4.twist_level", "6.1", "cubic4", "paper", 2,
-              lambda: hodge.level(
-                  hodge.tate_twist(covers.primitive_V(cubic4), 1))),
+              lambda: hodge.level(covers.full_level_V(cubic4))),
         Claim("cubic4.twist_h20", "6.1", "cubic4", "paper", 1,
-              lambda: hodge.tate_twist(covers.primitive_V(cubic4), 1)
-              .hodge_numbers().get(2, 0)),
+              lambda: covers.full_level_V(cubic4).hodge_numbers().get(2, 0)),
         Claim("cubic4.abelian_dim", "6.1", "cubic4", "paper", 11,
               lambda: hodge.abelian_summary(hodge.pos_half_twist(
-                  hodge.tate_twist(covers.primitive_V(cubic4), 1))).dim_abelian),
+                  covers.full_level_V(cubic4))).dim_abelian),
         Claim("cubic4.signature", "6.2", "cubic4", "paper", [1, 10],
               lambda: list(hodge.abelian_summary(hodge.pos_half_twist(
-                  hodge.tate_twist(covers.primitive_V(cubic4), 1))).cm_type)),
+                  covers.full_level_V(cubic4))).cm_type)),
         Claim("cubic4.jz5_dims", "6.1", "cubic4", "paper", [21, 5, 11],
               lambda: _jz5_dims(spec)),
         # --- sextic surface suite
@@ -469,7 +462,6 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("cor2.7.no_cmtype_helps_d7k2", "4.5", "cor2.7", "derived",
               False, lambda: covers.half_twist_any_cmtype(spec(7, 2))),
         Claim("cmtype.optimality_grid", "2.1", "cor2.7", "derived", True,
-              lambda: not _disagreements(
-                  spec, covers.half_twist_any_cmtype, covers.half_twist_exists_direct)),
+              lambda: _sweep_holds(spec, "cmtype-search", _grid(GRID_D, GRID_K))),
     ]
     return tuple(claims)

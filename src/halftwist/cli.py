@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import claims, covers, hodge, jacobian, sweeps
 from .covers import CoverSpec
@@ -132,8 +133,7 @@ def _cmd_half_twist(args) -> int:
     derived = covers.half_twist_exists_derived(spec)
     bound_printed = covers.degree_bound_printed(spec)
     bound_direct = covers.half_twist_exists_direct(spec)
-    V = covers.primitive_V(spec)
-    target = hodge.tate_twist(V, qt.q) if args.tate else V
+    target = covers.full_level_V(spec) if args.tate else covers.primitive_V(spec)
     twisted = hodge.pos_half_twist(target) if direct else None
     summary = None
     if twisted is not None and twisted.weight == 1:
@@ -242,7 +242,7 @@ def _cmd_sweep(args) -> int:
         args.check, d_max=args.d_max, k_max=args.k_max, jobs=args.jobs
     )
     if args.format == "json":
-        print(_render_json([c.to_dict() for c in cells]))
+        print(_render_json([asdict(c) for c in cells]))
     else:
         rows = [["d", "k", "status", "detail"]]
         for c in cells:

@@ -8,6 +8,9 @@ normal form of k, the three half-twist existence predicates (the
 direct eigenspace check, which is authoritative, and the two closed
 forms it is compared against), and the stated degree bound for V.
 
+The extremal index k - q is `qt_decompose(spec).top` and V(q) is
+`full_level_V(spec)`; no caller derives either again.
+
 A `CoverSpec` owns its Hodge data: the eigenspace table is built once
 per spec, on first use, and every predicate and structure here reads
 that one table through `spec.cohomology` and `primitive_V`.  There
@@ -76,10 +79,11 @@ class CoverSpec:
 
 @dataclass(frozen=True)
 class QTDecomposition:
-    """k = q*d + t with t in [-1, d-2]; q locates the extremal Hodge piece."""
+    """k = q*d + t with t in [-1, d-2]; top = k - q, the extremal index."""
 
     q: int
     t: int
+    top: int
 
 
 @dataclass(frozen=True)
@@ -167,8 +171,8 @@ def curve_h1(d: int) -> CMHodgeStructure:
 
 
 def qt_decompose(spec: CoverSpec) -> QTDecomposition:
-    """The unique (q, t) with k = q*d + t, t in [-1, d-2]; also checks
-    that the Hodge piece at p = k - q is extremal and nonzero."""
+    """The unique (q, t) with k = q*d + t, t in [-1, d-2], and `top`,
+    the highest nonzero Hodge index, checked to equal k - q."""
     d, k = spec.d, spec.k
     if k < 1:
         raise ValueError("normal form needs k >= 1")
@@ -182,14 +186,20 @@ def qt_decompose(spec: CoverSpec) -> QTDecomposition:
             f"highest nonzero piece of {spec} is p={highest}, "
             f"not the extremal p={k - q}"
         )
-    return QTDecomposition(q=q, t=t)
+    return QTDecomposition(q=q, t=t, top=highest)
+
+
+def full_level_V(spec: CoverSpec) -> CMHodgeStructure:
+    """V(q): V Tate-twisted by its own q, of weight k - 2q.  Its top
+    Hodge piece is the extremal piece of V."""
+    return tate_twist(primitive_V(spec), qt_decompose(spec).q)
 
 
 def half_twist_exists_direct(spec: CoverSpec, tate: bool = False) -> bool:
     """The authoritative predicate: the top Hodge piece of V (or the
     extremal piece, the top of V(q), when tate=True) is one-sided, i.e.
     `hodge.top_offenders` finds no residue outside sigma0 there."""
-    top = spec.k - qt_decompose(spec).q if tate else spec.k
+    top = qt_decompose(spec).top if tate else spec.k
     return not top_offenders(primitive_V(spec), top)
 
 

@@ -15,7 +15,8 @@ The positive half twist exists exactly when the top Hodge piece is
 one-sided: no residue outside the CM-type sigma0 carries dimension
 there.  `top_offenders` is the one definition of that test; the
 predicate `has_positive_half_twist`, the error of `pos_half_twist` and
-the cover predicates of `covers` all read it.
+the cover predicates of `covers` all read it.  `tate_commutations` is
+likewise the one comparison of the half twist with Tate twists.
 """
 
 from __future__ import annotations
@@ -262,6 +263,23 @@ def top_offenders(structure: CMHodgeStructure, p: int) -> list[int]:
     p = weight."""
     sigma0 = structure.field.sigma0
     return sorted(a for (row, a) in structure._table if row == p and a not in sigma0)
+
+
+def tate_commutations(structure: CMHodgeStructure) -> int:
+    """How many Tate twists m >= 0 have both composites
+    pos_half_twist(tate_twist(V, m)) and tate_twist(pos_half_twist(V), m)
+    defined; ValueError at the first such m where they differ."""
+    compared = 0
+    for m in range(min((p for (p, _) in structure._table), default=0) + 1):
+        try:
+            lhs = pos_half_twist(tate_twist(structure, m))
+            rhs = tate_twist(pos_half_twist(structure), m)
+        except ValueError:
+            continue
+        if lhs != rhs:
+            raise ValueError(f"twist/Tate commutation fails at m={m}")
+        compared += 1
+    return compared
 
 
 def has_positive_half_twist(structure: CMHodgeStructure) -> bool:

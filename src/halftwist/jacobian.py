@@ -33,10 +33,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb, gcd, lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cyclotomic import InvariantError
 
@@ -104,7 +104,6 @@ def eigenspace_dims(d: int, k: int) -> dict[tuple[int, int], int]:
     }
 
 
-@lru_cache(maxsize=None)
 def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:
     """Number of (k+1)-tuples over {1..d-1} for each total sum, by an
     exact integer convolution, one tuple entry at a time.  Independent
@@ -119,12 +118,16 @@ def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:
     return ways
 
 
-def shioda_tuple_count(d: int, k: int, q: int, i: int) -> int:
-    """#{(a_0..a_k) : 1 <= a_j <= d-1, sum a_j + i = d(q+1)}, the tuple
-    count behind the eigenspace dimensions."""
-    if not 1 <= i <= d - 1:
-        raise ValueError(f"eigenvalue index must lie in [1, {d - 1}], got {i}")
-    return _tuple_sum_counts(d, k).get(d * (q + 1) - i, 0)
+def shioda_tuple_count(d: int, k: int) -> dict[tuple[int, int], int]:
+    """The table (p, i) -> #{(a_0..a_k) : 1 <= a_j <= d-1,
+    sum a_j + i = d(k - p + 1)}, i = 1..d-1, from one convolution: the
+    tuple count behind each entry of `eigenspace_dims(d, k)`."""
+    sums = _tuple_sum_counts(d, k)
+    return {
+        (k - q, i): sums.get(d * (q + 1) - i, 0)
+        for q in range(k + 1)
+        for i in range(1, d)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +346,10 @@ def torelli_differential_rank(k: int) -> int:
     return sparse_rank(rows.values())
 
 
-def torelli_witness_nonzero(k: int, cubic: Optional[frozenset[int]] = None) -> bool:
-    """Whether the single deformation cubic (default x0*x1*x2) induces a
-    nonzero tuple of multiplication maps."""
-    if cubic is None:
-        cubic = frozenset({0, 1, 2})
-    if len(cubic) != 3 or not cubic <= set(range(k + 1)):
-        raise UnsupportedCaseError(
-            f"need a square-free cubic in x_0..x_{k}, got {sorted(cubic)}"
-        )
-    wanted = tuple(sorted(cubic))
-    return any(c == wanted for c, _ in _torelli_entries(k, _ladder_quotients(k)))
+def torelli_witness_nonzero(k: int) -> bool:
+    """Whether the single deformation cubic x0*x1*x2 induces a nonzero
+    tuple of multiplication maps."""
+    return any(c == (0, 1, 2) for c, _ in _torelli_entries(k, _ladder_quotients(k)))
 
 
 # ---------------------------------------------------------------------------

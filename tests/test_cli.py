@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from halftwist import cli
+from halftwist import cli, covers
 from halftwist.sweeps import CHECKS, SweepCell, run_sweep, worker_count
 
 
@@ -195,8 +195,8 @@ def _no_work_may_start(*_args, **_kwargs):
     [
         (["hodge", "3", "3000"], "jacobian.hypersurface_hodge_numbers"),
         (["hodge", "65", "2"], "jacobian.hypersurface_hodge_numbers"),
-        (["eigenspaces", "3", "65"], "jacobian.eigenspace_dims"),
-        (["eigenspaces", "65", "2"], "jacobian.eigenspace_dims"),
+        (["eigenspaces", "3", "65"], "covers.eigenspace_dims"),
+        (["eigenspaces", "65", "2"], "covers.eigenspace_dims"),
         (["half-twist", "3", "3000"], "covers.qt_decompose"),
         (["half-twist", "65", "2", "--tate"], "covers.qt_decompose"),
         (["sweep", "--check", "w-rank", "--d-max", "33"], "sweeps._run_cell"),
@@ -258,6 +258,24 @@ def test_value_error_in_a_check_is_a_failing_cell(capsys, monkeypatch):
         ["4", "2", "FAIL", "rank 5 != 6"],
     ]
     assert out.splitlines()[-1] == "check raises: 3/4 cells pass"
+
+
+def test_an_optimality_gap_is_a_failing_cell(capsys, monkeypatch):
+    any_type = covers.half_twist_any_cmtype
+
+    def gap_at_4_2(spec):
+        return any_type(spec) != ((spec.d, spec.k) == (4, 2))
+
+    monkeypatch.setattr(covers, "half_twist_any_cmtype", gap_at_4_2)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--check", "cmtype-search", "--d-max", "4", "--k-max", "2"
+    )
+    assert code == 1
+    rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
+    assert [row for row in rows if row[2] != "pass"] == [
+        ["4", "2", "FAIL", "OPTIMALITY GAP: fixed type True, some type False"]
+    ]
+    assert out.splitlines()[-1] == "check cmtype-search: 3/4 cells pass"
 
 
 def test_sweep_unknown_check_is_usage_error(capsys):

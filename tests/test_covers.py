@@ -12,6 +12,7 @@ from halftwist.covers import (
     dim_identity_check,
     euler_recursion_rank,
     fermat_gamma_invariants,
+    full_level_V,
     gamma_invariant_h1_dimension,
     half_twist_any_cmtype,
     half_twist_exists_derived,
@@ -119,6 +120,16 @@ def test_qt_uniqueness_on_grid():
         qt = qt_decompose(CoverSpec(d, k))
         assert k == qt.q * d + qt.t
         assert -1 <= qt.t <= d - 2
+
+
+def test_qt_owns_the_extremal_index_and_full_level_V():
+    for d, k in GRID:
+        spec = CoverSpec(d, k)
+        qt = qt_decompose(spec)
+        assert qt.top == max(spec.cohomology.hodge_numbers()), (d, k)
+        Vq = full_level_V(spec)
+        assert Vq == tate_twist(primitive_V(spec), qt.q), (d, k)
+        assert Vq.weight == k - 2 * qt.q, (d, k)
 
 
 @pytest.mark.parametrize(

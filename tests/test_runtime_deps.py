@@ -76,6 +76,19 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == set()
 
 
+def test_the_ledger_reads_no_cell_text():
+    # a grid claim reads a cell's pass/fail only; a count it needs comes
+    # from the function that computes it, not from a parsed detail string
+    path = PACKAGE / "claims.py"
+    assert "re" not in imported_top_level_names(path)
+    details = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "detail"
+    ]
+    assert details == []
+
+
 def callers(path, name):
     """The dotted scopes (class and function names) in a module that call
     `name`, bare or as an attribute; module level is the empty string."""

@@ -6,7 +6,9 @@ one of them fails here rather than in a traced benchmark run.
 
 The same list is the one allowance of the unused-code scan below: a
 public function or class of the package that no module of the package
-refers to is dead code, unless the tracer times it."""
+refers to is dead code, unless the tracer times it.  A second scan
+finds unused options: a defaulted parameter that no call in the package
+or in bench/*.py ever passes only serves the tests."""
 
 import ast
 import importlib
@@ -64,3 +66,74 @@ def test_every_public_definition_is_referenced_or_traced():
     }
     traced = {attr for _, attr in tracer_targets()}
     assert public - referenced - traced == set()
+
+
+def defaulted_parameters(tree):
+    """(callee, parameter, position) for each parameter with a default
+    of each function in the tree.  A class is called by its name for
+    its `__init__`, self is not counted, and a keyword-only parameter
+    has position None."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                offset = int(bool(positional) and positional[0].arg in ("self", "cls"))
+                callee = cls if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                found.extend(
+                    (callee, arg.arg, index - offset)
+                    for index, arg in enumerate(positional)
+                    if index >= first
+                )
+                found.extend(
+                    (callee, arg.arg, None)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                )
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def passes(call, parameter, position):
+    keywords = {kw.arg for kw in call.keywords}  # None stands for **mapping
+    positional = [arg for arg in call.args if not isinstance(arg, ast.Starred)]
+    return (
+        parameter in keywords
+        or None in keywords
+        or len(positional) < len(call.args)  # a *sequence may reach it
+        or (position is not None and len(positional) > position)
+    )
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    package = [
+        ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+    ]
+    callers = package + [
+        ast.parse(path.read_text()) for path in sorted(TRACER.parent.glob("*.py"))
+    ]
+    calls = [
+        node for tree in callers for node in ast.walk(tree) if isinstance(node, ast.Call)
+    ]
+    named = {}
+    for call in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        named.setdefault(name, []).append(call)
+    defaulted = [entry for tree in package for entry in defaulted_parameters(tree)]
+    assert ("CMHodgeStructure", "check_symmetry", 3) in defaulted
+    never_passed = [
+        f"{callee}({parameter})"
+        for callee, parameter, position in defaulted
+        if not any(passes(call, parameter, position) for call in named.get(callee, []))
+    ]
+    assert never_passed == []
