@@ -50,8 +50,6 @@ from .jacobian import (
 )
 from .covers import (
     CoverSpec,
-    DecompositionPart,
-    DecompositionReport,
     QTDecomposition,
     build_W,
     curve_h1,

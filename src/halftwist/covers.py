@@ -6,10 +6,18 @@ primitive-eigenvalue structure V, the lower-order pieces, the invariant
 structure W inside the tensor with the degree-d Fermat curve, the (q, t)
 normal form of k, the three half-twist existence predicates (the
 direct eigenspace check, which is authoritative, and the two closed
-forms it is compared against), and the stated degree bound for V.
+forms it is compared against), the stated degree bound for V, and the
+direct-sum decompositions.
 
-The extremal index k - q is `qt_decompose(spec).top` and V(q) is
-`full_level_V(spec)`; no caller derives either again.
+The extremal index k - q is `qt_decompose(spec).top`, V(q) is
+`full_level_V(spec)`, and the slices of the table by eigenvalue order
+are `secondary_parts(spec)`; no caller derives any of them again.
+
+A decomposition (the next cover in the tower, the quartic split of W,
+the Jacobian of the quartic threefold) is a list of summand ranks with
+multiplicities folded in.  It is returned only after its sum matches a
+total computed by another route; a mismatch is a ValueError naming the
+decomposition.
 
 A `CoverSpec` owns its Hodge data: the eigenspace table is built once
 per spec, on first use, and every predicate and structure here reads
@@ -86,36 +94,6 @@ class QTDecomposition:
     top: int
 
 
-@dataclass(frozen=True)
-class DecompositionPart:
-    """One summand of a `DecompositionReport`: its rank (for an abelian
-    variety, its dimension) and how many copies of it occur."""
-
-    label: str
-    rank: int
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Direct-sum bookkeeping with a total-rank checksum."""
-
-    label: str
-    parts: tuple[DecompositionPart, ...]
-    expected_rank: int
-
-    def __post_init__(self):
-        if self.checksum != self.expected_rank:
-            raise ValueError(
-                f"{self.label}: checksum {self.checksum} != expected "
-                f"{self.expected_rank}"
-            )
-
-    @property
-    def checksum(self) -> int:
-        return sum(part.multiplicity * part.rank for part in self.parts)
-
-
 # ---------------------------------------------------------------------------
 # the basic structures
 
@@ -149,14 +127,9 @@ def order_part_as_substructure(spec: CoverSpec, e: int) -> CMHodgeStructure:
     if spec.d % e or e < 3:
         raise UnsupportedCaseError(f"order {e} needs e | d and e >= 3")
     step = spec.d // e
-    slice_ = dict(
-        (key, dim)
-        for key, dim in spec.cohomology.table.items()
-        if spec.d // gcd(key[1], spec.d) == e
-    )
-    subfield = make_cyclotomic(e)
-    table = {(p, i // step): dim for (p, i), dim in slice_.items()}
-    return CMHodgeStructure(subfield, spec.k, table)
+    part = dict(secondary_parts(spec))[e]
+    table = {(p, i // step): dim for (p, i), dim in part.table.items()}
+    return CMHodgeStructure(make_cyclotomic(e), spec.k, table)
 
 
 @cache
@@ -288,27 +261,27 @@ def build_W(spec: CoverSpec) -> CMHodgeStructure:
     return W
 
 
-def z_decomposition(spec: CoverSpec) -> DecompositionReport:
+def _checked_ranks(label: str, ranks: list[int], expected: int) -> list[int]:
+    """Summand ranks, multiplicities folded in, after checking that they
+    add up to the independently computed total; ValueError otherwise."""
+    if sum(ranks) != expected:
+        raise ValueError(f"{label}: checksum {sum(ranks)} != expected {expected}")
+    return ranks
+
+
+def z_decomposition(spec: CoverSpec) -> list[int]:
     """Middle primitive cohomology of the next cover in the tower:
-    d-1 Tate-twisted copies of the branch locus middle cohomology
-    plus W, checked against the Euler-recursion rank one level up."""
+    d-1 Tate-twisted copies of the branch locus middle cohomology, then
+    W, checked against the Euler-recursion rank one level up."""
     d, k = spec.d, spec.k
-    branch_numbers = hypersurface_hodge_numbers(d, k - 1)
-    branch_twisted = CMHodgeStructure(
-        spec.field, k + 1, {(p + 1, 0): dim for p, dim in branch_numbers}
-    )
-    W = build_W(spec)
-    return DecompositionReport(
-        label=f"H^{k + 1}_0(Z_{k + 1}) for d={d}",
-        parts=(
-            DecompositionPart("X(-1)", branch_twisted.rank, d - 1),
-            DecompositionPart("W", W.rank, 1),
-        ),
-        expected_rank=euler_recursion_rank(CoverSpec(d, k + 1)),
+    return _checked_ranks(
+        f"H^{k + 1}_0(Z_{k + 1}) for d={d}",
+        [(d - 1) * primitive_middle_rank(d, k - 1), build_W(spec).rank],
+        euler_recursion_rank(CoverSpec(d, k + 1)),
     )
 
 
-def quartic_W_split(spec: CoverSpec) -> DecompositionReport:
+def quartic_W_split(spec: CoverSpec) -> list[int]:
     """For d = 4: W splits as two Tate-twisted half twists of V plus the
     order-two part tensored with the CM elliptic-curve structure, and
     the split holds as an equality of full residue-graded tables (the
@@ -324,17 +297,12 @@ def quartic_W_split(spec: CoverSpec) -> DecompositionReport:
     third = tensor(v_prime, collapse_residues(k_minus_half(field)))
     recombined = direct_sum(twisted, twisted, third)
     require_equal(W, recombined, f"quartic split fails at table level for k={spec.k}")
-    return DecompositionReport(
-        label=f"W for d=4, k={spec.k}",
-        parts=(
-            DecompositionPart("V_half(-1)", twisted.rank, 2),
-            DecompositionPart("Vprime(x)K_half", third.rank, 1),
-        ),
-        expected_rank=W.rank,
+    return _checked_ranks(
+        f"W for d=4, k={spec.k}", [2 * twisted.rank, third.rank], W.rank
     )
 
 
-def quartic_isogeny_report(spec: CoverSpec) -> DecompositionReport:
+def quartic_isogeny_report(spec: CoverSpec) -> list[int]:
     """Dimension bookkeeping for the intermediate Jacobian of the quartic
     threefold over a plane quartic, from the quartic surface cover `spec`
     (d = 4, k = 2): three copies of the genus-3 Jacobian, two copies of
@@ -345,15 +313,10 @@ def quartic_isogeny_report(spec: CoverSpec) -> DecompositionReport:
     genus = curve_h1(4).rank // 2
     a_c = abelian_summary(pos_half_twist(primitive_V(spec))).dim_abelian
     a_k = abelian_summary(k_minus_half(spec.field)).dim_abelian
-    h21 = dict(hypersurface_hodge_numbers(4, 3))[2]
-    return DecompositionReport(
-        label="J of the quartic threefold",
-        parts=(
-            DecompositionPart("J(C)", genus, 3),
-            DecompositionPart("A_C", a_c, 2),
-            DecompositionPart("A_K", a_k, 7),
-        ),
-        expected_rank=h21,
+    return _checked_ranks(
+        "J of the quartic threefold",
+        [3 * genus, 2 * a_c, 7 * a_k],
+        dict(hypersurface_hodge_numbers(4, 3))[2],
     )
 
 

@@ -268,13 +268,15 @@ def top_offenders(structure: CMHodgeStructure, p: int) -> list[int]:
 def tate_commutations(structure: CMHodgeStructure) -> int:
     """How many Tate twists m >= 0 have both composites
     pos_half_twist(tate_twist(V, m)) and tate_twist(pos_half_twist(V), m)
-    defined; ValueError at the first such m where they differ."""
+    defined; ValueError at the first such m where they differ.  Only a
+    TwistRangeError or NoHalfTwistError marks a composite as undefined;
+    any other error propagates."""
     compared = 0
     for m in range(min((p for (p, _) in structure._table), default=0) + 1):
         try:
             lhs = pos_half_twist(tate_twist(structure, m))
             rhs = tate_twist(pos_half_twist(structure), m)
-        except ValueError:
+        except (TwistRangeError, NoHalfTwistError):
             continue
         if lhs != rhs:
             raise ValueError(f"twist/Tate commutation fails at m={m}")
@@ -365,11 +367,8 @@ def abelian_summary(structure: CMHodgeStructure) -> AbelianSummary:
         )
     if structure.rank % 2:
         raise MalformedStructureError("weight-one structure of odd rank")
+    _require_unit_support(structure, "abelian summary")
     field = structure.field
-    if not structure.residues() <= frozenset(field.units):
-        raise MalformedStructureError(
-            "abelian summary needs a structure supported on unit residues"
-        )
     dim = structure.rank // 2
     signature = {
         a: (structure.entry(1, a), structure.entry(1, field.d - a))

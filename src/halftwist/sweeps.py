@@ -84,8 +84,8 @@ def _w_rank(spec: CoverSpec) -> tuple[bool, str]:
 
 
 def _z_checksum(spec: CoverSpec) -> tuple[bool, str]:
-    report = covers.z_decomposition(spec)
-    return True, f"checksum {report.checksum}"
+    ranks = covers.z_decomposition(spec)
+    return True, f"checksum {sum(ranks)}"
 
 
 def _ks_space(spec: CoverSpec) -> tuple[bool, str]:
@@ -146,9 +146,7 @@ def worker_count(jobs: int, cells: int, cpus: Optional[int]) -> int:
     return max(1, min(jobs, cells, cpus or 1))
 
 
-def run_sweep(
-    check: str, d_max: int = 9, k_max: int = 7, jobs: int = 1
-) -> list[SweepCell]:
+def run_sweep(check: str, d_max: int, k_max: int, jobs: int) -> list[SweepCell]:
     """Run one check over the grid 3 <= d <= d_max, 1 <= k <= k_max.
     Bad arguments, an empty grid included, raise ValueError before any
     cell runs."""

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from halftwist import claims, covers, hodge, sweeps
+from halftwist.cyclotomic import InvariantError
 
 
 def test_ledger_is_large_enough():
@@ -105,10 +107,22 @@ def claim_named(claim_id):
 
 
 def test_gamma_exponent_claim_compares_the_exponents(monkeypatch):
+    # the claim fails when fermat_gamma_invariants itself finds that the
+    # unit exponents are not the CM-type: here sigma0 is conjugated
     claim = claim_named("gamma.exponents_are_cmtype")
     assert claims.evaluate(claim).status == claims.STATUS_PASS
-    monkeypatch.setattr(covers, "fermat_gamma_invariants", lambda d: [1])
-    assert claims.evaluate(claim).status == claims.STATUS_FAIL
+    real = covers.make_cyclotomic
+
+    def conjugate_type(d):
+        field = real(d)
+        return replace(field, sigma0=frozenset(d - a for a in field.sigma0))
+
+    monkeypatch.setattr(covers, "make_cyclotomic", conjugate_type)
+    with pytest.raises(InvariantError, match="not the CM-type"):
+        covers.fermat_gamma_invariants(5)
+    report = claims.evaluate(claim)
+    assert report.status == claims.STATUS_FAIL
+    assert "not the CM-type" in report.computed
 
 
 # Each grid claim runs a sweep check; (claim, check, a cell of its grid).

@@ -354,21 +354,35 @@ def test_cubic_W_equals_twisted_half_twist():
 
 
 def test_z_decomposition_examples():
-    report = z_decomposition(CoverSpec(4, 2))
-    assert report.checksum == 60
-    assert [p.multiplicity * p.rank for p in report.parts] == [18, 42]
-    report = z_decomposition(CoverSpec(3, 4))
-    assert report.checksum == 42
-    assert [p.multiplicity * p.rank for p in report.parts] == [20, 22]
-    report = z_decomposition(CoverSpec(3, 2))
-    assert report.checksum == 10
-    assert [p.multiplicity * p.rank for p in report.parts] == [4, 6]
+    ranks = z_decomposition(CoverSpec(4, 2))
+    assert sum(ranks) == 60
+    assert ranks == [18, 42]
+    ranks = z_decomposition(CoverSpec(3, 4))
+    assert sum(ranks) == 42
+    assert ranks == [20, 22]
+    ranks = z_decomposition(CoverSpec(3, 2))
+    assert sum(ranks) == 10
+    assert ranks == [4, 6]
 
 
 def test_z_decomposition_on_grid():
     for d, k in GRID:
-        report = z_decomposition(CoverSpec(d, k))
-        assert report.checksum == euler_recursion_rank(CoverSpec(d, k + 1))
+        ranks = z_decomposition(CoverSpec(d, k))
+        assert sum(ranks) == euler_recursion_rank(CoverSpec(d, k + 1))
+
+
+def test_a_checksum_mismatch_fails_loudly(monkeypatch):
+    # one too high one level up, where only the checksum reads it
+    real = covers.euler_recursion_rank
+    monkeypatch.setattr(
+        covers, "euler_recursion_rank", lambda spec: real(spec) + (spec.k == 3)
+    )
+    message = "H^3_0(Z_3) for d=4: checksum 60 != expected 61"
+    with pytest.raises(ValueError) as caught:
+        z_decomposition(CoverSpec(4, 2))
+    assert str(caught.value) == message
+    cell = sweeps.check_cover("z-checksum", CoverSpec(4, 2))
+    assert (cell.ok, cell.detail) == (False, message)
 
 
 def test_corollary_of_inclusion_rank_inequality():
@@ -388,9 +402,8 @@ def test_corollary_of_inclusion_rank_inequality():
 
 def test_quartic_split_table_equality():
     for k in (1, 2, 3):
-        report = quartic_W_split(CoverSpec(4, k))
-        ranks = [p.multiplicity * p.rank for p in report.parts]
-        assert report.checksum == build_W(CoverSpec(4, k)).rank
+        ranks = quartic_W_split(CoverSpec(4, k))
+        assert sum(ranks) == build_W(CoverSpec(4, k)).rank
         if k == 2:
             assert ranks == [28, 14]
 
@@ -448,9 +461,9 @@ def test_quartic_split_rejects_other_degrees():
 
 
 def test_quartic_isogeny_report():
-    report = quartic_isogeny_report(CoverSpec(4, 2))
-    assert report.expected_rank == 30
-    assert [p.multiplicity * p.rank for p in report.parts] == [9, 14, 7]
+    ranks = quartic_isogeny_report(CoverSpec(4, 2))
+    assert sum(ranks) == 30
+    assert ranks == [9, 14, 7]
 
 
 @pytest.mark.parametrize("d, k", [(4, 1), (4, 3), (3, 2), (5, 2)])

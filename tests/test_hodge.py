@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halftwist import hodge
 from halftwist.cyclotomic import make_cyclotomic
 from halftwist.hodge import (
     CMHodgeStructure,
@@ -267,6 +268,19 @@ def test_matched_tensor_reproduces_both_twists():
                 assert direct == tate_twist(pos_half_twist(V), -1)
 
 
+def test_tate_commutations_let_a_defect_propagate(monkeypatch):
+    # only TwistRangeError and NoHalfTwistError mark a composite undefined
+    V = primitive_V(CoverSpec(4, 2))
+    assert hodge.tate_commutations(V) > 0
+
+    def broken(structure, step):
+        raise MalformedStructureError("shift defect")
+
+    monkeypatch.setattr(hodge, "_shift_sigma0", broken)
+    with pytest.raises(MalformedStructureError, match="shift defect"):
+        hodge.tate_commutations(V)
+
+
 # ---------------------------------------------------------------------------
 # abelian summaries
 
@@ -283,6 +297,12 @@ def test_abelian_summary_signature_mass():
         assert sum(m + mbar for m, mbar in summary.signature.values()) == (
             summary.dim_abelian
         )
+
+
+def test_abelian_summary_needs_unit_support():
+    V = CMHodgeStructure(K4, 1, {(1, 2): 1, (0, 2): 1})
+    with pytest.raises(MalformedStructureError, match=r"^abelian summary .* \[2\]$"):
+        abelian_summary(V)
 
 
 # ---------------------------------------------------------------------------
