@@ -12,9 +12,10 @@ failure, 2 usage error.  Output is byte-identical across runs and
 across ``--jobs`` settings.
 
 Inputs are bounded before any work starts: ``hodge``, ``eigenspaces``
-and ``half-twist`` take d <= MAX_D and k <= MAX_K (both 64), and
-``sweep`` takes --d-max <= SWEEP_MAX_D (32) and --k-max <= SWEEP_MAX_K
-(16).  Larger values exit with code 2.
+and ``half-twist`` take d <= MAX_D and k <= MAX_K (both 160), and
+``sweep`` takes --d-max <= SWEEP_MAX_D (36) and --k-max <= SWEEP_MAX_K
+(18).  Larger values exit with code 2.  The library functions take any
+size.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ from .covers import CoverSpec
 
 FORMATS = ("table", "json")
 
-# The cost of a cover grows fast with d and k together, and of a sweep
-# with its grid: on a 2-core machine (whole-process medians of 7 runs)
-# `half-twist 64 64` takes about 0.5 s, `sweep --check oracle-equivalence
-# --d-max 32 --k-max 16` about 1.3 s, and the (3, 3000) cover does not
-# finish in 20 s.
-MAX_D = MAX_K = 64
-SWEEP_MAX_D, SWEEP_MAX_K = 32, 16
+# Each limit is the largest value at which its slowest command takes
+# about 1 s.  The cost of a cover grows fast with d and k together, and
+# of a sweep with its grid: on a 2-core machine (whole-process medians
+# of 5 runs) `eigenspaces 160 160` takes 0.82 s (1.20 s at 176),
+# `half-twist 160 160 --tate` 0.52 s and `hodge 160 160` 0.42 s, and the
+# slowest sweep at the grid limit, `sweep --check ks-space --d-max 36
+# --k-max 18`, takes 0.95 s.
+MAX_D = MAX_K = 160
+SWEEP_MAX_D, SWEEP_MAX_K = 36, 18
 LIMITS = {"d": MAX_D, "k": MAX_K, "d_max": SWEEP_MAX_D, "k_max": SWEEP_MAX_K}
 
 
@@ -94,7 +97,17 @@ def _cmd_eigenspaces(args) -> int:
         p: [spec.cohomology.entry(p, i) for i in range(1, d)] for p in range(k, -1, -1)
     }
     units = set(spec.field.units)
+    # two routes: the table's rows count monomials in k + 1 variables,
+    # the hodge column in k + 2
     hodge_totals = dict(jacobian.hypersurface_hodge_numbers(d, k))
+    for p, row in dims.items():
+        if sum(row) != hodge_totals[p]:
+            print(
+                f"error: row p={p} of the eigenspace table sums to {sum(row)}, "
+                f"but the Hodge number h^{{{p},{k - p}}}_0 is {hodge_totals[p]}",
+                file=sys.stderr,
+            )
+            return 1
     if args.format == "json":
         payload = {
             "command": "eigenspaces",

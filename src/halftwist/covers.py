@@ -15,9 +15,11 @@ are `secondary_parts(spec)`; no caller derives any of them again.
 
 A decomposition (the next cover in the tower, the quartic split of W,
 the Jacobian of the quartic threefold) is a list of summand ranks with
-multiplicities folded in.  It is returned only after its sum matches a
-total computed by another route; a mismatch is a ValueError naming the
-decomposition.
+multiplicities folded in.  It is returned only after it is checked
+against another route; a mismatch is a ValueError naming the
+decomposition.  The tower and the Jacobian check their sum against a
+total computed independently; the quartic split checks the full
+residue-graded tables, which fixes the ranks too.
 
 A `CoverSpec` owns its Hodge data: the eigenspace table is built once
 per spec, on first use, and every predicate and structure here reads
@@ -297,9 +299,7 @@ def quartic_W_split(spec: CoverSpec) -> list[int]:
     third = tensor(v_prime, collapse_residues(k_minus_half(field)))
     recombined = direct_sum(twisted, twisted, third)
     require_equal(W, recombined, f"quartic split fails at table level for k={spec.k}")
-    return _checked_ranks(
-        f"W for d=4, k={spec.k}", [2 * twisted.rank, third.rank], W.rank
-    )
+    return [2 * twisted.rank, third.rank]
 
 
 def quartic_isogeny_report(spec: CoverSpec) -> list[int]:

@@ -6,11 +6,15 @@ hypersurface), the eigenspace dimension tables of cyclic covers, the
 W-ladder quotients of the d = 3 Jacobian ring, and the
 fraction-free linear algebra backing the period-map rank computation.
 
-Two independent routes exist for every count: a closed form by
-inclusion-exclusion and an exact integer convolution over the tuple
-entries.  Tests sweep their agreement, and check the convolution itself
-against a literal listing of tuples; neither route is ever collapsed
-into the other.
+Three independent routes exist for the eigenspace counts, and none is
+ever collapsed into another.  Production builds a whole table in one
+pass over its generating function, a polynomial power
+(`eigenspace_dims`).  Per-entry inclusion-exclusion, a closed-form
+binomial sum (`count_bounded_monomials`), is the oracle of the
+`oracle-equivalence` sweep and the production route of
+`hypersurface_hodge_numbers`.  An exact integer convolution over the
+tuple entries (`shioda_tuple_count`) is the tier-1 test oracle, and is
+itself checked against a literal listing of tuples.
 
 Every rank is computed by one sparse fraction-free eliminator,
 `sparse_rank`, on rows stored as {column: value} maps; `exact_rank` is
@@ -34,7 +38,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -92,22 +96,37 @@ def eigenspace_dims(d: int, k: int) -> dict[tuple[int, int], int]:
     """Full table (p, i) -> dim of the i-th eigenspace of the covering
     automorphism on the primitive (p, k-p) piece, i = 1..d-1.
 
-    The invariant (i = 0) part of primitive cohomology vanishes, so the
-    table starts at i = 1.
+    The entry (k - q, i) is N(k+1, d, m) at m = d(q+1) - k - 1 - i, the
+    coefficient of t^m in the generating function
+
+        (1 + t + ... + t^{d-2})^{k+1} = (1 - t^{d-1})^{k+1} / (1 - t)^{k+1},
+
+    and the whole table is read off that one polynomial: the numerator's
+    k + 2 signed binomials sit at the multiples of d - 1, and each of the
+    k + 1 factors 1 / (1 - t) is one prefix-sum pass.  The invariant
+    (i = 0) part of primitive cohomology vanishes, so the table starts
+    at i = 1.
     """
     if d < 3 or k < 1:
         raise ValueError(f"need d >= 3 and k >= 1, got ({d}, {k})")
+    size = (k + 1) * (d - 2) + 1  # the series has degree (k+1)(d-2)
+    series = [0] * size
+    for j, m in enumerate(range(0, size, d - 1)):
+        series[m] = (-1) ** j * comb(k + 1, j)
+    for _ in range(k + 1):
+        series = list(accumulate(series))
     return {
-        (k - q, i): count_bounded_monomials(k + 1, d, d * (q + 1) - k - 1 - i)
+        (k - q, i): series[m] if 0 <= m < size else 0
         for q in range(k + 1)
         for i in range(1, d)
+        for m in (d * (q + 1) - k - 1 - i,)
     }
 
 
 def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:
     """Number of (k+1)-tuples over {1..d-1} for each total sum, by an
     exact integer convolution, one tuple entry at a time.  Independent
-    of the inclusion-exclusion closed form it is checked against."""
+    of the one-pass table it is checked against."""
     ways: dict[int, int] = {0: 1}
     for _ in range(k + 1):
         nxt: dict[int, int] = defaultdict(int)

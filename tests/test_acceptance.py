@@ -122,7 +122,7 @@ def test_c04_quintic_suite():
 
 
 def test_c05_oracle_equivalence_full_grid():
-    with criterion(5, "tuple enumeration = inclusion-exclusion on the grid", 30.0):
+    with criterion(5, "tuple enumeration = one-pass table on the grid", 30.0):
         for d, k in GRID:
             dims = eigenspace_dims(d, k)
             tuples = shioda_tuple_count(d, k)

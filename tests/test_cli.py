@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from halftwist import cli, covers
+from halftwist import cli, covers, jacobian
 from halftwist.sweeps import CHECKS, SweepCell, run_sweep, worker_count
 
 
@@ -73,6 +73,25 @@ def test_eigenspaces_row_sums_match_hodge(capsys):
     totals = dict(map(tuple, payload["hodge_totals"]))
     for row in payload["rows"]:
         assert row["total"] == totals[row["p"]]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_eigenspaces_fails_when_a_row_total_misses_its_hodge_number(
+    capsys, monkeypatch, fmt
+):
+    real = jacobian.hypersurface_hodge_numbers
+
+    def one_row_off(d, k):
+        return [(p, dim + (p == 1)) for p, dim in real(d, k)]
+
+    monkeypatch.setattr(jacobian, "hypersurface_hodge_numbers", one_row_off)
+    code, out, err = run_cli(capsys, "eigenspaces", "4", "2", "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: row p=1 of the eigenspace table sums to 19, "
+        "but the Hodge number h^{1,1}_0 is 20\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +213,15 @@ def _no_work_may_start(*_args, **_kwargs):
     "argv, entry",
     [
         (["hodge", "3", "3000"], "jacobian.hypersurface_hodge_numbers"),
-        (["hodge", "65", "2"], "jacobian.hypersurface_hodge_numbers"),
-        (["eigenspaces", "3", "65"], "covers.eigenspace_dims"),
-        (["eigenspaces", "65", "2"], "covers.eigenspace_dims"),
+        (["hodge", str(cli.MAX_D + 1), "2"], "jacobian.hypersurface_hodge_numbers"),
+        (["eigenspaces", "3", str(cli.MAX_K + 1)], "covers.eigenspace_dims"),
+        (["eigenspaces", str(cli.MAX_D + 1), "2"], "covers.eigenspace_dims"),
         (["half-twist", "3", "3000"], "covers.qt_decompose"),
-        (["half-twist", "65", "2", "--tate"], "covers.qt_decompose"),
-        (["sweep", "--check", "w-rank", "--d-max", "33"], "sweeps._run_cell"),
-        (["sweep", "--check", "w-rank", "--k-max", "17"], "sweeps._run_cell"),
+        (["half-twist", str(cli.MAX_D + 1), "2", "--tate"], "covers.qt_decompose"),
+        (["sweep", "--check", "w-rank", "--d-max", str(cli.SWEEP_MAX_D + 1)],
+         "sweeps._run_cell"),
+        (["sweep", "--check", "w-rank", "--k-max", str(cli.SWEEP_MAX_K + 1)],
+         "sweeps._run_cell"),
     ],
 )
 def test_inputs_above_the_limits_are_rejected_before_running(
@@ -236,6 +257,27 @@ def test_worker_count_is_clamped():
     for jobs in (0, -1):
         with pytest.raises(ValueError):
             worker_count(jobs, 100, 8)
+
+
+def test_oracle_sweep_fails_on_one_changed_entry(capsys, monkeypatch):
+    real = jacobian.eigenspace_dims
+
+    def one_entry_off(d, k):
+        table = real(d, k)
+        if (d, k) == (5, 2):
+            table[(1, 3)] += 1
+        return table
+
+    monkeypatch.setattr(jacobian, "eigenspace_dims", one_entry_off)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--check", "oracle-equivalence", "--d-max", "6", "--k-max", "3"
+    )
+    assert code == 1
+    rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
+    assert [row for row in rows if row[2] != "pass"] == [
+        ["5", "2", "FAIL", "inclusion-exclusion differs at [(1, 3)]"]
+    ]
+    assert out.splitlines()[-1] == "check oracle-equivalence: 11/12 cells pass"
 
 
 def test_value_error_in_a_check_is_a_failing_cell(capsys, monkeypatch):

@@ -143,6 +143,19 @@ def test_eigenspace_column_sums_match_hodge_numbers():
                 assert sum(dims[(p, i)] for i in range(1, d)) == total, (d, k, p)
 
 
+def test_one_pass_table_matches_inclusion_exclusion():
+    # every entry of every sweep-grid table, and the largest at the old
+    # CLI limit, against one closed-form sum per entry
+    cells = [(d, k) for d in range(3, 26) for k in range(1, 16)] + [(64, 64)]
+    for d, k in cells:
+        sums = {
+            (k - q, i): count_bounded_monomials(k + 1, d, d * (q + 1) - k - 1 - i)
+            for q in range(k + 1)
+            for i in range(1, d)
+        }
+        assert eigenspace_dims(d, k) == sums, (d, k)
+
+
 def test_eigenspace_conjugation_symmetry():
     for d in (3, 4, 6, 7):
         for k in (1, 2, 3):
