@@ -144,8 +144,8 @@ def test_eigenspace_column_sums_match_hodge_numbers():
 
 
 def test_one_pass_table_matches_inclusion_exclusion():
-    # every entry of every sweep-grid table, and the largest at the old
-    # CLI limit, against one closed-form sum per entry
+    # every entry of every sweep-grid table, and of the (64, 64) table
+    # the CLI golden file pins, against one closed-form sum per entry
     cells = [(d, k) for d in range(3, 26) for k in range(1, 16)] + [(64, 64)]
     for d, k in cells:
         sums = {
