@@ -33,10 +33,11 @@ FORMATS = ("table", "json")
 # Each limit is the largest value at which its slowest command takes
 # about 1 s.  The cost of a cover grows fast with d and k together, and
 # of a sweep with its grid: on a 2-core machine (whole-process medians
-# of 5 runs) `eigenspaces 160 160` takes 0.82 s (1.20 s at 176),
-# `half-twist 160 160 --tate` 0.52 s and `hodge 160 160` 0.42 s, and the
-# slowest sweep at the grid limit, `sweep --check ks-space --d-max 36
-# --k-max 18`, takes 0.95 s.
+# of 5 runs) `eigenspaces 160 160` takes 0.92 s (1.13 s at 176),
+# `half-twist 160 160 --tate` 0.44-0.55 s and `hodge 160 160` 0.38-0.46 s.
+# The slowest sweep at the grid limit is `sweep --check
+# oracle-equivalence --d-max 36 --k-max 18`, at 0.77-0.95 s (1.03 s at
+# d-max 38, 1.06 s at k-max 19); every other check takes 0.55 s or less.
 MAX_D = MAX_K = 160
 SWEEP_MAX_D, SWEEP_MAX_K = 36, 18
 LIMITS = {"d": MAX_D, "k": MAX_K, "d_max": SWEEP_MAX_D, "k_max": SWEEP_MAX_K}

@@ -21,12 +21,13 @@ decomposition.  The tower and the Jacobian check their sum against a
 total computed independently; the quartic split checks the full
 residue-graded tables, which fixes the ranks too.
 
-A `CoverSpec` owns its Hodge data: the eigenspace table is built once
-per spec, on first use, and every predicate and structure here reads
-that one table through `spec.cohomology` and `primitive_V`.  There
-is no cache across specs, so a table is freed with its spec.  The one
-exception is `curve_h1`, the Fermat-curve table that `build_W` tensors
-with: it is cached per degree, and has at most 2(d-1) entries.
+A `CoverSpec` owns its Hodge data: the eigenspace table, one Hodge
+vector per residue, is built once per spec, on first use, and every
+predicate and structure here reads that one table through
+`spec.cohomology` and `primitive_V`.  There is no cache across specs,
+so a table is freed with its spec.  The one exception is `curve_h1`,
+the Fermat-curve table that `build_W` tensors with: it is cached per
+degree, and holds at most d - 1 vectors of length 2.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ class CoverSpec:
 
     @cached_property
     def cohomology(self) -> CMHodgeStructure:
-        return CMHodgeStructure(self.field, self.k, eigenspace_dims(self.d, self.k))
+        return CMHodgeStructure(
+            self.field, self.k, vectors=eigenspace_dims(self.d, self.k)
+        )
 
     @cached_property
     def V(self) -> CMHodgeStructure:

@@ -1,15 +1,16 @@
 """The half-twist calculus on CM-graded Hodge structures.
 
-A structure of weight k with an action of the d-th cyclotomic field is
-held as an exact table of dimensions indexed by (Hodge index p, residue
-a mod d): the entry at (p, a) is the dimension of the simultaneous
-subspace of bidegree (p, k - p) on which the order-d automorphism acts
-through the a-th embedding.  Tables built by tensoring may carry
-non-unit residues (including 0); structures coming straight from a
-cyclic cover are supported on units.
+A structure of weight w with an action of the d-th cyclotomic field is
+one Hodge vector per residue a mod d, (h^{0,w}_a, ..., h^{w,0}_a): entry
+p is the dimension of the subspace of bidegree (p, w - p) on which the
+order-d automorphism acts through the a-th embedding.  Tensoring may
+give non-unit residues (including 0); a cyclic cover gives units only.
 
-All operations are pure and exact: dimensions are Python integers and
-every identity asserted here is an equality of full tables.
+Every operation is exact and acts on whole vectors: conjugation
+symmetry puts the reversed vector at -a, a Tate twist slices or pads
+every vector, a half twist moves the sigma0 vectors only, tensor
+products convolve and sums add.  The (p, a) table view (`table`,
+`entry`) and construction from a table serve callers outside the module.
 
 The positive half twist exists exactly when the top Hodge piece is
 one-sided: no residue outside the CM-type sigma0 carries dimension
@@ -22,9 +23,13 @@ likewise the one comparison of the half twist with Tate twists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import product, repeat
+from operator import add, mul
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cyclotomic import CyclotomicData, InvariantError, conjugate_residue
+
+Vector = tuple[int, ...]  # entry p: the dimension at Hodge index p
 
 
 class EmptyStructureError(ValueError):
@@ -52,94 +57,117 @@ class MalformedStructureError(ValueError):
 
 
 class CMHodgeStructure:
-    """Dimension table of an effective Hodge structure with residue grading.
+    """Hodge vectors {a: (h^{0,w}_a, ..., h^{w,0}_a)}, all-zero ones
+    dropped, of an effective weight-w structure with residue grading.
 
-    Equality is exact equality of (d, weight, table); there is no
-    isogeny or isomorphism coarsening.
-    """
+    Built from a (p, a) -> dim table or from `vectors` of length w + 1
+    keyed by residues 0..d-1; a negative dimension, an entry outside
+    0 <= p <= w and, unless check_symmetry is False, a break of
+    conjugation symmetry raise MalformedStructureError.  Equality is
+    exact equality of (d, weight, vectors), with no isogeny coarsening."""
 
     def __init__(
         self,
         field: CyclotomicData,
         weight: int,
-        table: Mapping[tuple[int, int], int],
+        table: Optional[Mapping[tuple[int, int], int]] = None,
         check_symmetry: bool = True,
+        *,
+        vectors: Optional[Mapping[int, Sequence[int]]] = None,
     ):
         if weight < 0:
             raise MalformedStructureError(f"weight must be >= 0, got {weight}")
-        clean: dict[tuple[int, int], int] = {}
-        for (p, a), dim in table.items():
-            if dim < 0:
-                raise MalformedStructureError(f"negative dimension at {(p, a)}")
-            if dim == 0:
-                continue
-            if not 0 <= p <= weight:
-                raise MalformedStructureError(
-                    f"entry at p={p} outside [0, {weight}] (not effective)"
-                )
-            clean[(p, a % field.d)] = clean.get((p, a % field.d), 0) + dim
-        self.field = field
-        self.weight = weight
-        self._table = clean
+        if vectors is None:
+            for (p, a), dim in table.items():
+                if dim < 0 or (dim and not 0 <= p <= weight):
+                    raise MalformedStructureError(f"not effective: {dim} at {(p, a)}")
+            vectors = _summed(
+                (a % field.d, [dim * (q == p) for q in range(weight + 1)])
+                for (p, a), dim in table.items()
+            )
+        self.field, self.weight, self._vectors = field, weight, {}
+        for a, vec in vectors.items():
+            if len(vec) != weight + 1 or min(vec) < 0:
+                raise MalformedStructureError(f"not effective: {vec} at residue {a}")
+            if any(vec):
+                self._vectors[a] = tuple(vec)
         if check_symmetry and not self.is_conjugation_symmetric():
             raise MalformedStructureError("table breaks conjugation symmetry")
 
     @property
     def table(self) -> dict[tuple[int, int], int]:
-        return dict(self._table)
+        vectors = self._vectors.items()
+        return {(p, a): x for a, vec in vectors for p, x in enumerate(vec) if x}
 
     @property
     def rank(self) -> int:
-        return sum(self._table.values())
+        return sum(map(sum, self._vectors.values()))
 
     def entry(self, p: int, a: int) -> int:
-        return self._table.get((p, a % self.field.d), 0)
+        vec = self._vectors.get(a % self.field.d)
+        return vec[p] if vec is not None and 0 <= p <= self.weight else 0
 
     def residues(self) -> frozenset[int]:
-        return frozenset(a for (_, a) in self._table)
+        return frozenset(self._vectors)
 
     def hodge_numbers(self) -> dict[int, int]:
-        """Residue-blind Hodge numbers p -> h^{p, weight-p}."""
-        out: dict[int, int] = {}
-        for (p, _), dim in self._table.items():
-            out[p] = out.get(p, 0) + dim
-        return out
+        """Residue-blind Hodge numbers p -> h^{p, weight-p}, nonzero only."""
+        columns = map(sum, zip(*self._vectors.values()))
+        return {p: dim for p, dim in enumerate(columns) if dim}
 
     def is_conjugation_symmetric(self) -> bool:
-        d = self.field.d
-        k = self.weight
-        return all(
-            dim == self._table.get((k - p, (-a) % d), 0)
-            for (p, a), dim in self._table.items()
-        )
+        vectors, d = self._vectors, self.field.d
+        return all(vectors.get(-a % d) == vec[::-1] for a, vec in vectors.items())
 
     def restrict_residues(self, residues: Iterable[int]) -> "CMHodgeStructure":
         keep = {a % self.field.d for a in residues}
-        table = {key: dim for key, dim in self._table.items() if key[1] in keep}
         symmetric = all(conjugate_residue(self.field, a) in keep for a in keep)
+        vectors = {a: vec for a, vec in self._vectors.items() if a in keep}
         return CMHodgeStructure(
-            self.field, self.weight, table, check_symmetry=symmetric
+            self.field, self.weight, check_symmetry=symmetric, vectors=vectors
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CMHodgeStructure):
             return NotImplemented
-        return (
-            self.field.d == other.field.d
-            and self.weight == other.weight
-            and self._table == other._table
+        return (self.field.d, self.weight, self._vectors) == (
+            other.field.d, other.weight, other._vectors
         )
 
     def __hash__(self):
-        return hash(
-            (self.field.d, self.weight, tuple(sorted(self._table.items())))
-        )
+        return hash((self.field.d, self.weight, frozenset(self._vectors.items())))
 
     def __repr__(self) -> str:
-        return (
-            f"CMHodgeStructure(d={self.field.d}, weight={self.weight}, "
-            f"rank={self.rank})"
-        )
+        d, w = self.field.d, self.weight
+        return f"CMHodgeStructure(d={d}, weight={w}, rank={self.rank})"
+
+
+def _summed(pairs: Iterable[tuple[int, Sequence[int]]]) -> dict[int, list[int]]:
+    """Hodge vectors added up by residue."""
+    out: dict[int, list[int]] = {}
+    for a, vec in pairs:
+        out[a] = list(map(add, out[a], vec)) if a in out else list(vec)
+    return out
+
+
+def _trimmed(vec: Vector, low: int, high: int) -> Vector:
+    """`vec` cut by `low` entries at the bottom and `high` at the top, a
+    negative count padding zeros instead; a cut nonzero fails effectivity."""
+    cut_low, cut_high = max(low, 0), len(vec) - max(high, 0)
+    if any(vec[:cut_low]) or any(vec[max(cut_low, cut_high):]):
+        raise MalformedStructureError(f"shifting {vec} drops an entry (not effective)")
+    return (0,) * -low + vec[cut_low:cut_high] + (0,) * -high
+
+
+def _convolve(x: Vector, y: Vector) -> list[int]:
+    """The Hodge vector of a tensor product: the coefficients of the
+    product of the polynomials with coefficients x and y."""
+    out = [0] * (len(x) + len(y) - 1)
+    for shift, c in enumerate(y):
+        if c:
+            window = slice(shift, shift + len(x))
+            out[window] = map(add, out[window], map(mul, x, repeat(c)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,43 +198,43 @@ def require_equal(
         diff = f"degree {actual.field.d} != {expected.field.d}"
     elif actual.weight != expected.weight:
         diff = f"weight {actual.weight} != {expected.weight}"
+    elif actual._vectors == expected._vectors:
+        return
     else:
-        for p, a in sorted(actual._table.keys() | expected._table.keys()):
-            left, right = actual.entry(p, a), expected.entry(p, a)
-            if left != right:
-                diff = f"entry (p={p}, residue={a}): {left} != {right}"
-                break
-        else:
-            return
+        left, right = actual.table, expected.table
+        p, a = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
+        x, y = left.get((p, a), 0), right.get((p, a), 0)
+        diff = f"entry (p={p}, residue={a}): {x} != {y}"
     raise ValueError(f"{context}: {diff}")
 
 
 def level(structure: CMHodgeStructure) -> int:
     """max |2p - k| over nonzero entries; level <= 1 means abelian type."""
-    if not structure._table:
+    numbers = structure.hodge_numbers()
+    if not numbers:
         raise EmptyStructureError("level of an empty structure is undefined")
-    k = structure.weight
-    return max(abs(2 * p - k) for (p, _) in structure._table)
+    return max(abs(2 * p - structure.weight) for p in numbers)
 
 
 def tate_twist(structure: CMHodgeStructure, m: int) -> CMHodgeStructure:
-    """Shift weight by -2m and every Hodge index by -m."""
-    if m > 0:
-        low = min(p for (p, _) in structure._table) if structure._table else 0
-        if structure._table and low < m:
-            raise TwistRangeError(
-                f"twist by {m} would leave effectivity (min p = {low})"
-            )
-    table = {(p - m, a): dim for (p, a), dim in structure._table.items()}
-    return CMHodgeStructure(structure.field, structure.weight - 2 * m, table)
+    """Shift weight by -2m and every Hodge index by -m: each vector loses
+    m entries at either end (m > 0) or gains m zeros there (m < 0).  A
+    nonzero entry lost at the bottom is a TwistRangeError; one lost at
+    the top, which conjugation symmetry rules out, fails effectivity."""
+    vectors = structure._vectors
+    if m > 0 and any(any(vec[:m]) for vec in vectors.values()):
+        low = min(structure.hodge_numbers())
+        raise TwistRangeError(f"twist by {m} would leave effectivity (min p = {low})")
+    vectors = {a: _trimmed(vec, m, m) for a, vec in vectors.items()}
+    return CMHodgeStructure(structure.field, structure.weight - 2 * m, vectors=vectors)
 
 
 def k_minus_half(field: CyclotomicData) -> CMHodgeStructure:
     """Weight-one structure of an abelian variety with CM by the field:
     tangent directions exactly on the sigma0 embeddings."""
-    table = {(1, a): 1 for a in field.sigma0}
-    table.update({(0, field.d - a): 1 for a in field.sigma0})
-    return CMHodgeStructure(field, 1, table)
+    sigma0 = field.sigma0
+    vectors = {a: (0, 1) for a in sigma0} | {field.d - a: (1, 0) for a in sigma0}
+    return CMHodgeStructure(field, 1, vectors=vectors)
 
 
 def _require_unit_support(structure: CMHodgeStructure, op: str) -> None:
@@ -214,46 +242,39 @@ def _require_unit_support(structure: CMHodgeStructure, op: str) -> None:
     # need the field to act through embeddings: unit residues only
     stray = structure.residues() - frozenset(structure.field.units)
     if stray:
-        raise MalformedStructureError(
-            f"{op} needs a structure supported on unit residues; "
-            f"found {sorted(stray)}"
-        )
+        raise MalformedStructureError(f"{op} needs unit residues only: {sorted(stray)}")
 
 
 def _shift_sigma0(structure: CMHodgeStructure, step: int) -> CMHodgeStructure:
-    # weight and the sigma0 side move by step, the conjugate side stays;
-    # an entry's residue fixes its shift, so no two entries collide
+    # weight and the sigma0 vectors move by step, the conjugate side stays:
+    # sigma0 vectors are padded or cut at the bottom, the others at the top
     sigma0 = structure.field.sigma0
-    table = {
-        (p + step if a in sigma0 else p, a): dim
-        for (p, a), dim in structure._table.items()
+    vectors = {
+        a: _trimmed(vec, -step, 0) if a in sigma0 else _trimmed(vec, 0, -step)
+        for a, vec in structure._vectors.items()
     }
-    return CMHodgeStructure(structure.field, structure.weight + step, table)
+    return CMHodgeStructure(structure.field, structure.weight + step, vectors=vectors)
 
 
 def neg_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
-    """Weight k+1 structure on the same space: the sigma0 side of the
-    table moves up one Hodge step, the conjugate side keeps its p."""
+    """Weight k+1 structure on the same space: the sigma0 vectors move
+    up one Hodge step, the conjugate side keeps its p."""
     _require_unit_support(structure, "negative half twist")
     return _shift_sigma0(structure, 1)
 
 
 def pos_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
-    """Weight k-1 structure: sigma0 entries drop one Hodge step.
+    """Weight k-1 structure: sigma0 vectors drop one Hodge step.
 
     Defined only when the top piece is one-sided, i.e. carries no
     residue outside sigma0; otherwise the dropped entries would leave
-    no Hodge structure at all.  A sigma0 entry at p = 0, which
-    conjugation symmetry rules out once the top is one-sided, fails the
-    constructor's effectivity check.
-    """
+    no Hodge structure at all.  A sigma0 entry at p = 0, which symmetry
+    rules out once the top is one-sided, fails effectivity."""
     _require_unit_support(structure, "positive half twist")
     k = structure.weight
     offending = [(k, a) for a in top_offenders(structure, k)]
     if offending:
-        raise NoHalfTwistError(
-            f"top Hodge piece is not one-sided at entries {offending}"
-        )
+        raise NoHalfTwistError(f"top Hodge piece is not one-sided at {offending}")
     return _shift_sigma0(structure, -1)
 
 
@@ -262,7 +283,7 @@ def top_offenders(structure: CMHodgeStructure, p: int) -> list[int]:
     ascending.  The top piece is one-sided when there are none at
     p = weight."""
     sigma0 = structure.field.sigma0
-    return sorted(a for (row, a) in structure._table if row == p and a not in sigma0)
+    return sorted(a for a in structure.residues() - sigma0 if structure.entry(p, a))
 
 
 def tate_commutations(structure: CMHodgeStructure) -> int:
@@ -272,7 +293,7 @@ def tate_commutations(structure: CMHodgeStructure) -> int:
     TwistRangeError or NoHalfTwistError marks a composite as undefined;
     any other error propagates."""
     compared = 0
-    for m in range(min((p for (p, _) in structure._table), default=0) + 1):
+    for m in range(min(structure.hodge_numbers(), default=0) + 1):
         try:
             lhs = pos_half_twist(tate_twist(structure, m))
             rhs = tate_twist(pos_half_twist(structure), m)
@@ -290,57 +311,38 @@ def has_positive_half_twist(structure: CMHodgeStructure) -> bool:
 
 
 def tensor(left: CMHodgeStructure, right: CMHodgeStructure) -> CMHodgeStructure:
-    """Graded tensor product; residues add mod d."""
+    """Graded tensor product: residues add mod d, vectors convolve."""
     if left.field.d != right.field.d:
         raise FieldMismatchError(
             f"cannot tensor structures over d={left.field.d} and d={right.field.d}"
         )
-    d = left.field.d
-    table: dict[tuple[int, int], int] = {}
-    for (p1, a1), dim1 in left._table.items():
-        for (p2, a2), dim2 in right._table.items():
-            key = (p1 + p2, (a1 + a2) % d)
-            table[key] = table.get(key, 0) + dim1 * dim2
-    return CMHodgeStructure(left.field, left.weight + right.weight, table)
+    d, pairs = left.field.d, product(left._vectors.items(), right._vectors.items())
+    vectors = _summed(((a + b) % d, _convolve(x, y)) for (a, x), (b, y) in pairs)
+    return CMHodgeStructure(left.field, left.weight + right.weight, vectors=vectors)
 
 
 def tensor_invariants(
-    left: CMHodgeStructure,
-    right: CMHodgeStructure,
-    rule: str = "sum",
+    left: CMHodgeStructure, right: CMHodgeStructure, rule: str = "sum"
 ) -> CMHodgeStructure:
     """Sub-structure of left (x) right cut out by a residue matching rule,
-    graded by the left-hand residue (the surviving quotient action).
-
-    rule="sum" keeps pairs with a + b = 0 mod d (invariants of the
-    product automorphism); rule="difference" keeps a = b mod d
-    (invariants of alpha (x) zeta^{-1}).
-    """
+    graded by the left-hand residue (the surviving quotient action): the
+    vector at a is left[a] convolved with right[-a] for rule="sum"
+    (invariants of the product automorphism), with right[a] for
+    rule="difference" (invariants of alpha (x) zeta^{-1})."""
     if left.field.d != right.field.d:
         raise FieldMismatchError("matching rule needs a common field")
-    d = left.field.d
-    table: dict[tuple[int, int], int] = {}
-    for (p1, a1), dim1 in left._table.items():
-        if rule == "sum":
-            b = (-a1) % d
-        elif rule == "difference":
-            b = a1
-        else:
-            raise ValueError(f"unknown matching rule {rule!r}")
-        for p2 in range(right.weight + 1):
-            dim2 = right.entry(p2, b)
-            if dim2:
-                key = (p1 + p2, a1)
-                table[key] = table.get(key, 0) + dim1 * dim2
-    return CMHodgeStructure(left.field, left.weight + right.weight, table)
+    if rule not in ("sum", "difference"):
+        raise ValueError(f"unknown matching rule {rule!r}")
+    d, sign = left.field.d, -1 if rule == "sum" else 1
+    pairs = ((a, x, right._vectors.get(sign * a % d)) for a, x in left._vectors.items())
+    vectors = {a: _convolve(x, y) for a, x, y in pairs if y}
+    return CMHodgeStructure(left.field, left.weight + right.weight, vectors=vectors)
 
 
 def collapse_residues(structure: CMHodgeStructure) -> CMHodgeStructure:
-    """Forget the residue grading: all mass moves to residue 0."""
-    table: dict[tuple[int, int], int] = {}
-    for (p, _), dim in structure._table.items():
-        table[(p, 0)] = table.get((p, 0), 0) + dim
-    return CMHodgeStructure(structure.field, structure.weight, table)
+    """Forget the residue grading: all vectors add up at residue 0."""
+    vectors = _summed((0, vec) for vec in structure._vectors.values())
+    return CMHodgeStructure(structure.field, structure.weight, vectors=vectors)
 
 
 def direct_sum(*structures: CMHodgeStructure) -> CMHodgeStructure:
@@ -351,11 +353,8 @@ def direct_sum(*structures: CMHodgeStructure) -> CMHodgeStructure:
         s.field.d != first.field.d or s.weight != first.weight for s in structures
     ):
         raise FieldMismatchError("summands must share degree and weight")
-    table: dict[tuple[int, int], int] = {}
-    for s in structures:
-        for key, dim in s._table.items():
-            table[key] = table.get(key, 0) + dim
-    return CMHodgeStructure(first.field, first.weight, table)
+    vectors = _summed(pair for s in structures for pair in s._vectors.items())
+    return CMHodgeStructure(first.field, first.weight, vectors=vectors)
 
 
 def abelian_summary(structure: CMHodgeStructure) -> AbelianSummary:

@@ -8,7 +8,8 @@ fraction-free linear algebra backing the period-map rank computation.
 
 Three independent routes exist for the eigenspace counts, and none is
 ever collapsed into another.  Production builds a whole table in one
-pass over its generating function, a polynomial power
+pass over its generating function, a polynomial power, and reads each
+residue's Hodge vector off it as one strided slice
 (`eigenspace_dims`).  Per-entry inclusion-exclusion, a closed-form
 binomial sum (`count_bounded_monomials`), is the oracle of the
 `oracle-equivalence` sweep and the production route of
@@ -92,20 +93,23 @@ def primitive_middle_rank(d: int, k: int) -> int:
     return sum(dim for _, dim in hypersurface_hodge_numbers(d, k))
 
 
-def eigenspace_dims(d: int, k: int) -> dict[tuple[int, int], int]:
-    """Full table (p, i) -> dim of the i-th eigenspace of the covering
-    automorphism on the primitive (p, k-p) piece, i = 1..d-1.
+def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
+    """The Hodge vectors i -> [dims over p = 0..k], as lists, of the i-th
+    eigenspace of the covering automorphism on primitive middle
+    cohomology, i = 1..d-1: entry p is the dimension of the (p, k-p) piece.
 
-    The entry (k - q, i) is N(k+1, d, m) at m = d(q+1) - k - 1 - i, the
-    coefficient of t^m in the generating function
+    Entry p of residue i is N(k+1, d, m) at m = d(k - p + 1) - k - 1 - i,
+    the coefficient of t^m in the generating function
 
         (1 + t + ... + t^{d-2})^{k+1} = (1 - t^{d-1})^{k+1} / (1 - t)^{k+1},
 
-    and the whole table is read off that one polynomial: the numerator's
-    k + 2 signed binomials sit at the multiples of d - 1, and each of the
-    k + 1 factors 1 / (1 - t) is one prefix-sum pass.  The invariant
-    (i = 0) part of primitive cohomology vanishes, so the table starts
-    at i = 1.
+    or 0 outside the series.  The series is built in one pass: the
+    numerator's k + 2 signed binomials sit at the multiples of d - 1,
+    and each of the k + 1 factors 1 / (1 - t) is one prefix-sum pass.
+    As p grows by one, m falls by d, so each residue's vector is one
+    stride-d slice of the series padded with k zeros at either end,
+    read backwards.  The invariant (i = 0) part of primitive cohomology
+    vanishes, so the vectors start at i = 1.
     """
     if d < 3 or k < 1:
         raise ValueError(f"need d >= 3 and k >= 1, got ({d}, {k})")
@@ -115,12 +119,10 @@ def eigenspace_dims(d: int, k: int) -> dict[tuple[int, int], int]:
         series[m] = (-1) ** j * comb(k + 1, j)
     for _ in range(k + 1):
         series = list(accumulate(series))
-    return {
-        (k - q, i): series[m] if 0 <= m < size else 0
-        for q in range(k + 1)
-        for i in range(1, d)
-        for m in (d * (q + 1) - k - 1 - i,)
-    }
+    # coefficient m at index m + k; residue i, entry p sits at index
+    # d - 1 - i + d(k - p)
+    padded = [0] * k + series + [0] * k
+    return {i: padded[d - 1 - i::d][::-1] for i in range(1, d)}
 
 
 def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:
@@ -140,7 +142,7 @@ def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:
 def shioda_tuple_count(d: int, k: int) -> dict[tuple[int, int], int]:
     """The table (p, i) -> #{(a_0..a_k) : 1 <= a_j <= d-1,
     sum a_j + i = d(k - p + 1)}, i = 1..d-1, from one convolution: the
-    tuple count behind each entry of `eigenspace_dims(d, k)`."""
+    tuple count behind entry p of residue i of `eigenspace_dims(d, k)`."""
     sums = _tuple_sum_counts(d, k)
     return {
         (k - q, i): sums.get(d * (q + 1) - i, 0)

@@ -31,19 +31,26 @@ class SweepCell:
 
 
 def _oracle_equivalence(spec: CoverSpec) -> tuple[bool, str]:
-    # the raw one-pass table, zero entries included, against one
-    # inclusion-exclusion sum per entry
+    # the raw one-pass vectors, zero entries included, against one
+    # inclusion-exclusion sum per entry, arranged the same way
     d, k = spec.d, spec.k
     dims = jacobian.eigenspace_dims(d, k)
     sums = {
-        (k - q, i): jacobian.count_bounded_monomials(k + 1, d, d * (q + 1) - k - 1 - i)
-        for q in range(k + 1)
+        i: [
+            jacobian.count_bounded_monomials(k + 1, d, d * (k - p + 1) - k - 1 - i)
+            for p in range(k + 1)
+        ]
         for i in range(1, d)
     }
-    bad = [key for key in {**sums, **dims} if dims.get(key) != sums.get(key)]
-    if bad:
-        return False, f"inclusion-exclusion differs at {bad[:3]}"
-    return True, f"{len(dims)} entries agree"
+    if dims == sums:
+        return True, f"{(k + 1) * (d - 1)} entries agree"
+    bad = [
+        (p, i)
+        for p in range(k, -1, -1)
+        for i in sorted(dims.keys() | sums.keys())
+        if dims.get(i, [])[p:p + 1] != sums.get(i, [])[p:p + 1]
+    ]
+    return False, f"inclusion-exclusion differs at {bad[:3]}"
 
 
 def _dim_identity(spec: CoverSpec) -> tuple[bool, str]:

@@ -263,10 +263,10 @@ def test_oracle_sweep_fails_on_one_changed_entry(capsys, monkeypatch):
     real = jacobian.eigenspace_dims
 
     def one_entry_off(d, k):
-        table = real(d, k)
+        vectors = real(d, k)
         if (d, k) == (5, 2):
-            table[(1, 3)] += 1
-        return table
+            vectors[3][1] += 1  # residue 3, p = 1
+        return vectors
 
     monkeypatch.setattr(jacobian, "eigenspace_dims", one_entry_off)
     code, out, _ = run_cli(

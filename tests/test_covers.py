@@ -136,12 +136,13 @@ def test_qt_owns_the_extremal_index_and_full_level_V():
     "table",
     [
         {},  # no piece at all
-        {(2, 1): 1, (2, 2): 1},  # the extremal piece p = 3 is zero
-        {(3, 1): 1, (1, 2): 1, (4, 1): 1, (0, 2): 1},  # a piece above it
+        {1: (0, 0, 1, 0, 0), 2: (0, 0, 1, 0, 0)},  # the extremal piece p = 3 is zero
+        {1: (0, 0, 0, 1, 1), 2: (1, 1, 0, 0, 0)},  # a piece above it
     ],
 )
 def test_qt_rejects_a_table_without_a_top_extremal_piece(monkeypatch, table):
-    # d = 3, k = 4 has q = 1, so the highest nonzero piece must be p = 3
+    # d = 3, k = 4 has q = 1, so the highest nonzero piece must be p = 3;
+    # the table is given as residue vectors over p = 0..4
     monkeypatch.setattr(covers, "eigenspace_dims", lambda d, k: table)
     with pytest.raises(InvariantError, match="extremal p=3"):
         qt_decompose(CoverSpec(3, 4))

@@ -13,6 +13,8 @@ from halftwist.hodge import (
     NotWeightOneError,
     TwistRangeError,
     abelian_summary,
+    collapse_residues,
+    direct_sum,
     has_positive_half_twist,
     k_minus_half,
     level,
@@ -60,6 +62,22 @@ def test_zero_entries_are_dropped():
     s = CMHodgeStructure(K4, 2, {(2, 1): 1, (0, 3): 1, (1, 2): 0})
     assert s.table == {(2, 1): 1, (0, 3): 1}
     assert s.rank == 2
+
+
+def test_a_tate_twist_that_drops_a_top_entry_fails_effectivity():
+    # nothing sits below p = 1, so no TwistRangeError; the top entry at
+    # p = 2 would need Hodge index 1 in weight 0
+    top_only = CMHodgeStructure(K4, 2, {(2, 1): 1}, check_symmetry=False)
+    with pytest.raises(MalformedStructureError):
+        tate_twist(top_only, 1)
+
+
+def test_a_shift_that_drops_a_top_entry_fails_effectivity():
+    # residue 3 is outside sigma0 = {1}, so a lowering shift keeps its p
+    # and cuts the top of its vector, where the entry sits
+    top_only = CMHodgeStructure(K4, 2, {(2, 3): 1}, check_symmetry=False)
+    with pytest.raises(MalformedStructureError):
+        hodge._shift_sigma0(top_only, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +286,12 @@ def test_matched_tensor_reproduces_both_twists():
                 assert direct == tate_twist(pos_half_twist(V), -1)
 
 
+def test_an_unknown_matching_rule_fails_before_any_work():
+    empty = CMHodgeStructure(K4, 1, {})
+    with pytest.raises(ValueError, match="unknown matching rule 'bogus'"):
+        tensor_invariants(empty, k_minus_half(K4), rule="bogus")
+
+
 def test_tate_commutations_let_a_defect_propagate(monkeypatch):
     # only TwistRangeError and NoHalfTwistError mark a composite undefined
     V = primitive_V(CoverSpec(4, 2))
@@ -309,20 +333,27 @@ def test_abelian_summary_needs_unit_support():
 # random symmetric tables: operations preserve the symmetry
 
 
-@st.composite
-def random_structures(draw):
-    d = draw(st.sampled_from([3, 4, 5, 6, 8]))
-    field = make_cyclotomic(d)
-    weight = draw(st.integers(min_value=1, max_value=4))
+def draw_structure(draw, field, residues, weight=None):
+    """A random conjugation-symmetric structure over `field` whose
+    entries sit on residues drawn from the strategy `residues`; of a
+    random weight unless one is given."""
+    if weight is None:
+        weight = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=5))
     entries = {}
     for _ in range(n):
         p = draw(st.integers(min_value=0, max_value=weight))
-        a = draw(st.integers(min_value=0, max_value=d - 1))
+        a = draw(residues)
         entries[(p, a)] = entries.get((p, a), 0) + draw(
             st.integers(min_value=1, max_value=4)
         )
     return symmetric_structure(field, weight, entries)
+
+
+@st.composite
+def random_structures(draw):
+    field = make_cyclotomic(draw(st.sampled_from([3, 4, 5, 6, 8])))
+    return draw_structure(draw, field, st.integers(min_value=0, max_value=field.d - 1))
 
 
 @given(random_structures())
@@ -352,3 +383,141 @@ def test_half_twists_need_unit_support():
 @settings(max_examples=60, deadline=None)
 def test_tensor_rank_multiplicative_random(V):
     assert tensor(V, V).rank == V.rank * V.rank
+
+
+# ---------------------------------------------------------------------------
+# the entry-wise oracle: every vector operation redone one (p, residue)
+# entry at a time on tables, as (weight, table) pairs
+
+
+def entrywise(field, weight, table):
+    """(weight, table) with zero entries dropped and residues reduced;
+    MalformedStructureError for an entry outside 0 <= p <= weight."""
+    out = {}
+    for (p, a), dim in table.items():
+        if not dim:
+            continue
+        if not 0 <= p <= weight:
+            raise MalformedStructureError(f"entry at p={p} outside [0, {weight}]")
+        out[(p, a % field.d)] = out.get((p, a % field.d), 0) + dim
+    if weight < 0:
+        raise MalformedStructureError(f"weight {weight}")
+    return weight, out
+
+
+def entrywise_tensor(left, right):
+    table = {}
+    for (p1, a1), dim1 in left.table.items():
+        for (p2, a2), dim2 in right.table.items():
+            key = (p1 + p2, a1 + a2)
+            table[key] = table.get(key, 0) + dim1 * dim2
+    return entrywise(left.field, left.weight + right.weight, table)
+
+
+def entrywise_tensor_invariants(left, right, rule):
+    table = {}
+    for (p1, a1), dim1 in left.table.items():
+        b = -a1 if rule == "sum" else a1
+        for p2 in range(right.weight + 1):
+            dim2 = right.table.get((p2, b % right.field.d), 0)
+            table[(p1 + p2, a1)] = table.get((p1 + p2, a1), 0) + dim1 * dim2
+    return entrywise(left.field, left.weight + right.weight, table)
+
+
+def entrywise_tate_twist(structure, m):
+    table = structure.table
+    if m > 0 and table and min(p for p, _ in table) < m:
+        raise TwistRangeError(f"twist by {m}")
+    shifted = {(p - m, a): dim for (p, a), dim in table.items()}
+    return entrywise(structure.field, structure.weight - 2 * m, shifted)
+
+
+def entrywise_shift_sigma0(structure, step):
+    sigma0 = structure.field.sigma0
+    shifted = {
+        (p + step if a in sigma0 else p, a): dim
+        for (p, a), dim in structure.table.items()
+    }
+    return entrywise(structure.field, structure.weight + step, shifted)
+
+
+def entrywise_pos_half_twist(structure):
+    sigma0, k = structure.field.sigma0, structure.weight
+    if any(p == k and a not in sigma0 for (p, a) in structure.table):
+        raise NoHalfTwistError("top piece is not one-sided")
+    return entrywise_shift_sigma0(structure, -1)
+
+
+def entrywise_restrict_residues(structure, residues):
+    keep = {a % structure.field.d for a in residues}
+    table = {(p, a): dim for (p, a), dim in structure.table.items() if a in keep}
+    return entrywise(structure.field, structure.weight, table)
+
+
+def entrywise_direct_sum(*structures):
+    table = {}
+    for s in structures:
+        for key, dim in s.table.items():
+            table[key] = table.get(key, 0) + dim
+    return entrywise(structures[0].field, structures[0].weight, table)
+
+
+def entrywise_collapse_residues(structure):
+    table = {}
+    for (p, _), dim in structure.table.items():
+        table[(p, 0)] = table.get((p, 0), 0) + dim
+    return entrywise(structure.field, structure.weight, table)
+
+
+def outcome(compute):
+    """(weight, table) of what `compute` returns, or the type of the
+    ValueError it raises."""
+    try:
+        result = compute()
+    except ValueError as exc:
+        return type(exc)
+    return result if isinstance(result, tuple) else (result.weight, result.table)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Random symmetric structures over one field: two of any weights,
+    a third of the first one's weight and a fourth on units only; then
+    a Tate twist and a set of residues to keep."""
+    field = make_cyclotomic(draw(st.sampled_from([3, 4, 5, 6, 8])))
+    any_residue = st.integers(min_value=0, max_value=field.d - 1)
+    left = draw_structure(draw, field, any_residue)
+    right = draw_structure(draw, field, any_residue)
+    same = draw_structure(draw, field, any_residue, weight=left.weight)
+    units = draw_structure(draw, field, st.sampled_from(field.units))
+    m = draw(st.integers(min_value=-2, max_value=left.weight + 1))
+    keep = draw(st.sets(any_residue))
+    return left, right, same, units, m, keep
+
+
+@given(oracle_cases())
+@settings(max_examples=200, deadline=None)
+def test_vector_operations_match_the_entrywise_oracle(case):
+    V, W, S, U, m, keep = case
+    pairs = [
+        (lambda: tensor(V, W), lambda: entrywise_tensor(V, W)),
+        (
+            lambda: tensor_invariants(V, W, rule="sum"),
+            lambda: entrywise_tensor_invariants(V, W, "sum"),
+        ),
+        (
+            lambda: tensor_invariants(V, W, rule="difference"),
+            lambda: entrywise_tensor_invariants(V, W, "difference"),
+        ),
+        (lambda: tate_twist(V, m), lambda: entrywise_tate_twist(V, m)),
+        (lambda: neg_half_twist(U), lambda: entrywise_shift_sigma0(U, 1)),
+        (lambda: pos_half_twist(U), lambda: entrywise_pos_half_twist(U)),
+        (
+            lambda: V.restrict_residues(keep),
+            lambda: entrywise_restrict_residues(V, keep),
+        ),
+        (lambda: direct_sum(V, S, V), lambda: entrywise_direct_sum(V, S, V)),
+        (lambda: collapse_residues(V), lambda: entrywise_collapse_residues(V)),
+    ]
+    for number, (vector_route, entry_route) in enumerate(pairs):
+        assert outcome(vector_route) == outcome(entry_route), number

@@ -130,8 +130,8 @@ def test_hodge_numbers_points_on_a_line():
 )
 def test_eigenspace_examples(d, k, entries):
     dims = eigenspace_dims(d, k)
-    for key, value in entries.items():
-        assert dims[key] == value
+    for (p, i), value in entries.items():
+        assert dims[i][p] == value
 
 
 def test_eigenspace_column_sums_match_hodge_numbers():
@@ -140,7 +140,7 @@ def test_eigenspace_column_sums_match_hodge_numbers():
             dims = eigenspace_dims(d, k)
             numbers = dict(hypersurface_hodge_numbers(d, k))
             for p, total in numbers.items():
-                assert sum(dims[(p, i)] for i in range(1, d)) == total, (d, k, p)
+                assert sum(dims[i][p] for i in range(1, d)) == total, (d, k, p)
 
 
 def test_one_pass_table_matches_inclusion_exclusion():
@@ -149,8 +149,10 @@ def test_one_pass_table_matches_inclusion_exclusion():
     cells = [(d, k) for d in range(3, 26) for k in range(1, 16)] + [(64, 64)]
     for d, k in cells:
         sums = {
-            (k - q, i): count_bounded_monomials(k + 1, d, d * (q + 1) - k - 1 - i)
-            for q in range(k + 1)
+            i: [
+                count_bounded_monomials(k + 1, d, d * (k - p + 1) - k - 1 - i)
+                for p in range(k + 1)
+            ]
             for i in range(1, d)
         }
         assert eigenspace_dims(d, k) == sums, (d, k)
@@ -160,8 +162,9 @@ def test_eigenspace_conjugation_symmetry():
     for d in (3, 4, 6, 7):
         for k in (1, 2, 3):
             dims = eigenspace_dims(d, k)
-            for (p, i), value in dims.items():
-                assert value == dims[(k - p, d - i)]
+            for i, vector in dims.items():
+                for p, value in enumerate(vector):
+                    assert value == dims[d - i][k - p]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def test_shioda_examples_by_hand():
     ]
     assert len(tuples) == 6
     assert shioda_tuple_count(4, 2)[(1, 1)] == 6
-    assert shioda_tuple_count(4, 2)[(1, 1)] == eigenspace_dims(4, 2)[(1, 1)]
+    assert shioda_tuple_count(4, 2)[(1, 1)] == eigenspace_dims(4, 2)[1][1]
 
 
 def test_shioda_sum_too_small():
@@ -206,17 +209,18 @@ def test_oracle_equivalence_small_grid():
         for k in range(1, 5):
             dims = eigenspace_dims(d, k)
             tuples = shioda_tuple_count(d, k)
-            for (p, i), value in dims.items():
-                assert value == tuples[(p, i)], (d, k, p, i)
+            for i, vector in dims.items():
+                for p, value in enumerate(vector):
+                    assert value == tuples[(p, i)], (d, k, p, i)
 
 
 def test_monotonicity_along_extremal_row():
     for d in range(3, 10):
         for k in range(1, 8):
             dims = eigenspace_dims(d, k)
-            top = max(p for (p, i), v in dims.items() if v)
+            top = max(p for vector in dims.values() for p, v in enumerate(vector) if v)
             for i in range(1, d - 1):
-                assert dims[(top, i)] >= dims[(top, i + 1)], (d, k, i)
+                assert dims[i][top] >= dims[i + 1][top], (d, k, i)
 
 
 # ---------------------------------------------------------------------------
