@@ -44,6 +44,7 @@ from .jacobian import (
     sparse_rank,
     torelli_deformation_dimension,
     torelli_differential_rank,
+    torelli_rank_by_elimination,
     torelli_witness_nonzero,
     verify_cover_parametrization,
     w_ladder_steps,

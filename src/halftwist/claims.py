@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from . import covers, hodge, jacobian, sweeps
 from .covers import CoverSpec
-from .cyclotomic import make_cyclotomic
+from .cyclotomic import InvariantError, make_cyclotomic
 
 GRID_D = range(3, 10)
 GRID_K = range(1, 8)
@@ -256,6 +256,16 @@ def _torelli_quotients_match_W(spec: Specs):
     )
 
 
+def _torelli_rank_both_routes(k: int) -> int:
+    closed = jacobian.torelli_differential_rank(k)
+    eliminated = jacobian.torelli_rank_by_elimination(k)
+    if closed != eliminated:
+        raise InvariantError(
+            f"Torelli rank at k = {k}: closed form {closed}, elimination {eliminated}"
+        )
+    return closed
+
+
 def _gamma_exponents_are_cmtype():
     # fermat_gamma_invariants raises unless the exponents are
     # 1..floor((d-1)/2) and their units are the CM-type
@@ -408,7 +418,7 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("torelli.witness_nonzero", "7.4", "torelli", "paper", True,
               lambda: jacobian.torelli_witness_nonzero(4)),
         Claim("torelli.differential_rank", "7.4", "torelli", "derived", 10,
-              lambda: jacobian.torelli_differential_rank(4)),
+              lambda: _torelli_rank_both_routes(4)),
         Claim("torelli.quotients_match_W", "7.4", "torelli", "derived", True,
               lambda: _torelli_quotients_match_W(spec)),
         # --- the dominant rational map

@@ -17,13 +17,15 @@ binomial sum (`count_bounded_monomials`), is the oracle of the
 tuple entries (`shioda_tuple_count`) is the tier-1 test oracle, and is
 itself checked against a literal listing of tuples.
 
-Every rank is computed by one sparse fraction-free eliminator,
-`sparse_rank`, on rows stored as {column: value} maps; `exact_rank` is
-its front end for dense rows.  The matrices of the W ladder are built
-straight from their combinatorics and are almost empty: every relation
-row of a ladder quotient is a unit vector, and every column of the
-Torelli matrix has exactly one nonzero entry.  The second fact is
-checked each time the Torelli matrix is built.
+Every rank that is eliminated is computed by one sparse fraction-free
+eliminator, `sparse_rank`, on rows stored as {column: value} maps;
+`exact_rank` is its front end for dense rows.  The matrices of the W
+ladder are built straight from their combinatorics and are almost
+empty: every relation row of a ladder quotient is a unit vector, and
+every column of the Torelli matrix has exactly one nonzero entry.  So
+production counts the cubics with a nonempty Torelli row, from a closed
+form for the row length, and builds no matrix.  The elimination route,
+the oracle, builds the matrix and checks the second fact each time.
 
 The §6.4 cover-map identity is checked on exact integer polynomials
 (`Polynomial`, a dict from exponent tuples over L, Q, R, y, u, v to
@@ -342,21 +344,59 @@ def _ladder_quotients(k: int) -> dict[int, GradedQuotient]:
     return {p: build_w_quotient(k, p) for p in w_ladder_steps(k)}
 
 
+def _require_torelli_level(k: int) -> None:
+    if k <= 3 or k % 3 != 1:
+        raise UnsupportedCaseError(
+            f"rank computation needs k = 3q + 1 with k > 3, got {k}"
+        )
+
+
+def _torelli_row_length(k: int) -> int:
+    """Nonzero entries in the Torelli row of any one deformation cubic;
+    the derivation is in `torelli_differential_rank`."""
+    _require_torelli_level(k)
+    steps = w_ladder_steps(k)
+    length = 0
+    for p in steps:
+        m = 3 * p + 3 - k
+        if p + 1 in steps:
+            length += comb(k - 2, m) + (comb(k - 2, m - 2) if m >= 2 else 0)
+    return length
+
+
 def torelli_differential_rank(k: int) -> int:
     """Exact rank of the period-map differential of the cubic (k-1)-fold
     at the Fermat point: a deformation cubic goes to the tuple of
     multiplication maps along the W ladder.  Rank equal to the
     deformation dimension means the differential is injective.
 
-    The matrix has a row per cubic and a column per (p, in, out).  Every
-    column has exactly one nonzero, since `out` and its factor `in` fix
-    the cubic `out \\ in`; that is checked here, and a column met twice
-    raises `InvariantError`.
+    The matrix has a row per square-free cubic in x_0..x_k and a column
+    per (p, in, out) with `in` a basis monomial of rung p and
+    `out` = in * cubic != 0.  Every column has exactly one nonzero: `out`
+    is square-free and `in` divides it, so the cubic is `out` / `in`.
+    Hence no two rows share a column, the nonzero rows have disjoint
+    supports and are independent, and the rank is the number of cubics
+    with a nonempty row; no matrix is built.
+
+    Row length: a cubic kills every `in` it meets (x_i^2 = 0) and sends
+    every other `in` to a monomial of degree m + 3 with the same cover
+    variables, a basis monomial of rung p + 1 whenever that rung is on
+    the ladder.  A basis monomial of degree m = 3p + 3 - k avoiding the
+    cubic takes m of the other k - 2 base variables, or both cover
+    variables and m - 2 of them: C(k-2, m) + C(k-2, m-2) of them.
+    Summed over the rungs p with p + 1 on the ladder, this is the same
+    for every cubic, so the rank is C(k+1, 3) when it is positive and 0
+    otherwise.  `torelli_rank_by_elimination` builds the matrix and is
+    the oracle.
     """
-    if k <= 3 or k % 3 != 1:
-        raise UnsupportedCaseError(
-            f"rank computation needs k = 3q + 1 with k > 3, got {k}"
-        )
+    return torelli_deformation_dimension(k) if _torelli_row_length(k) > 0 else 0
+
+
+def torelli_rank_by_elimination(k: int) -> int:
+    """The rank of `torelli_differential_rank`, by listing every entry
+    of the matrix and eliminating.  A column met twice raises
+    `InvariantError`, and so does a product that leaves its rung."""
+    _require_torelli_level(k)
     rows: dict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
     col_index: dict[tuple[int, tuple, tuple], int] = {}
     for cubic, key in _torelli_entries(k, _ladder_quotients(k)):
@@ -370,6 +410,7 @@ def torelli_differential_rank(k: int) -> int:
 def torelli_witness_nonzero(k: int) -> bool:
     """Whether the single deformation cubic x0*x1*x2 induces a nonzero
     tuple of multiplication maps."""
+    _require_torelli_level(k)
     return any(c == (0, 1, 2) for c, _ in _torelli_entries(k, _ladder_quotients(k)))
 
 

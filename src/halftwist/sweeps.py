@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Optional
 
 from . import covers, hodge, jacobian
@@ -172,6 +171,10 @@ def run_sweep(check: str, d_max: int, k_max: int, jobs: int) -> list[SweepCell]:
         )
     workers = worker_count(jobs, len(cells), os.cpu_count())
     if workers > 1:
+        # imported here so that a process that never forks workers does
+        # not load multiprocessing, pickle and socket
+        from multiprocessing import Pool
+
         with Pool(workers) as pool:
             results = pool.map(_run_cell, cells)
     else:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from halftwist import claims, covers, hodge, sweeps
+from halftwist import claims, covers, hodge, jacobian, sweeps
 from halftwist.cyclotomic import InvariantError
 
 
@@ -123,6 +123,17 @@ def test_gamma_exponent_claim_compares_the_exponents(monkeypatch):
     report = claims.evaluate(claim)
     assert report.status == claims.STATUS_FAIL
     assert "not the CM-type" in report.computed
+
+
+def test_torelli_rank_claim_fails_when_the_routes_disagree(monkeypatch):
+    # the claim recomputes the rank by elimination, so a wrong closed
+    # form cannot pass it
+    claim = claim_named("torelli.differential_rank")
+    assert claims.evaluate(claim).status == claims.STATUS_PASS
+    monkeypatch.setattr(jacobian, "torelli_rank_by_elimination", lambda k: 9)
+    report = claims.evaluate(claim)
+    assert report.status == claims.STATUS_FAIL
+    assert "closed form 10, elimination 9" in report.computed
 
 
 # Each grid claim runs a sweep check; (claim, check, a cell of its grid).

@@ -332,6 +332,35 @@ def test_sweep_output_identical_across_jobs():
     assert serial == parallel
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["sweep", "--check", "dim-identity", "--d-max", "5", "--k-max", "3",
+         "--jobs", "1"],
+    ],
+    ids=["import", "sweep-jobs-1"],
+)
+def test_serial_process_never_imports_multiprocessing(argv):
+    # only a sweep that forks workers pays for multiprocessing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    script = (
+        "import sys\n"
+        "from halftwist import cli\n"
+        f"code = cli.main({argv!r}) if {argv!r} else 0\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_sweep_json_round_trip(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -25,6 +25,7 @@ from halftwist.jacobian import (
     sparse_rank,
     torelli_deformation_dimension,
     torelli_differential_rank,
+    torelli_rank_by_elimination,
     torelli_witness_nonzero,
     verify_cover_parametrization,
     w_ladder_steps,
@@ -490,7 +491,7 @@ def test_shared_torelli_column_is_rejected(monkeypatch):
 
     monkeypatch.setattr(jacobian, "_torelli_entries", first_entry_twice)
     with pytest.raises(InvariantError, match="more than one nonzero"):
-        torelli_differential_rank(4)
+        torelli_rank_by_elimination(4)
 
 
 def test_product_leaving_the_ladder_is_rejected():
@@ -504,6 +505,53 @@ def test_differential_rank_rejects_bad_k():
     for k in (3, 5, 6):
         with pytest.raises(UnsupportedCaseError):
             torelli_differential_rank(k)
+
+
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_closed_form_rank_matches_elimination(k):
+    rank = torelli_differential_rank(k)
+    assert rank == torelli_rank_by_elimination(k) == comb(k + 1, 3)
+    # the row length catches a wrong degree or a dropped rung even where
+    # the rank stays C(k+1, 3)
+    _, products = ladder_products(k)
+    lengths = Counter(cubic for _, _, cubic, _ in products)
+    assert set(lengths) == set(combinations(range(k + 1), 3))
+    assert set(lengths.values()) == {jacobian._torelli_row_length(k)}
+
+
+def test_row_lengths_at_the_first_levels():
+    lengths = [jacobian._torelli_row_length(k) for k in (4, 7, 10, 13)]
+    assert lengths == [2, 22, 170, 1366]
+
+
+def test_row_length_is_positive_up_to_k_40():
+    assert all(jacobian._torelli_row_length(k) > 0 for k in range(4, 41, 3))
+
+
+def test_closed_form_rank_builds_no_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the closed form built a ladder matrix")
+
+    monkeypatch.setattr(jacobian, "_torelli_entries", forbidden)
+    monkeypatch.setattr(jacobian, "build_w_quotient", forbidden)
+    assert torelli_differential_rank(31) == comb(32, 3) == 4960
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 6])
+def test_every_torelli_route_rejects_bad_k_before_any_work(monkeypatch, k):
+    def forbidden(*args):
+        raise AssertionError("work started before k was validated")
+
+    monkeypatch.setattr(jacobian, "build_w_quotient", forbidden)
+    monkeypatch.setattr(jacobian, "w_ladder_steps", forbidden)
+    for route in (
+        torelli_differential_rank,
+        torelli_rank_by_elimination,
+        torelli_witness_nonzero,
+        jacobian._torelli_row_length,
+    ):
+        with pytest.raises(UnsupportedCaseError):
+            route(k)
 
 
 # ---------------------------------------------------------------------------
