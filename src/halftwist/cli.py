@@ -13,8 +13,8 @@ across ``--jobs`` settings.
 
 Inputs are bounded before any work starts: ``hodge``, ``eigenspaces``
 and ``half-twist`` take d <= MAX_D and k <= MAX_K (both 160), and
-``sweep`` takes --d-max <= SWEEP_MAX_D (36) and --k-max <= SWEEP_MAX_K
-(18).  Larger values exit with code 2.  The library functions take any
+``sweep`` takes --d-max <= SWEEP_MAX_D (46) and --k-max <= SWEEP_MAX_K
+(23).  Larger values exit with code 2.  The library functions take any
 size.
 """
 
@@ -35,11 +35,12 @@ FORMATS = ("table", "json")
 # of a sweep with its grid: on a 2-core machine (whole-process medians
 # of 5 runs) `eigenspaces 160 160` takes 0.92 s (1.13 s at 176),
 # `half-twist 160 160 --tate` 0.44-0.55 s and `hodge 160 160` 0.38-0.46 s.
-# The slowest sweep at the grid limit is `sweep --check
-# oracle-equivalence --d-max 36 --k-max 18`, at 0.77-0.95 s (1.03 s at
-# d-max 38, 1.06 s at k-max 19); every other check takes 0.55 s or less.
+# At the grid limit, --d-max 46 --k-max 23, the slowest sweeps are
+# `z-checksum`, `oracle-equivalence` and `round-trip`, at 0.89-0.96 s
+# (`oracle-equivalence` takes 1.02 s at k-max 24, and 1.35 s at 48 x 24);
+# every other check takes 0.83 s or less.
 MAX_D = MAX_K = 160
-SWEEP_MAX_D, SWEEP_MAX_K = 36, 18
+SWEEP_MAX_D, SWEEP_MAX_K = 46, 23
 LIMITS = {"d": MAX_D, "k": MAX_K, "d_max": SWEEP_MAX_D, "k_max": SWEEP_MAX_K}
 
 

@@ -25,9 +25,11 @@ A `CoverSpec` owns its Hodge data: the eigenspace table, one Hodge
 vector per residue, is built once per spec, on first use, and every
 predicate and structure here reads that one table through
 `spec.cohomology` and `primitive_V`.  There is no cache across specs,
-so a table is freed with its spec.  The one exception is `curve_h1`,
-the Fermat-curve table that `build_W` tensors with: it is cached per
-degree, and holds at most d - 1 vectors of length 2.
+so a table is freed with its spec.  There are two exceptions, both
+cached per degree and both small: `curve_h1`, the Fermat-curve table
+that `build_W` tensors with, which holds at most d - 1 vectors of
+length 2; and the field itself, since `make_cyclotomic` builds one
+frozen `CyclotomicData` per degree.
 """
 
 from __future__ import annotations

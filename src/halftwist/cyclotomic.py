@@ -10,6 +10,7 @@ open interval (0, d/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import gcd
 from typing import Iterator
@@ -40,8 +41,10 @@ class CyclotomicData:
         return f"CyclotomicData(d={self.d})"
 
 
+@cache
 def make_cyclotomic(d: int) -> CyclotomicData:
-    """Unit group and CM-type data for the d-th cyclotomic field, d >= 3."""
+    """Unit group and CM-type data for the d-th cyclotomic field, d >= 3;
+    built once per degree, since the data is frozen."""
     if d < 3:
         raise InvalidDegreeError(f"degree must be >= 3, got {d}")
     units = tuple(a for a in range(1, d) if gcd(a, d) == 1)

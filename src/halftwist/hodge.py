@@ -291,12 +291,17 @@ def tate_commutations(structure: CMHodgeStructure) -> int:
     pos_half_twist(tate_twist(V, m)) and tate_twist(pos_half_twist(V), m)
     defined; ValueError at the first such m where they differ.  Only a
     TwistRangeError or NoHalfTwistError marks a composite as undefined;
-    any other error propagates."""
+    any other error propagates.  The half twist of V itself is taken
+    once: without it, no m has both composites."""
+    try:
+        twisted = pos_half_twist(structure)
+    except NoHalfTwistError:
+        return 0
     compared = 0
     for m in range(min(structure.hodge_numbers(), default=0) + 1):
         try:
             lhs = pos_half_twist(tate_twist(structure, m))
-            rhs = tate_twist(pos_half_twist(structure), m)
+            rhs = tate_twist(twisted, m)
         except (TwistRangeError, NoHalfTwistError):
             continue
         if lhs != rhs:

@@ -10,12 +10,16 @@ Three independent routes exist for the eigenspace counts, and none is
 ever collapsed into another.  Production builds a whole table in one
 pass over its generating function, a polynomial power, and reads each
 residue's Hodge vector off it as one strided slice
-(`eigenspace_dims`).  Per-entry inclusion-exclusion, a closed-form
-binomial sum (`count_bounded_monomials`), is the oracle of the
-`oracle-equivalence` sweep and the production route of
-`hypersurface_hodge_numbers`.  An exact integer convolution over the
-tuple entries (`shioda_tuple_count`) is the tier-1 test oracle, and is
-itself checked against a literal listing of tuples.
+(`eigenspace_dims`).  Inclusion-exclusion, a closed-form binomial sum,
+has two evaluators: one entry at a time (`count_bounded_monomials`),
+the production route of `hypersurface_hodge_numbers`, which needs only
+k + 1 entries; and one whole column at a time
+(`bounded_monomial_counts`), signed shifted copies of one binomial
+column, which is the oracle of the `oracle-equivalence` sweep.  Tier-1
+checks the column evaluator entry by entry against the per-entry one.
+An exact integer convolution over the tuple entries
+(`shioda_tuple_count`) is the tier-1 test oracle, and is itself checked
+against a literal listing of tuples.
 
 Every rank that is eliminated is computed by one sparse fraction-free
 eliminator, `sparse_rank`, on rows stored as {column: value} maps;
@@ -39,10 +43,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations
-from math import comb, gcd, lcm
+from itertools import accumulate, chain, combinations, repeat
+from math import comb, gcd
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cyclotomic import InvariantError
@@ -75,6 +79,25 @@ def count_bounded_monomials(n_vars: int, d: int, m: int) -> int:
             break
         total += (-1) ** j * comb(n_vars, j) * comb(upper, n_vars - 1)
     return total
+
+
+def bounded_monomial_counts(n_vars: int, d: int) -> list[int]:
+    """[N(n, d, m) for m = 0..n(d-2)], the whole column of
+    `count_bounded_monomials` by the same inclusion-exclusion: the
+    binomial column C(m + n - 1, n - 1), plus its copy shifted by
+    j(d-1) and scaled by (-1)^j C(n, j) for each j = 1..n that still
+    lands inside the column."""
+    if n_vars < 1:
+        raise ValueError(f"need at least one variable, got {n_vars}")
+    if d < 3:
+        raise ValueError(f"need degree >= 3, got {d}")
+    size = n_vars * (d - 2) + 1
+    base = [comb(m + n_vars - 1, n_vars - 1) for m in range(size)]
+    column = base[:]
+    for j, shift in enumerate(range(d - 1, size, d - 1), start=1):
+        sign = (-1) ** j * comb(n_vars, j)
+        column[shift:] = map(add, column[shift:], map(mul, repeat(sign), base))
+    return column
 
 
 def hypersurface_hodge_numbers(d: int, k: int) -> list[tuple[int, int]]:
@@ -157,10 +180,11 @@ def shioda_tuple_count(d: int, k: int) -> dict[tuple[int, int], int]:
 # exact rank (sparse fraction-free elimination)
 
 
-def sparse_rank(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
-    """Rank over the rationals of rows given as {column: value} maps.
+def sparse_rank(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank over the rationals of integer rows given as {column: value}
+    maps.
 
-    Each row is scaled to coprime integers, then reduced against an
+    Each row is divided by its content, then reduced against an
     echelon of earlier rows keyed by their leading (smallest) column.
     A reduction step is fraction-free, ``b * row - a * pivot``, and is
     followed by division by the content, so the integers stay small and
@@ -170,7 +194,7 @@ def sparse_rank(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
     """
     echelon: dict[int, dict[int, int]] = {}
     for row in rows:
-        vec = _primitive(_integer_row(row))
+        vec = _primitive({col: x for col, x in row.items() if x})
         while vec:
             lead = min(vec)
             pivot = echelon.get(lead)
@@ -179,17 +203,6 @@ def sparse_rank(rows: Iterable[Mapping[int, Fraction | int]]) -> int:
                 break
             vec = _eliminate(vec, pivot, lead)
     return len(echelon)
-
-
-def _integer_row(row: Mapping[int, Fraction | int]) -> dict[int, int]:
-    """The nonzero entries of a rational row, times the lcm of their
-    denominators."""
-    entries = {col: x for col, x in row.items() if x}
-    if all(isinstance(x, int) for x in entries.values()):
-        return entries
-    fracs = {col: Fraction(x) for col, x in entries.items()}
-    scale = lcm(*(f.denominator for f in fracs.values()))
-    return {col: f.numerator * (scale // f.denominator) for col, f in fracs.items()}
 
 
 def _primitive(vec: dict[int, int]) -> dict[int, int]:
@@ -208,9 +221,9 @@ def _eliminate(vec: dict[int, int], pivot: dict[int, int], lead: int) -> dict[in
     return _primitive({col: x for col, x in out.items() if x})
 
 
-def exact_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals of a dense matrix, given row by row; the
-    dense front end of `sparse_rank`."""
+def exact_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of a dense integer matrix, given row by
+    row; the dense front end of `sparse_rank`."""
     return sparse_rank(dict(enumerate(row)) for row in rows)
 
 

@@ -30,17 +30,12 @@ class SweepCell:
 
 
 def _oracle_equivalence(spec: CoverSpec) -> tuple[bool, str]:
-    # the raw one-pass vectors, zero entries included, against one
-    # inclusion-exclusion sum per entry, arranged the same way
+    # the raw one-pass vectors, zero entries included, against the
+    # inclusion-exclusion column of the same series, sliced the same way
     d, k = spec.d, spec.k
     dims = jacobian.eigenspace_dims(d, k)
-    sums = {
-        i: [
-            jacobian.count_bounded_monomials(k + 1, d, d * (k - p + 1) - k - 1 - i)
-            for p in range(k + 1)
-        ]
-        for i in range(1, d)
-    }
+    padded = [0] * k + jacobian.bounded_monomial_counts(k + 1, d) + [0] * k
+    sums = {i: padded[d - 1 - i::d][::-1] for i in range(1, d)}
     if dims == sums:
         return True, f"{(k + 1) * (d - 1)} entries agree"
     bad = [

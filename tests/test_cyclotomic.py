@@ -25,6 +25,10 @@ def test_make_cyclotomic_examples(d, units, sigma0):
     assert data.sigma0 == frozenset(sigma0)
 
 
+def test_field_is_built_once_per_degree():
+    assert make_cyclotomic(7) is make_cyclotomic(7)
+
+
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_degree_below_three_rejected(d):
     with pytest.raises(InvalidDegreeError):

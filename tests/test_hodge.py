@@ -305,6 +305,23 @@ def test_tate_commutations_let_a_defect_propagate(monkeypatch):
         hodge.tate_commutations(V)
 
 
+def test_tate_commutations_twist_the_structure_once(monkeypatch):
+    V = primitive_V(CoverSpec(3, 7))
+    real = hodge.pos_half_twist
+    seen = []
+
+    def counted(structure):
+        seen.append(structure)
+        return real(structure)
+
+    monkeypatch.setattr(hodge, "pos_half_twist", counted)
+    compared = hodge.tate_commutations(V)
+    assert compared > 1
+    assert sum(structure is V for structure in seen) == 1
+    # one more half twist per m, of the Tate twist of V
+    assert len(seen) == 1 + compared
+
+
 # ---------------------------------------------------------------------------
 # abelian summaries
 

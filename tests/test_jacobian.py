@@ -8,12 +8,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halftwist import jacobian
+from halftwist import cli, jacobian
 from halftwist.cyclotomic import InvariantError
 from halftwist.jacobian import (
     COVER_VARIABLES,
     Polynomial,
     UnsupportedCaseError,
+    bounded_monomial_counts,
     build_w_quotient,
     count_bounded_monomials,
     cover_variables,
@@ -81,6 +82,24 @@ def test_inclusion_exclusion_equals_enumeration(n, d):
 def test_count_matches_enumeration_random(n, d, m):
     if (d - 1) ** n <= 100_000:
         assert count_bounded_monomials(n, d, m) == brute_count(n, d, m)
+
+
+def test_column_evaluator_matches_the_per_entry_sum():
+    # the two evaluators of inclusion-exclusion, entry by entry, on every
+    # column the sweep oracle reads within the CLI's sweep limits: the
+    # cell (d, k) reads the column for n = k + 1
+    for d in range(3, cli.SWEEP_MAX_D + 1):
+        for n in range(1, cli.SWEEP_MAX_K + 2):
+            column = bounded_monomial_counts(n, d)
+            assert len(column) == n * (d - 2) + 1
+            expected = [count_bounded_monomials(n, d, m) for m in range(len(column))]
+            assert column == expected, (n, d)
+
+
+@pytest.mark.parametrize("n, d", [(0, 5), (2, 2)])
+def test_column_evaluator_rejects_bad_arguments(n, d):
+    with pytest.raises(ValueError):
+        bounded_monomial_counts(n, d)
 
 
 def test_count_symmetry():
@@ -272,15 +291,26 @@ def test_degree_bookkeeping():
 # exact rank
 
 
+def integer_rows(rows):
+    """Each rational row times the lcm of its denominators: the same
+    rank, in the integers that `exact_rank` and `sparse_rank` take."""
+    scaled = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
+        scaled.append([int(f * scale) for f in fracs])
+    return scaled
+
+
 def test_rank_known_matrices():
     assert exact_rank([]) == 0
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([[1, 0], [0, 1]]) == 2
     assert exact_rank([[1, 2], [2, 4]]) == 1
-    assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    assert exact_rank(integer_rows([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])) == 1
     # a case where floating point would misjudge the rank
     eps = Fraction(1, 10**40)
-    assert exact_rank([[1, 1], [1, 1 + eps]]) == 2
+    assert exact_rank(integer_rows([[1, 1], [1, 1 + eps]])) == 2
 
 
 @given(
@@ -299,11 +329,7 @@ def bareiss_rank(rows):
     """Dense oracle: rank over the rationals by Bareiss fraction-free
     elimination (Bareiss 1968) on integer-scaled rows; every division
     in the loop is exact."""
-    matrix = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        matrix.append([int(f * scale) for f in fracs])
+    matrix = integer_rows(rows)
     if not matrix or not matrix[0]:
         return 0
     n_rows, n_cols = len(matrix), len(matrix[0])
@@ -353,11 +379,12 @@ def rational_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_sparse_rank_matches_dense_oracle(rows, keep_zeros):
     expected = bareiss_rank(rows)
+    scaled = integer_rows(rows)
     sparse = [
-        {col: x for col, x in enumerate(row) if keep_zeros or x} for row in rows
+        {col: x for col, x in enumerate(row) if keep_zeros or x} for row in scaled
     ]
     assert sparse_rank(sparse) == expected
-    assert exact_rank(rows) == expected
+    assert exact_rank(scaled) == expected
 
 
 def test_bareiss_oracle_known_matrices():
@@ -372,9 +399,9 @@ def test_sparse_rank_reduces_dependent_rows():
     # row is reduced; the last three are combinations of the first two
     rows = [
         {0: 6, 1: 4},
-        {0: 9, 2: Fraction(3, 2)},
+        {0: 18, 2: 3},
         {0: 3, 1: 2},
-        {1: 4, 2: Fraction(-1, 1)},
+        {1: 4, 2: -1},
         {0: 12, 1: 8, 2: 0},
     ]
     assert sparse_rank(rows) == 2

@@ -8,6 +8,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import halftwist
@@ -32,6 +33,25 @@ def test_verify_leaves_sympy_unimported():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+def test_the_cli_loads_no_rational_arithmetic():
+    # every count and rank is an integer computation, so importing the
+    # CLI pulls in neither fractions nor what fractions loads
+    script = (
+        "import sys\n"
+        "import halftwist.cli\n"
+        "print(*sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def imported_top_level_names(path):
@@ -125,3 +145,30 @@ def test_a_cover_table_is_read_only_through_its_spec():
         ("covers", "CoverSpec.cohomology"),
         ("sweeps", "_oracle_equivalence"),
     }
+
+
+def calls_in(path, function):
+    """How often each name is called, bare or as an attribute, inside
+    the module-level function `function` of a module."""
+    tree = ast.parse(path.read_text())
+    (node,) = [
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function
+    ]
+    return Counter(
+        call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    )
+
+
+def test_the_sweep_oracle_stays_off_the_production_route():
+    # production reads the table off k + 1 prefix-sum passes; the oracle
+    # builds one inclusion-exclusion column and compares one table
+    oracle = calls_in(PACKAGE / "sweeps.py", "_oracle_equivalence")
+    assert oracle["eigenspace_dims"] == 1
+    assert oracle["bounded_monomial_counts"] == 1
+    assert oracle["accumulate"] == 0
+    column = calls_in(PACKAGE / "jacobian.py", "bounded_monomial_counts")
+    assert column["comb"] > 0
+    for name in ("accumulate", "eigenspace_dims", "count_bounded_monomials"):
+        assert column[name] == 0, name
