@@ -35,10 +35,11 @@ FORMATS = ("table", "json")
 # of a sweep with its grid: on a 2-core machine (whole-process medians
 # of 5 runs) `eigenspaces 160 160` takes 0.92 s (1.13 s at 176),
 # `half-twist 160 160 --tate` 0.44-0.55 s and `hodge 160 160` 0.38-0.46 s.
-# At the grid limit, --d-max 46 --k-max 23, the slowest sweeps are
-# `z-checksum`, `oracle-equivalence` and `round-trip`, at 0.89-0.96 s
-# (`oracle-equivalence` takes 1.02 s at k-max 24, and 1.35 s at 48 x 24);
-# every other check takes 0.83 s or less.
+# At the grid limit, --d-max 46 --k-max 23, sweeps walk each degree's
+# tower of covers and `oracle-equivalence` is the slowest, at 0.94 s
+# (about 1.2 s at 46 x 24 and at 48 x 24), since its oracle builds
+# every table a second way; `z-checksum` takes 0.70 s, `ks-space`
+# 0.63 s, `round-trip` 0.56 s and every other check 0.51 s or less.
 MAX_D = MAX_K = 160
 SWEEP_MAX_D, SWEEP_MAX_K = 46, 23
 LIMITS = {"d": MAX_D, "k": MAX_K, "d_max": SWEEP_MAX_D, "k_max": SWEEP_MAX_K}

@@ -24,19 +24,26 @@ residue-graded tables, which fixes the ranks too.
 A `CoverSpec` owns its Hodge data: the eigenspace table, one Hodge
 vector per residue, is built once per spec, on first use, and every
 predicate and structure here reads that one table through
-`spec.cohomology` and `primitive_V`.  There is no cache across specs,
-so a table is freed with its spec.  There are two exceptions, both
-cached per degree and both small: `curve_h1`, the Fermat-curve table
-that `build_W` tensors with, which holds at most d - 1 vectors of
-length 2; and the field itself, since `make_cyclotomic` builds one
-frozen `CyclotomicData` per degree.
+`spec.cohomology` and `primitive_V`.  A spec made by `tower` carries
+its table's generating series, one step along its row from the
+previous level's, and slices it on first use; any other spec builds
+its table directly.  There is no cache of tables across specs, so a
+table is freed with its spec.  The exceptions are small: `curve_h1`,
+the Fermat-curve table that `build_W` tensors with, which holds at
+most d - 1 vectors of length 2, cached per degree; the field itself,
+since `make_cyclotomic` builds one frozen `CyclotomicData` per degree;
+the series a `tower` generator holds for its next step; and the
+primitive ranks of `jacobian.primitive_middle_rank`, one int per
+(d, k).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import ceil, gcd
+from typing import Iterator, Optional
 
 from .cyclotomic import CyclotomicData, InvariantError, make_cyclotomic
 from .hodge import (
@@ -57,6 +64,8 @@ from .jacobian import (
     eigenspace_dims,
     hypersurface_hodge_numbers,
     primitive_middle_rank,
+    residue_vectors,
+    tower_series,
 )
 
 
@@ -66,16 +75,28 @@ class CoverSpec:
 
     The field, the eigenspace table and V are cached on the spec: a spec
     builds its table at most once, and every predicate given the same
-    spec shares it.  The cache lives and dies with the spec."""
+    spec shares it.  The cache lives and dies with the spec.  `series`,
+    when given, is the table's generating series (1 + ... + t^{d-2})^{k+1},
+    of length (k+1)(d-2) + 1, as `tower` hands it on; it takes no part
+    in equality, hashing or repr."""
 
     d: int
     k: int
+    series: Optional[list[int]] = dataclasses.field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.d < 3:
             raise ValueError(f"degree must be >= 3, got {self.d}")
         if self.k < 0:
             raise ValueError(f"dimension must be >= 0, got {self.k}")
+        size = (self.k + 1) * (self.d - 2) + 1
+        if self.series is not None and len(self.series) != size:
+            raise ValueError(
+                f"series of {len(self.series)} coefficients for ({self.d}, {self.k}), "
+                f"expected {size}"
+            )
 
     @cached_property
     def field(self) -> CyclotomicData:
@@ -83,13 +104,27 @@ class CoverSpec:
 
     @cached_property
     def cohomology(self) -> CMHodgeStructure:
-        return CMHodgeStructure(
-            self.field, self.k, vectors=eigenspace_dims(self.d, self.k)
-        )
+        d, k = self.d, self.k
+        if self.series is None:
+            vectors = eigenspace_dims(d, k)
+        else:
+            vectors = residue_vectors(self.series, d, k)
+        return CMHodgeStructure(self.field, k, vectors=vectors)
 
     @cached_property
     def V(self) -> CMHodgeStructure:
-        return self.cohomology.restrict_residues(self.field.units)
+        units = self.field.units
+        if len(units) == self.d - 1:  # prime d: every residue is a unit
+            return self.cohomology
+        return self.cohomology.restrict_residues(units)
+
+
+def tower(d: int, k_max: int) -> Iterator[CoverSpec]:
+    """The specs (d, k) for k = 1..k_max, the covers of one degree in
+    the order of their tower, each carrying its series one step on
+    from the one before."""
+    for k, series in enumerate(tower_series(d, k_max), start=1):
+        yield CoverSpec(d, k, series)
 
 
 @dataclass(frozen=True)
@@ -108,7 +143,7 @@ class QTDecomposition:
 def primitive_V(spec: CoverSpec) -> CMHodgeStructure:
     """The piece with primitive eigenvalues: the unit-residue columns of
     the eigenspace table (`spec.V`).  For prime d this is all of the
-    primitive middle cohomology."""
+    primitive middle cohomology, and `spec.V` is `spec.cohomology`."""
     return spec.V
 
 

@@ -292,13 +292,14 @@ def tate_commutations(structure: CMHodgeStructure) -> int:
     defined; ValueError at the first such m where they differ.  Only a
     TwistRangeError or NoHalfTwistError marks a composite as undefined;
     any other error propagates.  The half twist of V itself is taken
-    once: without it, no m has both composites."""
+    once: without it, no m has both composites.  With it, m = 0 counts
+    without a comparison, since tate_twist(X, 0) is X itself."""
     try:
         twisted = pos_half_twist(structure)
     except NoHalfTwistError:
         return 0
-    compared = 0
-    for m in range(min(structure.hodge_numbers(), default=0) + 1):
+    compared = 1
+    for m in range(1, min(structure.hodge_numbers(), default=0) + 1):
         try:
             lhs = pos_half_twist(tate_twist(structure, m))
             rhs = tate_twist(twisted, m)

@@ -7,10 +7,16 @@ W-ladder quotients of the d = 3 Jacobian ring, and the
 fraction-free linear algebra backing the period-map rank computation.
 
 Three independent routes exist for the eigenspace counts, and none is
-ever collapsed into another.  Production builds a whole table in one
-pass over its generating function, a polynomial power, and reads each
-residue's Hodge vector off it as one strided slice
-(`eigenspace_dims`).  Inclusion-exclusion, a closed-form binomial sum,
+ever collapsed into another.  Production reads a whole table off its
+generating function, the polynomial power P^{k+1} with
+P = 1 + t + ... + t^{d-2}, taking each residue's Hodge vector as one
+strided slice of it (`residue_vectors`).  The series itself comes by
+one of two roads, chosen by the shape of the request: for one cover,
+`eigenspace_dims` builds it directly in one pass; along a row of fixed
+d, `tower_series` steps from level k to level k + 1 by one
+multiplication by P, since the covers of one degree form a tower.
+Tier-1 checks that the two roads give the same table on every cell of
+the CLI sweep grid.  Inclusion-exclusion, a closed-form binomial sum,
 has two evaluators: one entry at a time (`count_bounded_monomials`),
 the production route of `hypersurface_hodge_numbers`, which needs only
 k + 1 entries; and one whole column at a time
@@ -43,10 +49,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain, combinations, repeat
 from math import comb, gcd
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cyclotomic import InvariantError
@@ -114,7 +120,11 @@ def hypersurface_hodge_numbers(d: int, k: int) -> list[tuple[int, int]]:
     ]
 
 
+@cache
 def primitive_middle_rank(d: int, k: int) -> int:
+    """The sum of the primitive Hodge numbers; an int, kept once per
+    (d, k) for the run, since the identities of the tower ask for the
+    same rank from neighbouring levels."""
     return sum(dim for _, dim in hypersurface_hodge_numbers(d, k))
 
 
@@ -128,13 +138,11 @@ def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
 
         (1 + t + ... + t^{d-2})^{k+1} = (1 - t^{d-1})^{k+1} / (1 - t)^{k+1},
 
-    or 0 outside the series.  The series is built in one pass: the
-    numerator's k + 2 signed binomials sit at the multiples of d - 1,
-    and each of the k + 1 factors 1 / (1 - t) is one prefix-sum pass.
-    As p grows by one, m falls by d, so each residue's vector is one
-    stride-d slice of the series padded with k zeros at either end,
-    read backwards.  The invariant (i = 0) part of primitive cohomology
-    vanishes, so the vectors start at i = 1.
+    or 0 outside the series.  This is the direct route for one cover:
+    the series is built in one pass, the numerator's k + 2 signed
+    binomials at the multiples of d - 1, then one prefix-sum pass for
+    each of the k + 1 factors 1 / (1 - t), and sliced by
+    `residue_vectors`.
     """
     if d < 3 or k < 1:
         raise ValueError(f"need d >= 3 and k >= 1, got ({d}, {k})")
@@ -144,6 +152,33 @@ def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
         series[m] = (-1) ** j * comb(k + 1, j)
     for _ in range(k + 1):
         series = list(accumulate(series))
+    return residue_vectors(series, d, k)
+
+
+def tower_series(d: int, k_max: int) -> Iterator[list[int]]:
+    """The series (1 + t + ... + t^{d-2})^{k+1} of `eigenspace_dims`,
+    for k = 1..k_max in turn: the tower route.  Each step multiplies by
+    P = (1 - t^{d-1}) / (1 - t) in one pass, the series minus its copy
+    shifted by d - 1, then one prefix sum; the last coefficient of that
+    sum is the zero past the new degree and is dropped."""
+    if d < 3:
+        raise ValueError(f"need d >= 3, got {d}")
+    zeros = [0] * (d - 1)
+    series = [1] * (d - 1)  # P itself, the series at k = 0
+    for _ in range(k_max):
+        steps = map(sub, chain(series, zeros), chain(zeros, series))
+        series = list(accumulate(steps))
+        series.pop()
+        yield series
+
+
+def residue_vectors(series: list[int], d: int, k: int) -> dict[int, list[int]]:
+    """The Hodge vectors of `eigenspace_dims(d, k)` read off its series:
+    entry p of residue i is the coefficient at m = d(k - p + 1) - k - 1 - i.
+    As p grows by one, m falls by d, so each residue's vector is one
+    stride-d slice of the series padded with k zeros at either end,
+    read backwards.  The invariant (i = 0) part of primitive cohomology
+    vanishes, so the vectors start at i = 1."""
     # coefficient m at index m + k; residue i, entry p sits at index
     # d - 1 - i + d(k - p)
     padded = [0] * k + series + [0] * k

@@ -2,12 +2,16 @@
 
 Each registered check is a pure function of one `CoverSpec`, so every
 property it reads comes from that cover's one eigenspace table, and a
-caller that already holds the spec (the claim ledger) shares it.  A
-sweep builds one spec per cell inside the worker, so the grid is
-embarrassingly parallel; results are sorted by (d, k) before rendering,
-which makes the output independent of the worker count.  Every check
-asserts what it reports: `cmtype-search` fails a cell with an
-optimality gap, where some CM-type does better than the fixed one.
+caller that already holds the spec (the claim ledger) shares it.  The
+unit of a sweep's work is a row, one degree d with k = 1..k_max: the
+worker walks the row's tower of covers (`covers.tower`), so each
+cover's series is one step on from the one below it, and only
+(check, d, k_max) crosses a process boundary.  Rows are independent,
+so the grid is embarrassingly parallel; results are sorted by (d, k)
+before rendering, which makes the output independent of the worker
+count.  Every check asserts what it reports: `cmtype-search` fails a
+cell with an optimality gap, where some CM-type does better than the
+fixed one.
 """
 
 from __future__ import annotations
@@ -136,21 +140,22 @@ def check_cover(check: str, spec: CoverSpec) -> SweepCell:
 
 
 def run_check(check: str, d: int, k: int) -> SweepCell:
-    """One sweep cell: `check_cover` on a new spec for (d, k).  Sweep
-    workers run this, so only (check, d, k) crosses a process boundary."""
+    """One cell on its own: `check_cover` on a new spec for (d, k),
+    whose table is built directly."""
     return check_cover(check, CoverSpec(d, k))
 
 
-def _run_cell(args: tuple[str, int, int]) -> SweepCell:
-    return run_check(*args)
+def _run_row(args: tuple[str, int, int]) -> list[SweepCell]:
+    check, d, k_max = args
+    return [check_cover(check, spec) for spec in covers.tower(d, k_max)]
 
 
-def worker_count(jobs: int, cells: int, cpus: Optional[int]) -> int:
-    """Worker processes for a sweep of `cells` cells: `jobs`, but never
-    more than the cells or the `cpus` cores (unknown counts as one)."""
+def worker_count(jobs: int, rows: int, cpus: Optional[int]) -> int:
+    """Worker processes for a sweep of `rows` rows: `jobs`, but never
+    more than the rows or the `cpus` cores (unknown counts as one)."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return max(1, min(jobs, cells, cpus or 1))
+    return max(1, min(jobs, rows, cpus or 1))
 
 
 def run_sweep(check: str, d_max: int, k_max: int, jobs: int) -> list[SweepCell]:
@@ -159,19 +164,20 @@ def run_sweep(check: str, d_max: int, k_max: int, jobs: int) -> list[SweepCell]:
     cell runs."""
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
-    cells = [(check, d, k) for d in range(3, d_max + 1) for k in range(1, k_max + 1)]
-    if not cells:
+    if d_max < 3 or k_max < 1:
         raise ValueError(
             f"empty grid: need d_max >= 3 and k_max >= 1, got {d_max} and {k_max}"
         )
-    workers = worker_count(jobs, len(cells), os.cpu_count())
+    rows = [(check, d, k_max) for d in range(3, d_max + 1)]
+    workers = worker_count(jobs, len(rows), os.cpu_count())
     if workers > 1:
         # imported here so that a process that never forks workers does
         # not load multiprocessing, pickle and socket
         from multiprocessing import Pool
 
         with Pool(workers) as pool:
-            results = pool.map(_run_cell, cells)
+            results = pool.map(_run_row, rows, chunksize=1)
     else:
-        results = [_run_cell(cell) for cell in cells]
-    return sorted(results, key=lambda cell: (cell.d, cell.k))
+        results = map(_run_row, rows)
+    cells = [cell for row in results for cell in row]
+    return sorted(cells, key=lambda cell: (cell.d, cell.k))

@@ -173,6 +173,14 @@ def test_tate_commutation_needs_a_compared_commutation(monkeypatch):
     assert claims.evaluate(claim).status == claims.STATUS_FAIL
 
 
+def test_tate_commutation_needs_more_than_the_identity(monkeypatch):
+    # a count of 1 is the m = 0 comparison alone, which holds by
+    # construction since tate_twist(X, 0) is X
+    claim = claim_named("twists.tate_commutation")
+    monkeypatch.setattr(hodge, "tate_commutations", lambda structure: 1)
+    assert claims.evaluate(claim).status == claims.STATUS_FAIL
+
+
 def test_even_degree_claims_fail_on_an_even_disagreement(monkeypatch):
     printed = covers.half_twist_exists_printed
 

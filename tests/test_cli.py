@@ -195,10 +195,10 @@ def test_sweep_all_checks_pass_small_grid(capsys):
     ],
 )
 def test_sweep_rejects_bad_input_before_running(capsys, monkeypatch, argv):
-    def no_cell_may_run(_args):
-        raise AssertionError("a cell ran")
+    def no_row_may_run(_args):
+        raise AssertionError("a row ran")
 
-    monkeypatch.setattr("halftwist.sweeps._run_cell", no_cell_may_run)
+    monkeypatch.setattr("halftwist.sweeps._run_row", no_row_may_run)
     code, out, err = run_cli(capsys, "sweep", "--check", "w-rank", *argv)
     assert code == 2
     assert out == ""
@@ -219,9 +219,9 @@ def _no_work_may_start(*_args, **_kwargs):
         (["half-twist", "3", "3000"], "covers.qt_decompose"),
         (["half-twist", str(cli.MAX_D + 1), "2", "--tate"], "covers.qt_decompose"),
         (["sweep", "--check", "w-rank", "--d-max", str(cli.SWEEP_MAX_D + 1)],
-         "sweeps._run_cell"),
+         "sweeps._run_row"),
         (["sweep", "--check", "w-rank", "--k-max", str(cli.SWEEP_MAX_K + 1)],
-         "sweeps._run_cell"),
+         "sweeps._run_row"),
     ],
 )
 def test_inputs_above_the_limits_are_rejected_before_running(
@@ -239,8 +239,12 @@ def test_inputs_at_the_limits_are_accepted(capsys, monkeypatch):
                         lambda d, k: [])
     code, _, _ = run_cli(capsys, "hodge", str(cli.MAX_D), str(cli.MAX_K))
     assert code == 0
-    monkeypatch.setattr("halftwist.sweeps._run_cell",
-                        lambda args: SweepCell(args[1], args[2], args[0], True, ""))
+    monkeypatch.setattr(
+        "halftwist.sweeps._run_row",
+        lambda args: [
+            SweepCell(args[1], k, args[0], True, "") for k in range(1, args[2] + 1)
+        ],
+    )
     code, _, _ = run_cli(
         capsys, "sweep", "--check", "w-rank",
         "--d-max", str(cli.SWEEP_MAX_D), "--k-max", str(cli.SWEEP_MAX_K),
@@ -327,9 +331,11 @@ def test_sweep_unknown_check_is_usage_error(capsys):
 
 
 def test_sweep_output_identical_across_jobs():
-    serial = run_sweep("dim-identity", d_max=6, k_max=4, jobs=1)
-    parallel = run_sweep("dim-identity", d_max=6, k_max=4, jobs=2)
-    assert serial == parallel
+    # dim-identity reads no table; round-trip slices every row's series
+    for check in ("dim-identity", "round-trip"):
+        serial = run_sweep(check, d_max=6, k_max=4, jobs=1)
+        parallel = run_sweep(check, d_max=6, k_max=4, jobs=2)
+        assert serial == parallel, check
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from halftwist import cli, covers, sweeps
+from halftwist import cli, covers, jacobian, sweeps
 from halftwist.covers import (
     CoverSpec,
     build_W,
@@ -59,6 +59,32 @@ def test_prime_degree_primitive_part_is_everything():
             spec = CoverSpec(d, k)
             assert primitive_V(spec) == spec.cohomology
             assert primitive_V(spec).rank == primitive_middle_rank(d, k)
+
+
+def test_V_is_the_cohomology_itself_only_for_prime_degree():
+    prime = CoverSpec(7, 3)
+    assert prime.V is prime.cohomology
+    composite = CoverSpec(6, 3)
+    assert composite.V.residues() < composite.cohomology.residues()
+    assert composite.V.residues() == {1, 5}
+
+
+def test_tower_specs_are_the_covers_of_one_degree():
+    for d in (3, 4, 6, 7):
+        specs = list(covers.tower(d, 6))
+        direct = [CoverSpec(d, k) for k in range(1, 7)]
+        assert specs == direct
+        assert list(map(hash, specs)) == list(map(hash, direct))
+        assert list(map(repr, specs)) == list(map(repr, direct))
+        for spec, same in zip(specs, direct):
+            assert spec.cohomology == same.cohomology, (spec.d, spec.k)
+
+
+@pytest.mark.parametrize("size", [0, 8, 10])
+def test_a_series_of_the_wrong_length_is_rejected(size):
+    # (4, 3) has a series of (3 + 1)(4 - 2) + 1 = 9 coefficients
+    with pytest.raises(ValueError, match="expected 9"):
+        CoverSpec(4, 3, [0] * size)
 
 
 def test_secondary_parts_sextic():
@@ -530,6 +556,31 @@ def test_half_twist_command_builds_one_table(table_builds, capsys):
     assert cli.main(["half-twist", "7", "5", "--tate"]) == 0
     assert "half twist of V(q)" in capsys.readouterr().out
     assert table_builds == {(7, 5): 1}
+
+
+def test_a_round_trip_sweep_builds_no_table_directly(table_builds):
+    # every row walks its tower; only single covers take the direct route
+    cells = sweeps.run_sweep("round-trip", d_max=8, k_max=5, jobs=1)
+    assert len(cells) == 6 * 5
+    assert all(cell.ok for cell in cells)
+    assert table_builds == {}
+
+
+def test_a_dim_identity_sweep_computes_each_rank_once(monkeypatch):
+    ranks = Counter()
+    real = jacobian.hypersurface_hodge_numbers
+
+    def counted(d, k):
+        ranks[(d, k)] += 1
+        return real(d, k)
+
+    monkeypatch.setattr(jacobian, "hypersurface_hodge_numbers", counted)
+    jacobian.primitive_middle_rank.cache_clear()
+    cells = sweeps.run_sweep("dim-identity", d_max=8, k_max=6, jobs=1)
+    assert all(cell.ok for cell in cells)
+    # k = 1 reads h_1 only; k >= 2 reads h_{k-1}, h_k and h_{k+1}
+    assert set(ranks) == {(d, j) for d in range(3, 9) for j in range(1, 8)}
+    assert set(ranks.values()) == {1}
 
 
 def test_verify_builds_one_table_per_cover(table_builds, capsys):

@@ -22,6 +22,7 @@ from halftwist.jacobian import (
     exact_rank,
     hypersurface_hodge_numbers,
     reduced_cover_numerator,
+    residue_vectors,
     shioda_tuple_count,
     sparse_rank,
     torelli_deformation_dimension,
@@ -176,6 +177,16 @@ def test_one_pass_table_matches_inclusion_exclusion():
             for i in range(1, d)
         }
         assert eigenspace_dims(d, k) == sums, (d, k)
+
+
+def test_tower_tables_match_the_direct_route_on_the_sweep_grid():
+    # the two roads to a table's series, on every cell a sweep may ask for
+    for d in range(3, cli.SWEEP_MAX_D + 1):
+        steps = jacobian.tower_series(d, cli.SWEEP_MAX_K)
+        for k, series in enumerate(steps, start=1):
+            assert len(series) == (k + 1) * (d - 2) + 1, (d, k)
+            assert residue_vectors(series, d, k) == eigenspace_dims(d, k), (d, k)
+        assert k == cli.SWEEP_MAX_K
 
 
 def test_eigenspace_conjugation_symmetry():

@@ -132,18 +132,27 @@ def callers(path, name):
     return found
 
 
-def test_a_cover_table_is_read_only_through_its_spec():
-    # the ledger takes every cover from its one memo of specs, and only
-    # the raw-table oracle reads a table around a spec
-    assert callers(PACKAGE / "claims.py", "CoverSpec") == set()
-    raw = {
+def package_callers(name):
+    return {
         (path.stem, scope)
         for path in sorted(PACKAGE.glob("*.py"))
-        for scope in callers(path, "eigenspace_dims")
+        for scope in callers(path, name)
     }
-    assert raw == {
+
+
+def test_a_cover_table_is_read_only_through_its_spec():
+    # the ledger takes every cover from its one memo of specs, and only
+    # the raw-table oracle reads a table around a spec; a tower's series
+    # reaches production only inside the specs that `covers.tower` makes
+    assert callers(PACKAGE / "claims.py", "CoverSpec") == set()
+    assert package_callers("eigenspace_dims") == {
         ("covers", "CoverSpec.cohomology"),
         ("sweeps", "_oracle_equivalence"),
+    }
+    assert package_callers("tower_series") == {("covers", "tower")}
+    assert package_callers("residue_vectors") == {
+        ("covers", "CoverSpec.cohomology"),
+        ("jacobian", "eigenspace_dims"),
     }
 
 
