@@ -9,10 +9,12 @@ A claim over a grid of (d, k) cells runs the registered sweep check on
 every cell (`sweeps.check_cover`), so the ledger and the sweeps share one
 definition of each property; a claim reads a cell's `ok`, never its text.
 
-One ledger run holds one `CoverSpec` per cover: `all_claims` makes a
-memo of specs, and every claim, helper and grid check takes its covers
-from it, so each cover's eigenspace table is built once per run and
-read only through its spec.
+One ledger run holds one `CoverSpec` per cover and one cell per
+(check, d, k): `all_claims` makes a memo of specs and, over it, a memo
+of cells.  Every claim, helper and grid check takes its covers from the
+first, so each cover's eigenspace table is built once per run and read
+only through its spec, and every grid claim takes its cells from the
+second, so two claims over overlapping grids run each shared cell once.
 
 Two claim families are pre-registered as known discrepancies: the
 stated closed form of the existence criterion for odd degree, and the
@@ -49,8 +51,10 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_KNOWN = "discrepancy-known"
 
-# the run's memo of covers: (d, k) -> its one CoverSpec
+# The run's memos: of covers, (d, k) -> its one CoverSpec, and of sweep
+# cells, (check, d, k) -> its one SweepCell (`_cell_memo`).
 Specs = Callable[[int, int], CoverSpec]
+Cells = Callable[[str, int, int], sweeps.SweepCell]
 
 
 @dataclass(frozen=True)
@@ -230,23 +234,39 @@ def _lemma37_example(d: int, k: int):
     return [total, [lower, same]]
 
 
-def _sweep_holds(spec: Specs, check: str, cells) -> bool:
-    """Whether the sweep check passes on every (d, k) cell."""
-    return all(sweeps.check_cover(check, spec(d, k)).ok for d, k in cells)
+def _cell_memo(spec: Specs) -> Cells:
+    """The run's memo of sweep cells, each run once on the cover from
+    `spec`.  A cell is keyed by its check's registered function, not its
+    name, so a check swapped in `sweeps.CHECKS` runs afresh and never
+    hands back a cell of the function it replaced."""
+    memo: dict[tuple, sweeps.SweepCell] = {}
+
+    def cell(check: str, d: int, k: int) -> sweeps.SweepCell:
+        key = (sweeps.CHECKS.get(check), d, k)
+        if key not in memo:
+            memo[key] = sweeps.check_cover(check, spec(d, k))
+        return memo[key]
+
+    return cell
+
+
+def _sweep_holds(cell: Cells, check: str, grid) -> bool:
+    """Whether the sweep check passes on every (d, k) cell of the grid."""
+    return all(cell(check, d, k).ok for d, k in grid)
 
 
 def _grid(ds, ks) -> list[tuple[int, int]]:
     return [(d, k) for d in ds for k in ks]
 
 
-def _tate_commutes_on_grid(spec: Specs) -> bool:
+def _tate_commutes_on_grid(spec: Specs, cell: Cells) -> bool:
     # the round-trip check compares twist and Tate twist wherever both
     # composites are defined; the count includes m = 0, where the two
     # agree by construction, so the claim needs a cell with a second
     # count, a comparison at some m >= 1
-    cells = _grid(GRID_D, GRID_K)
-    return _sweep_holds(spec, "round-trip", cells) and any(
-        hodge.tate_commutations(covers.primitive_V(spec(d, k))) >= 2 for d, k in cells
+    grid = _grid(GRID_D, GRID_K)
+    return _sweep_holds(cell, "round-trip", grid) and any(
+        hodge.tate_commutations(covers.primitive_V(spec(d, k))) >= 2 for d, k in grid
     )
 
 
@@ -290,6 +310,7 @@ def _covermap_mutations():
 
 def all_claims() -> tuple[Claim, ...]:
     spec = cache(CoverSpec)
+    cell = _cell_memo(spec)
     K4 = make_cyclotomic(4)
     K3 = make_cyclotomic(3)
     kondo = spec(4, 2)
@@ -392,25 +413,25 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("lemma3.7.cubic4", "3.7", "dims", "paper", [42, [20, 22]],
               lambda: _lemma37_example(3, 4)),
         Claim("lemma3.7.grid", "3.7", "dims", "derived", True,
-              lambda: _sweep_holds(spec, "dim-identity", _grid(GRID_D, range(2, 8)))),
+              lambda: _sweep_holds(cell, "dim-identity", _grid(GRID_D, range(2, 8)))),
         Claim("prop3.5.checksum_grid", "3.5", "dims", "derived", True,
-              lambda: _sweep_holds(spec, "z-checksum", _grid(GRID_D, GRID_K))),
+              lambda: _sweep_holds(cell, "z-checksum", _grid(GRID_D, GRID_K))),
         Claim("euler.matches_griffiths", "3.7", "dims", "derived", True,
-              lambda: _sweep_holds(spec, "dim-identity", _grid(GRID_D, range(0, 8)))),
+              lambda: _sweep_holds(cell, "dim-identity", _grid(GRID_D, range(0, 8)))),
         # --- Kuga-Satake dimension space
         Claim("ks.cubic4_table", "5.2", "ks", "paper", True,
-              lambda: _sweep_holds(spec, "ks-space", [(3, 4)])),
+              lambda: _sweep_holds(cell, "ks-space", [(3, 4)])),
         Claim("ks.kondo_table", "5.2", "ks", "paper", True,
-              lambda: _sweep_holds(spec, "ks-space", [(4, 2)])),
+              lambda: _sweep_holds(cell, "ks-space", [(4, 2)])),
         Claim("ks.elliptic_curve_d3", "5.2", "ks", "paper", [2, 1],
               lambda: [hodge.k_minus_half(K3).rank,
                        hodge.abelian_summary(hodge.k_minus_half(K3)).dim_abelian]),
         # --- twist algebra
         Claim("twists.roundtrip_grid", "7.2", "twists", "paper", True,
               lambda: _sweep_holds(
-                  spec, "round-trip", _grid(range(3, 9), range(1, 9)))),
+                  cell, "round-trip", _grid(range(3, 9), range(1, 9)))),
         Claim("twists.tate_commutation", "1.4", "twists", "paper", True,
-              lambda: _tate_commutes_on_grid(spec)),
+              lambda: _tate_commutes_on_grid(spec, cell)),
         Claim("twists.k_minus_half_d4", "1.4", "twists", "trivial", [2, 1],
               lambda: [hodge.k_minus_half(K4).rank,
                        hodge.k_minus_half(K4).entry(1, 1)]),
@@ -471,6 +492,6 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("cor2.7.no_cmtype_helps_d7k2", "4.5", "cor2.7", "derived",
               False, lambda: covers.half_twist_any_cmtype(spec(7, 2))),
         Claim("cmtype.optimality_grid", "2.1", "cor2.7", "derived", True,
-              lambda: _sweep_holds(spec, "cmtype-search", _grid(GRID_D, GRID_K))),
+              lambda: _sweep_holds(cell, "cmtype-search", _grid(GRID_D, GRID_K))),
     ]
     return tuple(claims)

@@ -12,10 +12,13 @@ failure, 2 usage error.  Output is byte-identical across runs and
 across ``--jobs`` settings.
 
 Inputs are bounded before any work starts: ``hodge``, ``eigenspaces``
-and ``half-twist`` take d <= MAX_D and k <= MAX_K (both 160), and
-``sweep`` takes --d-max <= SWEEP_MAX_D (46) and --k-max <= SWEEP_MAX_K
-(23).  Larger values exit with code 2.  The library functions take any
-size.
+and ``half-twist`` take 3 <= d <= MAX_D and k <= MAX_K (both 160), with
+k >= 0 (k >= 1 for ``half-twist``), and ``sweep`` takes a nonempty grid,
+--d-max <= SWEEP_MAX_D (46) and --k-max <= SWEEP_MAX_K (23), and
+--jobs >= 1.  A value outside its bounds raises `UsageError`, the one
+error that exits with code 2; any other error, a defect of the program
+rather than of its input, exits with code 1.  The library functions
+take any size.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from .covers import CoverSpec
 
 FORMATS = ("table", "json")
 
-# Each limit is the largest value at which its slowest command takes
-# about 1 s.  The cost of a cover grows fast with d and k together, and
+# Each upper limit is the largest value at which its slowest command
+# takes about 1 s.  The cost of a cover grows fast with d and k together, and
 # of a sweep with its grid: on a 2-core machine (whole-process medians
 # of 5 runs) `eigenspaces 160 160` takes 0.92 s (1.13 s at 176),
 # `half-twist 160 160 --tate` 0.44-0.55 s and `hodge 160 160` 0.38-0.46 s.
@@ -39,18 +42,36 @@ FORMATS = ("table", "json")
 # tower of covers and `oracle-equivalence` is the slowest, at 0.94 s
 # (about 1.2 s at 46 x 24 and at 48 x 24), since its oracle builds
 # every table a second way; `z-checksum` takes 0.70 s, `ks-space`
-# 0.63 s, `round-trip` 0.56 s and every other check 0.51 s or less.
+# 0.63 s and every other check 0.51 s or less.  `round-trip`, which
+# half-twists each rung of a cover's Tate ladder once, takes 0.37-0.47 s
+# (medians of 7 and 9 runs, the host's speed drifting between them).
 MAX_D = MAX_K = 160
 SWEEP_MAX_D, SWEEP_MAX_K = 46, 23
-LIMITS = {"d": MAX_D, "k": MAX_K, "d_max": SWEEP_MAX_D, "k_max": SWEEP_MAX_K}
+# The (lowest, highest) value of each numeric argument, per command; None
+# is no limit.  A cover needs d >= 3 and k >= 0, the (q, t) normal form
+# of `half-twist` k >= 1, and a sweep a nonempty grid and a worker.
+BOUNDS = {
+    "hodge": {"d": (3, MAX_D), "k": (0, MAX_K)},
+    "eigenspaces": {"d": (3, MAX_D), "k": (0, MAX_K)},
+    "half-twist": {"d": (3, MAX_D), "k": (1, MAX_K)},
+    "sweep": {
+        "d_max": (3, SWEEP_MAX_D), "k_max": (1, SWEEP_MAX_K), "jobs": (1, None)
+    },
+}
 
 
-def _check_limits(args) -> None:
-    for name, limit in LIMITS.items():
-        value = getattr(args, name, None)
-        if value is not None and value > limit:
-            flag = name if len(name) == 1 else "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} = {value} is above the limit {limit}")
+class UsageError(Exception):
+    """Input outside what a command accepts, found before any work starts."""
+
+
+def _check_bounds(args) -> None:
+    for name, (low, high) in BOUNDS.get(args.command, {}).items():
+        value = getattr(args, name)
+        flag = name if len(name) == 1 else "--" + name.replace("_", "-")
+        if value < low:
+            raise UsageError(f"{flag} = {value} is below the least value {low}")
+        if high is not None and value > high:
+            raise UsageError(f"{flag} = {value} is above the limit {high}")
 
 
 def _render_json(payload) -> str:
@@ -347,11 +368,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_limits(args)
+        _check_bounds(args)
         return args.func(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, reported as an unexpected failure
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

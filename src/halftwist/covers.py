@@ -27,8 +27,11 @@ predicate and structure here reads that one table through
 `spec.cohomology` and `primitive_V`.  A spec made by `tower` carries
 its table's generating series, one step along its row from the
 previous level's, and slices it on first use; any other spec builds
-its table directly.  There is no cache of tables across specs, so a
-table is freed with its spec.  The exceptions are small: `curve_h1`,
+its table directly.  The (q, t) normal form is cached on the spec as
+well (`qt_decompose` reads `spec.normal_form`), so its check against
+the table runs once per spec however many predicates ask for it.
+There is no cache of tables across specs, so a table and its normal
+form are freed with their spec.  The exceptions are small: `curve_h1`,
 the Fermat-curve table that `build_W` tensors with, which holds at
 most d - 1 vectors of length 2, cached per degree; the field itself,
 since `make_cyclotomic` builds one frozen `CyclotomicData` per degree;
@@ -73,9 +76,10 @@ from .jacobian import (
 class CoverSpec:
     """Degree d >= 3 cover of projective k-space, k >= 0.
 
-    The field, the eigenspace table and V are cached on the spec: a spec
-    builds its table at most once, and every predicate given the same
-    spec shares it.  The cache lives and dies with the spec.  `series`,
+    The field, the eigenspace table, V and the (q, t) normal form are
+    cached on the spec: a spec builds its table and checks its normal
+    form at most once, and every predicate given the same spec shares
+    them.  The cache lives and dies with the spec.  `series`,
     when given, is the table's generating series (1 + ... + t^{d-2})^{k+1},
     of length (k+1)(d-2) + 1, as `tower` hands it on; it takes no part
     in equality, hashing or repr."""
@@ -117,6 +121,25 @@ class CoverSpec:
         if len(units) == self.d - 1:  # prime d: every residue is a unit
             return self.cohomology
         return self.cohomology.restrict_residues(units)
+
+    @cached_property
+    def normal_form(self) -> QTDecomposition:
+        d, k = self.d, self.k
+        if k < 1:
+            raise ValueError("normal form needs k >= 1")
+        q = ceil((k + 2) / d) - 1
+        t = k - q * d
+        if not -1 <= t <= d - 2:
+            raise InvariantError(
+                f"normal form of {self} has t={t} outside [-1, {d - 2}]"
+            )
+        highest = max(self.cohomology.hodge_numbers(), default=None)
+        if highest != k - q:
+            raise InvariantError(
+                f"highest nonzero piece of {self} is p={highest}, "
+                f"not the extremal p={k - q}"
+            )
+        return QTDecomposition(q=q, t=t, top=highest)
 
 
 def tower(d: int, k_max: int) -> Iterator[CoverSpec]:
@@ -187,21 +210,9 @@ def curve_h1(d: int) -> CMHodgeStructure:
 
 def qt_decompose(spec: CoverSpec) -> QTDecomposition:
     """The unique (q, t) with k = q*d + t, t in [-1, d-2], and `top`,
-    the highest nonzero Hodge index, checked to equal k - q."""
-    d, k = spec.d, spec.k
-    if k < 1:
-        raise ValueError("normal form needs k >= 1")
-    q = ceil((k + 2) / d) - 1
-    t = k - q * d
-    if not -1 <= t <= d - 2:
-        raise InvariantError(f"normal form of {spec} has t={t} outside [-1, {d - 2}]")
-    highest = max(spec.cohomology.hodge_numbers(), default=None)
-    if highest != k - q:
-        raise InvariantError(
-            f"highest nonzero piece of {spec} is p={highest}, "
-            f"not the extremal p={k - q}"
-        )
-    return QTDecomposition(q=q, t=t, top=highest)
+    the highest nonzero Hodge index, checked to equal k - q: the spec's
+    `normal_form`, computed and checked once per spec."""
+    return spec.normal_form
 
 
 def full_level_V(spec: CoverSpec) -> CMHodgeStructure:

@@ -16,8 +16,12 @@ The positive half twist exists exactly when the top Hodge piece is
 one-sided: no residue outside the CM-type sigma0 carries dimension
 there.  `top_offenders` is the one definition of that test; the
 predicate `has_positive_half_twist`, the error of `pos_half_twist` and
-the cover predicates of `covers` all read it.  `tate_commutations` is
-likewise the one comparison of the half twist with Tate twists.
+the cover predicates of `covers` all read it.  Likewise
+`ladder_commutations` is the one comparison of the half twist with Tate
+twists: it reads a `tate_ladder`, one walk over the Tate twists V(m),
+m = 0..(lowest Hodge index), that half-twists each rung once, so a
+caller that needs the rungs too (the round-trip sweep check) shares the
+walk instead of twisting again.
 """
 
 from __future__ import annotations
@@ -286,29 +290,55 @@ def top_offenders(structure: CMHodgeStructure, p: int) -> list[int]:
     return sorted(a for a in structure.residues() - sigma0 if structure.entry(p, a))
 
 
-def tate_commutations(structure: CMHodgeStructure) -> int:
-    """How many Tate twists m >= 0 have both composites
-    pos_half_twist(tate_twist(V, m)) and tate_twist(pos_half_twist(V), m)
-    defined; ValueError at the first such m where they differ.  Only a
-    TwistRangeError or NoHalfTwistError marks a composite as undefined;
-    any other error propagates.  The half twist of V itself is taken
-    once: without it, no m has both composites.  With it, m = 0 counts
-    without a comparison, since tate_twist(X, 0) is X itself."""
-    try:
-        twisted = pos_half_twist(structure)
-    except NoHalfTwistError:
+# rung m of a Tate ladder: (tate_twist(V, m), its positive half twist or None)
+Rung = tuple[CMHodgeStructure, Optional[CMHodgeStructure]]
+
+
+def tate_ladder(structure: CMHodgeStructure) -> list[Rung]:
+    """The rungs m = 0..(lowest Hodge index of V) of the Tate ladder of V,
+    where every Tate twist is defined: rung m is (tate_twist(V, m), its
+    positive half twist), with None for a half twist that NoHalfTwistError
+    marks as undefined; any other error propagates.  Rung 0 is V itself,
+    and each structure on the ladder is half-twisted once."""
+    rungs = []
+    for m in range(min(structure.hodge_numbers(), default=0) + 1):
+        lowered = tate_twist(structure, m) if m else structure
+        try:
+            rungs.append((lowered, pos_half_twist(lowered)))
+        except NoHalfTwistError:
+            rungs.append((lowered, None))
+    return rungs
+
+
+def ladder_commutations(rungs: list[Rung]) -> int:
+    """How many rungs m of a Tate ladder (`tate_ladder`) have both
+    composites pos_half_twist(tate_twist(V, m)) and
+    tate_twist(pos_half_twist(V), m) defined; ValueError at the first such
+    m where they differ.  The second composite Tate-twists rung 0's half
+    twist, and only a TwistRangeError marks it undefined.  Without a half
+    twist of V no m has both composites; with one, m = 0 counts without a
+    comparison, since tate_twist(X, 0) is X itself."""
+    twisted = rungs[0][1]
+    if twisted is None:
         return 0
     compared = 1
-    for m in range(1, min(structure.hodge_numbers(), default=0) + 1):
+    for m, (_, lhs) in enumerate(rungs[1:], start=1):
+        if lhs is None:
+            continue
         try:
-            lhs = pos_half_twist(tate_twist(structure, m))
             rhs = tate_twist(twisted, m)
-        except (TwistRangeError, NoHalfTwistError):
+        except TwistRangeError:
             continue
         if lhs != rhs:
             raise ValueError(f"twist/Tate commutation fails at m={m}")
         compared += 1
     return compared
+
+
+def tate_commutations(structure: CMHodgeStructure) -> int:
+    """`ladder_commutations` on the Tate ladder of `structure`, for a
+    caller that does not hold the ladder."""
+    return ladder_commutations(tate_ladder(structure))
 
 
 def has_positive_half_twist(structure: CMHodgeStructure) -> bool:

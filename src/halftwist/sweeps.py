@@ -64,18 +64,18 @@ def _dim_identity(spec: CoverSpec) -> tuple[bool, str]:
 
 
 def _round_trip(spec: CoverSpec) -> tuple[bool, str]:
-    V = covers.primitive_V(spec)
+    # one Tate ladder of V: rung 0 holds V and its half twist, rung q
+    # holds V(q) and its half twist, and the commutation count reads the
+    # same rungs
+    ladder = hodge.tate_ladder(covers.primitive_V(spec))
     done = []
-    if covers.half_twist_exists_direct(spec):
-        if hodge.neg_half_twist(hodge.pos_half_twist(V)) != V:
-            return False, "round trip fails on V"
-        done.append("V")
-    if covers.half_twist_exists_direct(spec, tate=True):
-        Vq = covers.full_level_V(spec)
-        if hodge.neg_half_twist(hodge.pos_half_twist(Vq)) != Vq:
-            return False, "round trip fails on V(q)"
-        done.append("V(q)")
-    compared = hodge.tate_commutations(V)
+    for name, tate in (("V", False), ("V(q)", True)):
+        if covers.half_twist_exists_direct(spec, tate=tate):
+            rung, twisted = ladder[covers.qt_decompose(spec).q if tate else 0]
+            if twisted is None or hodge.neg_half_twist(twisted) != rung:
+                return False, f"round trip fails on {name}"
+            done.append(name)
+    compared = hodge.ladder_commutations(ladder)
     if not done and not compared:
         return True, "no twist exists here"
     return True, f"round trips: {','.join(done) or 'none'}; commutations: {compared}"

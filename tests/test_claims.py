@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -164,6 +165,25 @@ def test_sweep_backed_claim_fails_with_one_failing_cell(
 
     monkeypatch.setitem(sweeps.CHECKS, check, one_cell_fails)
     assert claims.evaluate(claim).status == claims.STATUS_FAIL
+
+
+def test_a_verify_run_evaluates_each_sweep_cell_once(monkeypatch):
+    # the grid claims overlap (round trips on d <= 8 and on d <= 9, the
+    # dimension identity for k >= 2 and for k >= 0); each shared cell runs once
+    runs = Counter()
+    real = sweeps.check_cover
+
+    def counted(check, spec):
+        runs[(check, spec.d, spec.k)] += 1
+        return real(check, spec)
+
+    monkeypatch.setattr(sweeps, "check_cover", counted)
+    reports = claims.run_verification()
+    assert {("round-trip", 8, 7), ("dim-identity", 9, 7)} <= set(runs)
+    assert set(runs.values()) == {1}
+    assert Counter(r.status for r in reports) == {
+        claims.STATUS_PASS: 60, claims.STATUS_KNOWN: 5
+    }
 
 
 def test_tate_commutation_needs_a_compared_commutation(monkeypatch):

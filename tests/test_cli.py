@@ -252,6 +252,26 @@ def test_inputs_at_the_limits_are_accepted(capsys, monkeypatch):
     assert code == 0
 
 
+def test_a_defect_inside_a_command_exits_1(capsys, monkeypatch):
+    # a series one coefficient too long, as from a tower step that kept
+    # its trailing zero: a ValueError of the program, not of the input
+    real = jacobian.tower_series
+
+    def padded(d, k_max):
+        for series in real(d, k_max):
+            yield series + [0]
+
+    monkeypatch.setattr(covers, "tower_series", padded)
+    code, out, err = run_cli(
+        capsys, "sweep", "--check", "round-trip", "--d-max", "6", "--k-max", "3"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: ValueError: series of 4 coefficients for (3, 1), expected 3\n"
+    )
+
+
 def test_worker_count_is_clamped():
     assert worker_count(1, 100, 8) == 1
     assert worker_count(4, 100, 8) == 4

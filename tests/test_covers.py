@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from halftwist import cli, covers, jacobian, sweeps
+from halftwist import cli, covers, hodge, jacobian, sweeps
 from halftwist.covers import (
     CoverSpec,
     build_W,
@@ -550,6 +550,37 @@ def table_builds(monkeypatch):
 def test_round_trip_cell_builds_one_table(table_builds, d, k):
     assert sweeps.run_check("round-trip", d, k).ok
     assert table_builds == {(d, k): 1}
+
+
+def test_round_trip_cell_half_twists_each_rung_once(monkeypatch):
+    # (3, 7) has q = 2 and runs both round trips: V, V(1) and V(2) are
+    # each half-twisted once, for the round trips and the commutations
+    seen = []
+    real = hodge.pos_half_twist
+
+    def counted(structure):
+        seen.append(structure)
+        return real(structure)
+
+    monkeypatch.setattr(hodge, "pos_half_twist", counted)
+    monkeypatch.setattr(covers, "pos_half_twist", counted)
+    spec = CoverSpec(3, 7)
+    cell = sweeps.check_cover("round-trip", spec)
+    assert cell.ok
+    assert cell.detail == "round trips: V,V(q); commutations: 3"
+    V = primitive_V(spec)
+    assert seen == [V, tate_twist(V, 1), tate_twist(V, 2)]
+
+
+def test_the_normal_form_is_checked_once_per_spec(monkeypatch):
+    spec = CoverSpec(5, 7)
+    first = qt_decompose(spec)
+    # with every table now lacking its extremal piece, only a new spec
+    # checks its normal form again
+    monkeypatch.setattr(CMHodgeStructure, "hodge_numbers", lambda self: {})
+    assert qt_decompose(spec) is first
+    with pytest.raises(InvariantError, match="extremal"):
+        qt_decompose(CoverSpec(5, 7))
 
 
 def test_half_twist_command_builds_one_table(table_builds, capsys):

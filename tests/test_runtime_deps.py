@@ -156,6 +156,12 @@ def test_a_cover_table_is_read_only_through_its_spec():
     }
 
 
+def test_the_ledger_runs_sweep_cells_only_through_its_memo():
+    # a grid claim takes its cells from the run's memo, so a cell that
+    # two claims share runs once
+    assert callers(PACKAGE / "claims.py", "check_cover") == {"_cell_memo.cell"}
+
+
 def calls_in(path, function):
     """How often each name is called, bare or as an attribute, inside
     the module-level function `function` of a module."""
