@@ -39,12 +39,12 @@ FORMATS = ("table", "json")
 # of 5 runs) `eigenspaces 160 160` takes 0.92 s (1.13 s at 176),
 # `half-twist 160 160 --tate` 0.44-0.55 s and `hodge 160 160` 0.38-0.46 s.
 # At the grid limit, --d-max 46 --k-max 23, sweeps walk each degree's
-# tower of covers and `oracle-equivalence` is the slowest, at 0.94 s
-# (about 1.2 s at 46 x 24 and at 48 x 24), since its oracle builds
-# every table a second way; `z-checksum` takes 0.70 s, `ks-space`
-# 0.63 s and every other check 0.51 s or less.  `round-trip`, which
-# half-twists each rung of a cover's Tate ladder once, takes 0.37-0.47 s
-# (medians of 7 and 9 runs, the host's speed drifting between them).
+# tower of covers and `oracle-equivalence` is the slowest, at 0.60 s
+# (0.53 s at 46 x 24 and 0.63 s at 48 x 24 through `run_sweep`, which
+# renders nothing), since its oracle builds each table's
+# inclusion-exclusion column; `z-checksum` takes 0.45 s, `ks-space`
+# 0.39 s, `w-rank` 0.33 s, `round-trip` 0.28 s and every other check
+# 0.19 s or less (medians of 9 interleaved runs).
 MAX_D = MAX_K = 160
 SWEEP_MAX_D, SWEEP_MAX_K = 46, 23
 # The (lowest, highest) value of each numeric argument, per command; None
@@ -243,8 +243,7 @@ def _cmd_half_twist(args) -> int:
 def _cmd_verify(args) -> int:
     reports = claims.run_verification(args.section)
     if not reports:
-        print("no claims match the requested section", file=sys.stderr)
-        return 2
+        raise UsageError("no claims match the requested section")
     if args.format == "json":
         print(_render_json([r.to_dict() for r in reports]))
     else:

@@ -113,7 +113,7 @@ class CoverSpec:
             vectors = eigenspace_dims(d, k)
         else:
             vectors = residue_vectors(self.series, d, k)
-        return CMHodgeStructure(self.field, k, vectors=vectors)
+        return CMHodgeStructure(self.field, k, vectors)
 
     @cached_property
     def V(self) -> CMHodgeStructure:
@@ -188,13 +188,14 @@ def secondary_parts(spec: CoverSpec) -> list[tuple[int, CMHodgeStructure]]:
 
 def order_part_as_substructure(spec: CoverSpec, e: int) -> CMHodgeStructure:
     """The order-e slice rewritten over the e-th cyclotomic field: the
-    residue i (a multiple of d/e) becomes the unit i/(d/e) mod e."""
+    vector at residue i (a multiple of d/e) moves to the unit i/(d/e)
+    mod e."""
     if spec.d % e or e < 3:
         raise UnsupportedCaseError(f"order {e} needs e | d and e >= 3")
     step = spec.d // e
     part = dict(secondary_parts(spec))[e]
-    table = {(p, i // step): dim for (p, i), dim in part.table.items()}
-    return CMHodgeStructure(make_cyclotomic(e), spec.k, table)
+    vectors = {i // step: vec for i, vec in part.vectors.items()}
+    return CMHodgeStructure(make_cyclotomic(e), spec.k, vectors)
 
 
 @cache

@@ -9,8 +9,9 @@ give non-unit residues (including 0); a cyclic cover gives units only.
 Every operation is exact and acts on whole vectors: conjugation
 symmetry puts the reversed vector at -a, a Tate twist slices or pads
 every vector, a half twist moves the sigma0 vectors only, tensor
-products convolve and sums add.  The (p, a) table view (`table`,
-`entry`) and construction from a table serve callers outside the module.
+products convolve and sums add.  A structure is built from its vectors
+only; the (p, a) table view (`table`, `entry`) and the read-only
+`vectors` view serve callers outside the module.
 
 The positive half twist exists exactly when the top Hodge piece is
 one-sided: no residue outside the CM-type sigma0 carries dimension
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, repeat
 from operator import add, mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cyclotomic import CyclotomicData, InvariantError, conjugate_residue
@@ -64,33 +66,25 @@ class CMHodgeStructure:
     """Hodge vectors {a: (h^{0,w}_a, ..., h^{w,0}_a)}, all-zero ones
     dropped, of an effective weight-w structure with residue grading.
 
-    Built from a (p, a) -> dim table or from `vectors` of length w + 1
-    keyed by residues 0..d-1; a negative dimension, an entry outside
-    0 <= p <= w and, unless check_symmetry is False, a break of
-    conjugation symmetry raise MalformedStructureError.  Equality is
-    exact equality of (d, weight, vectors), with no isogeny coarsening."""
+    Built from `vectors` of length w + 1 keyed by residues 0..d-1; a key
+    outside that range, a vector of another length, a negative dimension
+    and, unless check_symmetry is False, a break of conjugation symmetry
+    raise MalformedStructureError.  Equality is exact equality of
+    (d, weight, vectors), with no isogeny coarsening."""
 
     def __init__(
         self,
         field: CyclotomicData,
         weight: int,
-        table: Optional[Mapping[tuple[int, int], int]] = None,
+        vectors: Mapping[int, Sequence[int]],
         check_symmetry: bool = True,
-        *,
-        vectors: Optional[Mapping[int, Sequence[int]]] = None,
     ):
         if weight < 0:
             raise MalformedStructureError(f"weight must be >= 0, got {weight}")
-        if vectors is None:
-            for (p, a), dim in table.items():
-                if dim < 0 or (dim and not 0 <= p <= weight):
-                    raise MalformedStructureError(f"not effective: {dim} at {(p, a)}")
-            vectors = _summed(
-                (a % field.d, [dim * (q == p) for q in range(weight + 1)])
-                for (p, a), dim in table.items()
-            )
         self.field, self.weight, self._vectors = field, weight, {}
         for a, vec in vectors.items():
+            if not 0 <= a < field.d:
+                raise MalformedStructureError(f"residue {a} outside 0..{field.d - 1}")
             if len(vec) != weight + 1 or min(vec) < 0:
                 raise MalformedStructureError(f"not effective: {vec} at residue {a}")
             if any(vec):
@@ -102,6 +96,10 @@ class CMHodgeStructure:
     def table(self) -> dict[tuple[int, int], int]:
         vectors = self._vectors.items()
         return {(p, a): x for a, vec in vectors for p, x in enumerate(vec) if x}
+
+    @property
+    def vectors(self) -> Mapping[int, Vector]:
+        return MappingProxyType(self._vectors)
 
     @property
     def rank(self) -> int:
@@ -127,9 +125,7 @@ class CMHodgeStructure:
         keep = {a % self.field.d for a in residues}
         symmetric = all(conjugate_residue(self.field, a) in keep for a in keep)
         vectors = {a: vec for a, vec in self._vectors.items() if a in keep}
-        return CMHodgeStructure(
-            self.field, self.weight, check_symmetry=symmetric, vectors=vectors
-        )
+        return CMHodgeStructure(self.field, self.weight, vectors, symmetric)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CMHodgeStructure):
@@ -230,7 +226,7 @@ def tate_twist(structure: CMHodgeStructure, m: int) -> CMHodgeStructure:
         low = min(structure.hodge_numbers())
         raise TwistRangeError(f"twist by {m} would leave effectivity (min p = {low})")
     vectors = {a: _trimmed(vec, m, m) for a, vec in vectors.items()}
-    return CMHodgeStructure(structure.field, structure.weight - 2 * m, vectors=vectors)
+    return CMHodgeStructure(structure.field, structure.weight - 2 * m, vectors)
 
 
 def k_minus_half(field: CyclotomicData) -> CMHodgeStructure:
@@ -238,7 +234,7 @@ def k_minus_half(field: CyclotomicData) -> CMHodgeStructure:
     tangent directions exactly on the sigma0 embeddings."""
     sigma0 = field.sigma0
     vectors = {a: (0, 1) for a in sigma0} | {field.d - a: (1, 0) for a in sigma0}
-    return CMHodgeStructure(field, 1, vectors=vectors)
+    return CMHodgeStructure(field, 1, vectors)
 
 
 def _require_unit_support(structure: CMHodgeStructure, op: str) -> None:
@@ -257,7 +253,7 @@ def _shift_sigma0(structure: CMHodgeStructure, step: int) -> CMHodgeStructure:
         a: _trimmed(vec, -step, 0) if a in sigma0 else _trimmed(vec, 0, -step)
         for a, vec in structure._vectors.items()
     }
-    return CMHodgeStructure(structure.field, structure.weight + step, vectors=vectors)
+    return CMHodgeStructure(structure.field, structure.weight + step, vectors)
 
 
 def neg_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
@@ -354,7 +350,7 @@ def tensor(left: CMHodgeStructure, right: CMHodgeStructure) -> CMHodgeStructure:
         )
     d, pairs = left.field.d, product(left._vectors.items(), right._vectors.items())
     vectors = _summed(((a + b) % d, _convolve(x, y)) for (a, x), (b, y) in pairs)
-    return CMHodgeStructure(left.field, left.weight + right.weight, vectors=vectors)
+    return CMHodgeStructure(left.field, left.weight + right.weight, vectors)
 
 
 def tensor_invariants(
@@ -372,13 +368,13 @@ def tensor_invariants(
     d, sign = left.field.d, -1 if rule == "sum" else 1
     pairs = ((a, x, right._vectors.get(sign * a % d)) for a, x in left._vectors.items())
     vectors = {a: _convolve(x, y) for a, x, y in pairs if y}
-    return CMHodgeStructure(left.field, left.weight + right.weight, vectors=vectors)
+    return CMHodgeStructure(left.field, left.weight + right.weight, vectors)
 
 
 def collapse_residues(structure: CMHodgeStructure) -> CMHodgeStructure:
     """Forget the residue grading: all vectors add up at residue 0."""
     vectors = _summed((0, vec) for vec in structure._vectors.values())
-    return CMHodgeStructure(structure.field, structure.weight, vectors=vectors)
+    return CMHodgeStructure(structure.field, structure.weight, vectors)
 
 
 def direct_sum(*structures: CMHodgeStructure) -> CMHodgeStructure:
@@ -390,7 +386,7 @@ def direct_sum(*structures: CMHodgeStructure) -> CMHodgeStructure:
     ):
         raise FieldMismatchError("summands must share degree and weight")
     vectors = _summed(pair for s in structures for pair in s._vectors.items())
-    return CMHodgeStructure(first.field, first.weight, vectors=vectors)
+    return CMHodgeStructure(first.field, first.weight, vectors)
 
 
 def abelian_summary(structure: CMHodgeStructure) -> AbelianSummary:

@@ -21,8 +21,11 @@ has two evaluators: one entry at a time (`count_bounded_monomials`),
 the production route of `hypersurface_hodge_numbers`, which needs only
 k + 1 entries; and one whole column at a time
 (`bounded_monomial_counts`), signed shifted copies of one binomial
-column, which is the oracle of the `oracle-equivalence` sweep.  Tier-1
-checks the column evaluator entry by entry against the per-entry one.
+column, which is the oracle of the `oracle-equivalence` sweep: sliced by
+`residue_vectors`, it is compared with the tower-route table that every
+other sweep reads.  Tier-1 checks the column evaluator entry by entry
+against the per-entry one, and the slicing against the per-entry
+formula and the tuple oracle.
 An exact integer convolution over the tuple entries
 (`shioda_tuple_count`) is the tier-1 test oracle, and is itself checked
 against a literal listing of tuples.

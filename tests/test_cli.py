@@ -284,22 +284,29 @@ def test_worker_count_is_clamped():
 
 
 def test_oracle_sweep_fails_on_one_changed_entry(capsys, monkeypatch):
-    real = jacobian.eigenspace_dims
+    # the fault sits on the tower route, the table every sweep reads: a
+    # copy of the (5, 2) series with one conjugate pair of coefficients
+    # one larger, so that the levels above it, stepped from the
+    # generator's own list, stay exact
+    real = covers.tower_series
 
-    def one_entry_off(d, k):
-        vectors = real(d, k)
-        if (d, k) == (5, 2):
-            vectors[3][1] += 1  # residue 3, p = 1
-        return vectors
+    def one_pair_off(d, k_max):
+        for k, series in enumerate(real(d, k_max), start=1):
+            if (d, k) == (5, 2):
+                series = series[:]
+                series[4] += 1  # p = 1, residue 3
+                series[5] += 1  # its conjugate: p = 1, residue 2
+            yield series
 
-    monkeypatch.setattr(jacobian, "eigenspace_dims", one_entry_off)
+    monkeypatch.setattr(covers, "tower_series", one_pair_off)
     code, out, _ = run_cli(
         capsys, "sweep", "--check", "oracle-equivalence", "--d-max", "6", "--k-max", "3"
     )
     assert code == 1
     rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
     assert [row for row in rows if row[2] != "pass"] == [
-        ["5", "2", "FAIL", "inclusion-exclusion differs at [(1, 3)]"]
+        ["5", "2", "FAIL",
+         "inclusion-exclusion differs: entry (p=1, residue=2): 13 != 12"]
     ]
     assert out.splitlines()[-1] == "check oracle-equivalence: 11/12 cells pass"
 

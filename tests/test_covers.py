@@ -27,7 +27,7 @@ from halftwist.covers import (
     secondary_parts,
     z_decomposition,
 )
-from halftwist.cyclotomic import InvariantError, all_cm_types
+from halftwist.cyclotomic import InvariantError, all_cm_types, make_cyclotomic
 from halftwist.hodge import (
     CMHodgeStructure,
     NoHalfTwistError,
@@ -37,6 +37,7 @@ from halftwist.hodge import (
     tensor_invariants,
 )
 from halftwist.jacobian import UnsupportedCaseError, primitive_middle_rank
+from hodge_tables import from_table
 
 GRID = [(d, k) for d in range(3, 10) for k in range(1, 8)]
 
@@ -119,6 +120,25 @@ def test_order_part_as_substructure():
     assert has_positive_half_twist(sub)
     with pytest.raises(UnsupportedCaseError):
         order_part_as_substructure(CoverSpec(6, 2), 2)
+
+
+def test_order_parts_match_their_re_keyed_tables():
+    # the re-keyed vectors against the table route: every (p, i) entry of
+    # the order-e slice moves to (p, i / (d/e)) over the e-th field
+    checked = 0
+    for d in range(3, 31):
+        for k in range(1, 7):
+            spec = CoverSpec(d, k)
+            parts = dict(secondary_parts(spec))
+            for e in range(3, d + 1):
+                if d % e:
+                    continue
+                step = d // e
+                table = {(p, i // step): x for (p, i), x in parts[e].table.items()}
+                expected = from_table(make_cyclotomic(e), k, table)
+                assert order_part_as_substructure(spec, e) == expected, (d, k, e)
+                checked += 1
+    assert checked == 6 * 66  # 66 pairs (d, e) with e | d, 3 <= e <= d <= 30
 
 
 def test_curve_h1_is_not_hard_coded():
@@ -303,7 +323,7 @@ def test_cmtype_closed_form_matches_oracle_on_every_support(monkeypatch):
         for size in range(len(units) + 1):
             for support in combinations(units, size):
                 V = CMHodgeStructure(
-                    spec.field, 1, {(1, a): 1 for a in support}, check_symmetry=False
+                    spec.field, 1, {a: (0, 1) for a in support}, check_symmetry=False
                 )
                 monkeypatch.setattr(covers, "primitive_V", lambda spec: V)
                 closed = half_twist_any_cmtype(spec)
@@ -440,7 +460,7 @@ def bump_first_entry(structure):
     table = structure.table
     key = min(table)
     table[key] += 1
-    return key, CMHodgeStructure(
+    return key, from_table(
         structure.field, structure.weight, table, check_symmetry=False
     )
 

@@ -26,6 +26,7 @@ from halftwist.hodge import (
     tensor_invariants,
 )
 from halftwist.covers import CoverSpec, primitive_V
+from hodge_tables import from_table
 
 K3 = make_cyclotomic(3)
 K4 = make_cyclotomic(4)
@@ -41,7 +42,7 @@ def symmetric_structure(field, weight, half_entries):
         mirror = (weight - p, (-a) % field.d)
         if mirror != (p, a % field.d):
             table[mirror] = table.get(mirror, 0) + dim
-    return CMHodgeStructure(field, weight, table)
+    return from_table(field, weight, table)
 
 
 # ---------------------------------------------------------------------------
@@ -49,25 +50,43 @@ def symmetric_structure(field, weight, half_entries):
 
 
 def test_rejects_non_effective_entries():
+    # a negative dimension, a vector of the wrong length, and a table
+    # entry outside 0 <= p <= weight
+    for vectors in ({1: (1, -1), 3: (-1, 1)}, {1: (0, 0, 1), 3: (1, 0, 0)}):
+        with pytest.raises(MalformedStructureError):
+            CMHodgeStructure(K4, 1, vectors)
     with pytest.raises(MalformedStructureError):
-        CMHodgeStructure(K4, 1, {(2, 1): 1, (-1, 3): 1})
+        from_table(K4, 1, {(2, 1): 1, (-1, 3): 1})
+
+
+def test_rejects_residue_keys_outside_the_field():
+    # a key is a residue 0..d-1, not any integer congruent to one: 5 would
+    # show in `table` while `entry(1, 5)` reads residue 1, and -1 would
+    # make a structure unequal to the same one keyed at 3
+    for key in (5, -1, 4):
+        vectors = {key: (0, 1), 3: (1, 0)}
+        with pytest.raises(MalformedStructureError, match=r"outside 0\.\.3"):
+            CMHodgeStructure(K4, 1, vectors=vectors, check_symmetry=False)
 
 
 def test_rejects_asymmetric_tables():
     with pytest.raises(MalformedStructureError):
-        CMHodgeStructure(K4, 2, {(2, 1): 1})
+        CMHodgeStructure(K4, 2, {1: (0, 0, 1)})
 
 
 def test_zero_entries_are_dropped():
-    s = CMHodgeStructure(K4, 2, {(2, 1): 1, (0, 3): 1, (1, 2): 0})
+    s = CMHodgeStructure(K4, 2, {1: (0, 0, 1), 3: [1, 0, 0], 2: (0, 0, 0)})
     assert s.table == {(2, 1): 1, (0, 3): 1}
     assert s.rank == 2
+    assert dict(s.vectors) == {1: (0, 0, 1), 3: (1, 0, 0)}
+    with pytest.raises(TypeError):
+        s.vectors[2] = (0, 1, 0)
 
 
 def test_a_tate_twist_that_drops_a_top_entry_fails_effectivity():
     # nothing sits below p = 1, so no TwistRangeError; the top entry at
     # p = 2 would need Hodge index 1 in weight 0
-    top_only = CMHodgeStructure(K4, 2, {(2, 1): 1}, check_symmetry=False)
+    top_only = CMHodgeStructure(K4, 2, {1: (0, 0, 1)}, check_symmetry=False)
     with pytest.raises(MalformedStructureError):
         tate_twist(top_only, 1)
 
@@ -75,7 +94,7 @@ def test_a_tate_twist_that_drops_a_top_entry_fails_effectivity():
 def test_a_shift_that_drops_a_top_entry_fails_effectivity():
     # residue 3 is outside sigma0 = {1}, so a lowering shift keeps its p
     # and cuts the top of its vector, where the entry sits
-    top_only = CMHodgeStructure(K4, 2, {(2, 3): 1}, check_symmetry=False)
+    top_only = CMHodgeStructure(K4, 2, {3: (0, 0, 1)}, check_symmetry=False)
     with pytest.raises(MalformedStructureError):
         hodge._shift_sigma0(top_only, -1)
 
@@ -149,7 +168,7 @@ def test_k_minus_half_d5():
 def test_neg_twist_of_trivial_structure_is_k_minus_half():
     for field in (K3, K4, K5, make_cyclotomic(12)):
         # the field itself: weight 0, one dimension per unit
-        trivial = CMHodgeStructure(field, 0, {(0, a): 1 for a in field.units})
+        trivial = CMHodgeStructure(field, 0, {a: (1,) for a in field.units})
         assert neg_half_twist(trivial) == k_minus_half(field)
 
 
@@ -163,7 +182,7 @@ def test_pos_twist_requires_one_sided_top():
 def test_pos_twist_rejects_a_sigma0_entry_at_the_bottom():
     # one-sided top, but without conjugation symmetry the sigma0 entry at
     # p = 0 would drop below effectivity
-    V = CMHodgeStructure(K4, 1, {(0, 1): 1}, check_symmetry=False)
+    V = CMHodgeStructure(K4, 1, {1: (1, 0)}, check_symmetry=False)
     assert has_positive_half_twist(V)
     with pytest.raises(MalformedStructureError):
         pos_half_twist(V)
@@ -221,7 +240,7 @@ def test_twist_tate_commutation():
 
 def test_tensor_unit_law():
     V = primitive_V(CoverSpec(4, 2))
-    unit = CMHodgeStructure(K4, 0, {(0, 0): 1})
+    unit = CMHodgeStructure(K4, 0, {0: (1,)})
     assert tensor(V, unit) == V
     assert tensor(unit, V) == V
 
@@ -263,7 +282,7 @@ def test_invariant_part_slices_total_residue():
 def test_require_equal_names_the_first_difference():
     V = primitive_V(CoverSpec(4, 2))
     require_equal(V, V, "same")
-    bumped = CMHodgeStructure(
+    bumped = from_table(
         K4, V.weight, {**V.table, (2, 1): V.entry(2, 1) + 1}, check_symmetry=False
     )
     with pytest.raises(ValueError) as caught:
@@ -342,7 +361,7 @@ def test_abelian_summary_signature_mass():
 
 
 def test_abelian_summary_needs_unit_support():
-    V = CMHodgeStructure(K4, 1, {(1, 2): 1, (0, 2): 1})
+    V = CMHodgeStructure(K4, 1, {2: (1, 1)})
     with pytest.raises(MalformedStructureError, match=r"^abelian summary .* \[2\]$"):
         abelian_summary(V)
 

@@ -141,18 +141,17 @@ def package_callers(name):
 
 
 def test_a_cover_table_is_read_only_through_its_spec():
-    # the ledger takes every cover from its one memo of specs, and only
-    # the raw-table oracle reads a table around a spec; a tower's series
-    # reaches production only inside the specs that `covers.tower` makes
+    # the ledger takes every cover from its one memo of specs, and no
+    # module reads a table around a spec; a tower's series reaches
+    # production only inside the specs that `covers.tower` makes, and the
+    # sweep oracle slices its column by the one residue map
     assert callers(PACKAGE / "claims.py", "CoverSpec") == set()
-    assert package_callers("eigenspace_dims") == {
-        ("covers", "CoverSpec.cohomology"),
-        ("sweeps", "_oracle_equivalence"),
-    }
+    assert package_callers("eigenspace_dims") == {("covers", "CoverSpec.cohomology")}
     assert package_callers("tower_series") == {("covers", "tower")}
     assert package_callers("residue_vectors") == {
         ("covers", "CoverSpec.cohomology"),
         ("jacobian", "eigenspace_dims"),
+        ("sweeps", "_oracle_equivalence"),
     }
 
 
@@ -177,13 +176,41 @@ def calls_in(path, function):
 
 
 def test_the_sweep_oracle_stays_off_the_production_route():
-    # production reads the table off k + 1 prefix-sum passes; the oracle
-    # builds one inclusion-exclusion column and compares one table
+    # production reads the table off k + 1 prefix-sum passes or a tower
+    # step; the oracle builds one inclusion-exclusion column, slices it by
+    # the shared residue map and compares it with the spec's table
     oracle = calls_in(PACKAGE / "sweeps.py", "_oracle_equivalence")
-    assert oracle["eigenspace_dims"] == 1
     assert oracle["bounded_monomial_counts"] == 1
-    assert oracle["accumulate"] == 0
+    assert oracle["residue_vectors"] == 1
+    assert oracle["require_equal"] == 1
+    for name in ("eigenspace_dims", "tower_series", "accumulate"):
+        assert oracle[name] == 0, name
     column = calls_in(PACKAGE / "jacobian.py", "bounded_monomial_counts")
     assert column["comb"] > 0
     for name in ("accumulate", "eigenspace_dims", "count_bounded_monomials"):
         assert column[name] == 0, name
+
+
+def test_a_structure_is_built_from_its_vectors_only():
+    # one constructor path: (field, weight, vectors, check_symmetry), and
+    # the stored vectors are private to `hodge`
+    tree = ast.parse((PACKAGE / "hodge.py").read_text())
+    (cls,) = [
+        n for n in tree.body
+        if isinstance(n, ast.ClassDef) and n.name == "CMHodgeStructure"
+    ]
+    (init,) = [
+        n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"
+    ]
+    args = init.args
+    assert [a.arg for a in args.posonlyargs + args.args] == [
+        "self", "field", "weight", "vectors", "check_symmetry"
+    ]
+    assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None)
+    readers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_vectors"
+    }
+    assert readers == {"hodge.py"}
