@@ -14,7 +14,7 @@ across ``--jobs`` settings.
 Inputs are bounded before any work starts: ``hodge``, ``eigenspaces``
 and ``half-twist`` take 3 <= d <= MAX_D and k <= MAX_K (both 160), with
 k >= 0 (k >= 1 for ``half-twist``), and ``sweep`` takes a nonempty grid,
---d-max <= SWEEP_MAX_D (46) and --k-max <= SWEEP_MAX_K (23), and
+--d-max <= SWEEP_MAX_D (50) and --k-max <= SWEEP_MAX_K (25), and
 --jobs >= 1.  A value outside its bounds raises `UsageError`, the one
 error that exits with code 2; any other error, a defect of the program
 rather than of its input, exits with code 1.  The library functions
@@ -38,15 +38,15 @@ FORMATS = ("table", "json")
 # of a sweep with its grid: on a 2-core machine (whole-process medians
 # of 5 runs) `eigenspaces 160 160` takes 0.92 s (1.13 s at 176),
 # `half-twist 160 160 --tate` 0.44-0.55 s and `hodge 160 160` 0.38-0.46 s.
-# At the grid limit, --d-max 46 --k-max 23, sweeps walk each degree's
-# tower of covers and `oracle-equivalence` is the slowest, at 0.60 s
-# (0.53 s at 46 x 24 and 0.63 s at 48 x 24 through `run_sweep`, which
-# renders nothing), since its oracle builds each table's
-# inclusion-exclusion column; `z-checksum` takes 0.45 s, `ks-space`
-# 0.39 s, `w-rank` 0.33 s, `round-trip` 0.28 s and every other check
-# 0.19 s or less (medians of 9 interleaved runs).
+# At the grid limit, --d-max 50 --k-max 25, sweeps walk each degree's
+# tower of covers and `oracle-equivalence` is the slowest, at 1.03 s
+# (1.29 s one step up, at 52 x 26), since its oracle builds each
+# table's inclusion-exclusion column; `z-checksum` takes 0.66 s,
+# `ks-space` 0.65 s, `w-rank` 0.54 s, `round-trip` 0.50 s and every
+# other check 0.33 s or less (medians of 9 interleaved runs, on a host
+# where `python3 -c pass` took 0.06 s).
 MAX_D = MAX_K = 160
-SWEEP_MAX_D, SWEEP_MAX_K = 46, 23
+SWEEP_MAX_D, SWEEP_MAX_K = 50, 25
 # The (lowest, highest) value of each numeric argument, per command; None
 # is no limit.  A cover needs d >= 3 and k >= 0, the (q, t) normal form
 # of `half-twist` k >= 1, and a sweep a nonempty grid and a worker.

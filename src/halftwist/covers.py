@@ -33,11 +33,14 @@ the table runs once per spec however many predicates ask for it.
 There is no cache of tables across specs, so a table and its normal
 form are freed with their spec.  The exceptions are small: `curve_h1`,
 the Fermat-curve table that `build_W` tensors with, which holds at
-most d - 1 vectors of length 2, cached per degree; the field itself,
-since `make_cyclotomic` builds one frozen `CyclotomicData` per degree;
-the series a `tower` generator holds for its next step; and the
-primitive ranks of `jacobian.primitive_middle_rank`, one int per
-(d, k).
+most d - 1 vectors of length 2, cached per degree; K_{-1/2}, the
+weight-one structure that `ks_invariant_space` and `quartic_W_split`
+tensor with, of phi(d) vectors of length 2, cached per field by
+`hodge.k_minus_half`; the field itself, since `make_cyclotomic` builds
+one frozen `CyclotomicData` per degree; the series a `tower` generator
+holds for its next step; and the primitive ranks of
+`jacobian.primitive_middle_rank`, one int per (d, k).  Every one of
+these caches fills on first use, none at import.
 """
 
 from __future__ import annotations

@@ -9,9 +9,14 @@ give non-unit residues (including 0); a cyclic cover gives units only.
 Every operation is exact and acts on whole vectors: conjugation
 symmetry puts the reversed vector at -a, a Tate twist slices or pads
 every vector, a half twist moves the sigma0 vectors only, tensor
-products convolve and sums add.  A structure is built from its vectors
-only; the (p, a) table view (`table`, `entry`) and the read-only
-`vectors` view serve callers outside the module.
+products convolve and sums add.  Every tensor the covers build has a
+weight-one factor (the Fermat curve's H^1 or K_{-1/2}), and convolving
+with a vector of length 2 takes one pass; longer factors go through
+the general loop, which tier-1 holds the one-pass route to.  Symmetry
+is checked once per conjugate pair {a, -a}, from its lower residue.
+A structure is built from its vectors only; the (p, a) table view
+(`table`, `entry`) and the read-only `vectors` view serve callers
+outside the module.  `k_minus_half` is built once per field.
 
 The positive half twist exists exactly when the top Hodge piece is
 one-sided: no residue outside the CM-type sigma0 carries dimension
@@ -28,7 +33,8 @@ walk instead of twisting again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
+from functools import cache
+from itertools import chain, product, repeat
 from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -86,7 +92,7 @@ class CMHodgeStructure:
             if not 0 <= a < field.d:
                 raise MalformedStructureError(f"residue {a} outside 0..{field.d - 1}")
             if len(vec) != weight + 1 or min(vec) < 0:
-                raise MalformedStructureError(f"not effective: {vec} at residue {a}")
+                raise MalformedStructureError(_not_effective(vec, a, weight))
             if any(vec):
                 self._vectors[a] = tuple(vec)
         if check_symmetry and not self.is_conjugation_symmetric():
@@ -118,8 +124,14 @@ class CMHodgeStructure:
         return {p: dim for p, dim in enumerate(columns) if dim}
 
     def is_conjugation_symmetric(self) -> bool:
+        # each conjugate pair {a, d - a} is compared once, from its lower
+        # residue (0 and d/2 with their own reverse); an upper residue
+        # needs only its partner to be present
         vectors, d = self._vectors, self.field.d
-        return all(vectors.get(-a % d) == vec[::-1] for a, vec in vectors.items())
+        return all(
+            vectors.get(-a % d) == vec[::-1] if 2 * a <= d else d - a in vectors
+            for a, vec in vectors.items()
+        )
 
     def restrict_residues(self, residues: Iterable[int]) -> "CMHodgeStructure":
         keep = {a % self.field.d for a in residues}
@@ -142,6 +154,15 @@ class CMHodgeStructure:
         return f"CMHodgeStructure(d={d}, weight={w}, rank={self.rank})"
 
 
+def _not_effective(vec: Sequence[int], a: int, weight: int) -> str:
+    """Why the vector at residue a is rejected: the whole vector when
+    its length is wrong, else its first negative entry."""
+    if len(vec) != weight + 1:
+        return f"not effective: {vec} at residue {a}"
+    p = next(p for p, x in enumerate(vec) if x < 0)
+    return f"not effective: entry (p={p}, residue={a}) = {vec[p]}"
+
+
 def _summed(pairs: Iterable[tuple[int, Sequence[int]]]) -> dict[int, list[int]]:
     """Hodge vectors added up by residue."""
     out: dict[int, list[int]] = {}
@@ -161,7 +182,21 @@ def _trimmed(vec: Vector, low: int, high: int) -> Vector:
 
 def _convolve(x: Vector, y: Vector) -> list[int]:
     """The Hodge vector of a tensor product: the coefficients of the
-    product of the polynomials with coefficients x and y."""
+    product of the polynomials with coefficients x and y.  A weight-one
+    factor (c0, c1), the Fermat curve's H^1 or K_{-1/2} in every tensor
+    the covers build, takes one pass: c0 * (x, 0) + c1 * (0, x)."""
+    if len(x) == 2:
+        x, y = y, x
+    if len(y) == 2:
+        c0, c1 = y
+        return [a * c0 + b * c1 for a, b in zip(chain(x, (0,)), chain((0,), x))]
+    return _convolve_by_slices(x, y)
+
+
+def _convolve_by_slices(x: Vector, y: Vector) -> list[int]:
+    """`_convolve` for factors of any length: x scaled by each nonzero
+    coefficient of y, added in at its shift.  The only route for two
+    factors longer than 2, and the reference for the one-pass route."""
     out = [0] * (len(x) + len(y) - 1)
     for shift, c in enumerate(y):
         if c:
@@ -229,9 +264,11 @@ def tate_twist(structure: CMHodgeStructure, m: int) -> CMHodgeStructure:
     return CMHodgeStructure(structure.field, structure.weight - 2 * m, vectors)
 
 
+@cache
 def k_minus_half(field: CyclotomicData) -> CMHodgeStructure:
     """Weight-one structure of an abelian variety with CM by the field:
-    tangent directions exactly on the sigma0 embeddings."""
+    tangent directions exactly on the sigma0 embeddings.  Built once
+    per field, since structures are immutable."""
     sigma0 = field.sigma0
     vectors = {a: (0, 1) for a in sigma0} | {field.d - a: (1, 0) for a in sigma0}
     return CMHodgeStructure(field, 1, vectors)

@@ -180,12 +180,13 @@ def residue_vectors(series: list[int], d: int, k: int) -> dict[int, list[int]]:
     entry p of residue i is the coefficient at m = d(k - p + 1) - k - 1 - i.
     As p grows by one, m falls by d, so each residue's vector is one
     stride-d slice of the series padded with k zeros at either end,
-    read backwards.  The invariant (i = 0) part of primitive cohomology
-    vanishes, so the vectors start at i = 1."""
-    # coefficient m at index m + k; residue i, entry p sits at index
-    # d - 1 - i + d(k - p)
-    padded = [0] * k + series + [0] * k
-    return {i: padded[d - 1 - i::d][::-1] for i in range(1, d)}
+    read backwards.  The padded series is reversed once, and each
+    vector is a forward slice of that.  The invariant (i = 0) part of
+    primitive cohomology vanishes, so the vectors start at i = 1."""
+    # the padded series has (k+1)d - 1 entries, coefficient m at index
+    # m + k; reversed, entry p of residue i sits at index i - 1 + dp
+    backwards = ([0] * k + series + [0] * k)[::-1]
+    return {i: backwards[i - 1::d] for i in range(1, d)}
 
 
 def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:

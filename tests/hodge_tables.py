@@ -15,7 +15,9 @@ def from_table(field, weight, table, check_symmetry=True):
     vectors = {}
     for (p, a), dim in table.items():
         if dim < 0 or (dim and not 0 <= p <= weight):
-            raise MalformedStructureError(f"not effective: {dim} at {(p, a)}")
+            raise MalformedStructureError(
+                f"not effective: entry (p={p}, residue={a}) = {dim}"
+            )
         vec = vectors.setdefault(a % field.d, [0] * (weight + 1))
         if dim:
             vec[p] += dim

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -309,6 +311,30 @@ def test_oracle_sweep_fails_on_one_changed_entry(capsys, monkeypatch):
          "inclusion-exclusion differs: entry (p=1, residue=2): 13 != 12"]
     ]
     assert out.splitlines()[-1] == "check oracle-equivalence: 11/12 cells pass"
+
+
+def test_a_negative_oracle_count_names_its_entry(monkeypatch):
+    # inclusion-exclusion with the sign of every term j >= 2 flipped: most
+    # columns then hold a negative count, which the oracle's constructor
+    # rejects; the cell names the first negative entry, as a differing
+    # nonnegative entry is named by the comparison
+    def flipped(n_vars, d):
+        size = n_vars * (d - 2) + 1
+        base = [comb(m + n_vars - 1, n_vars - 1) for m in range(size)]
+        column = base[:]
+        for j, shift in enumerate(range(d - 1, size, d - 1), start=1):
+            sign = (-1) ** j * comb(n_vars, j) * (-1 if j >= 2 else 1)
+            for m in range(shift, size):
+                column[m] += sign * base[m - shift]
+        return column
+
+    monkeypatch.setattr(jacobian, "bounded_monomial_counts", flipped)
+    cells = run_sweep("oracle-equivalence", 12, 8, jobs=1)
+    failing = [cell.detail for cell in cells if not cell.ok]
+    assert failing
+    assert any(detail.startswith("not effective: entry (p=") for detail in failing)
+    named = re.compile(r"entry \(p=\d+, residue=\d+\)")
+    assert all(named.search(detail) for detail in failing)
 
 
 def test_value_error_in_a_check_is_a_failing_cell(capsys, monkeypatch):

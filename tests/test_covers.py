@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -632,6 +633,24 @@ def test_a_dim_identity_sweep_computes_each_rank_once(monkeypatch):
     # k = 1 reads h_1 only; k >= 2 reads h_{k-1}, h_k and h_{k+1}
     assert set(ranks) == {(d, j) for d in range(3, 9) for j in range(1, 8)}
     assert set(ranks.values()) == {1}
+
+
+def test_a_ks_space_sweep_builds_k_once_per_degree(monkeypatch):
+    # a build of K_{-1/2} is a constructor call made by k_minus_half
+    builds = Counter()
+    init = CMHodgeStructure.__init__
+
+    def counted(self, field, weight, vectors, check_symmetry=True):
+        if sys._getframe(1).f_code.co_name == "k_minus_half":
+            builds[field.d] += 1
+        init(self, field, weight, vectors, check_symmetry)
+
+    monkeypatch.setattr(CMHodgeStructure, "__init__", counted)
+    hodge.k_minus_half.cache_clear()
+    cells = sweeps.run_sweep("ks-space", d_max=9, k_max=7, jobs=1)
+    assert len(cells) == 7 * 7
+    assert all(cell.ok for cell in cells)
+    assert builds == {d: 1 for d in range(3, 10)}
 
 
 def test_verify_builds_one_table_per_cover(table_builds, capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halftwist import hodge
@@ -59,6 +59,15 @@ def test_rejects_non_effective_entries():
         from_table(K4, 1, {(2, 1): 1, (-1, 3): 1})
 
 
+def test_the_effectivity_error_names_the_first_negative_entry():
+    with pytest.raises(MalformedStructureError) as info:
+        CMHodgeStructure(K4, 2, {1: (0, -11, 4), 3: (4, 0, 0)})
+    assert str(info.value) == "not effective: entry (p=1, residue=1) = -11"
+    with pytest.raises(MalformedStructureError) as info:
+        CMHodgeStructure(K4, 1, {1: (0, 0, 1), 3: (1, 0, 0)})
+    assert str(info.value) == "not effective: (0, 0, 1) at residue 1"
+
+
 def test_rejects_residue_keys_outside_the_field():
     # a key is a residue 0..d-1, not any integer congruent to one: 5 would
     # show in `table` while `entry(1, 5)` reads residue 1, and -1 would
@@ -72,6 +81,31 @@ def test_rejects_residue_keys_outside_the_field():
 def test_rejects_asymmetric_tables():
     with pytest.raises(MalformedStructureError):
         CMHodgeStructure(K4, 2, {1: (0, 0, 1)})
+
+
+@pytest.mark.parametrize(
+    "field, weight, vectors",
+    [
+        # the upper partner of residue 1 is present but not the reverse
+        (K5, 1, {1: (0, 1), 4: (0, 1)}),
+        # a missing partner, seen from the lower and from the upper residue
+        (K5, 1, {1: (0, 1)}),
+        (K5, 1, {4: (1, 0)}),
+        # residues 0 and d/2 are their own conjugates
+        (K4, 1, {0: (1, 0)}),
+        (K4, 2, {2: (0, 1, 2)}),
+    ],
+)
+def test_each_conjugate_pair_is_checked(field, weight, vectors):
+    with pytest.raises(MalformedStructureError, match="conjugation symmetry"):
+        CMHodgeStructure(field, weight, vectors)
+    unchecked = CMHodgeStructure(field, weight, vectors, check_symmetry=False)
+    assert not unchecked.is_conjugation_symmetric()
+
+
+def test_self_conjugate_residues_need_palindromes():
+    for vectors in ({0: (1, 1)}, {2: (2, 2)}, {0: (3, 3), 2: (1, 1)}):
+        assert CMHodgeStructure(K4, 1, vectors).is_conjugation_symmetric()
 
 
 def test_zero_entries_are_dropped():
@@ -159,6 +193,11 @@ def test_k_minus_half_d5():
     K = k_minus_half(K5)
     assert K.rank == 4
     assert abelian_summary(K).dim_abelian == 2
+
+
+def test_k_minus_half_is_built_once_per_field():
+    for field in (K3, K4, K5):
+        assert k_minus_half(field) is k_minus_half(field)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +459,24 @@ def test_half_twists_need_unit_support():
 @settings(max_examples=60, deadline=None)
 def test_tensor_rank_multiplicative_random(V):
     assert tensor(V, V).rank == V.rank * V.rank
+
+
+DIMS = st.integers(min_value=0, max_value=30)
+
+
+@given(st.lists(DIMS, min_size=1, max_size=20), st.tuples(DIMS, DIMS))
+@example([4, 0, 7], (0, 3))
+@example([4, 0, 7], (3, 0))
+@example([0, 0], (0, 0))
+@example([5], (2, 9))
+@settings(max_examples=200, deadline=None)
+def test_a_weight_one_factor_convolves_in_one_pass(x, c):
+    # the one-pass route against the general loop, the weight-one factor
+    # on either side
+    x = tuple(x)
+    expected = hodge._convolve_by_slices(x, c)
+    assert hodge._convolve(x, c) == expected
+    assert hodge._convolve(c, x) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,27 @@ def test_the_cli_loads_no_rational_arithmetic():
     assert proc.stdout.split() == []
 
 
+def test_importing_the_cli_fills_no_cache():
+    # every cache fills on first use: a cache filled at import would move
+    # work into start-up, ahead of every command
+    script = (
+        "import halftwist.cli\n"
+        "from halftwist import covers, cyclotomic, hodge, jacobian\n"
+        "caches = (cyclotomic.make_cyclotomic, covers.curve_h1,\n"
+        "          hodge.k_minus_half, jacobian.primitive_middle_rank)\n"
+        "print(*(f.cache_info().currsize for f in caches))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0", "0"]
+
+
 def imported_top_level_names(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
