@@ -12,8 +12,9 @@ every vector, a half twist moves the sigma0 vectors only, tensor
 products convolve and sums add.  Every tensor the covers build has a
 weight-one factor (the Fermat curve's H^1 or K_{-1/2}), and convolving
 with a vector of length 2 takes one pass; longer factors go through
-the general loop, which tier-1 holds the one-pass route to.  Symmetry
-is checked once per conjugate pair {a, -a}, from its lower residue.
+the general loop, which tier-1 compares the one-pass route with.
+Symmetry is checked once per conjugate pair {a, -a}, from its lower
+residue.
 A structure is built from its vectors only; the (p, a) table view
 (`table`, `entry`) and the read-only `vectors` view serve callers
 outside the module.  `k_minus_half` is built once per field.
