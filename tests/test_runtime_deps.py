@@ -16,6 +16,17 @@ import halftwist
 PACKAGE = Path(halftwist.__file__).resolve().parent
 
 
+def run_script(script):
+    """`script` run by a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
+    ))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_verify_leaves_sympy_unimported():
     script = (
         "import contextlib, io, sys\n"
@@ -24,13 +35,7 @@ def test_verify_leaves_sympy_unimported():
         "    code = cli.main(['verify'])\n"
         "print(code, 'sympy' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
 
@@ -43,13 +48,7 @@ def test_the_cli_loads_no_rational_arithmetic():
         "import halftwist.cli\n"
         "print(*sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
 
@@ -64,13 +63,7 @@ def test_importing_the_cli_fills_no_cache():
         "          hodge.k_minus_half, jacobian.primitive_middle_rank)\n"
         "print(*(f.cache_info().currsize for f in caches))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])
-    ))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "0", "0", "0"]
 
