@@ -6,7 +6,6 @@ from .cyclotomic import (
     CyclotomicData,
     InvariantError,
     InvalidDegreeError,
-    all_cm_types,
     make_cyclotomic,
 )
 from .hodge import (
@@ -37,10 +36,8 @@ from .jacobian import (
     count_bounded_monomials,
     cover_variables,
     eigenspace_dims,
-    exact_rank,
     hypersurface_hodge_numbers,
     primitive_middle_rank,
-    shioda_tuple_count,
     sparse_rank,
     torelli_deformation_dimension,
     torelli_differential_rank,

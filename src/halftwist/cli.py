@@ -6,10 +6,14 @@ twisted structure, ``verify`` runs the full claim ledger, and ``sweep``
 runs one registered property over the (d, k) grid.
 
 All parameters are flags; there is no configuration file and no
-environment variable.  Reports go to stdout, diagnostics to stderr.
-Exit codes: 0 all pass (known discrepancies allowed), 1 unexpected
-failure, 2 usage error.  Output is byte-identical across runs and
-across ``--jobs`` settings.
+environment variable.  Each command computes one payload, the JSON
+object (a list for ``verify`` and ``sweep``) of its report, and prints
+nothing; `main` prints it in the form ``--format`` picks: ``json``
+dumps the payload itself, ``table`` hands it to the command's table
+renderer, which reads nothing else.  Reports go to stdout, diagnostics
+to stderr.  Exit codes: 0 all pass (known discrepancies allowed), 1
+unexpected failure, 2 usage error.  Output is byte-identical across
+runs and across ``--jobs`` settings.
 
 Inputs are bounded before any work starts: ``hodge``, ``eigenspaces``
 and ``half-twist`` take 3 <= d <= MAX_D and k <= MAX_K (both 160), with
@@ -26,12 +30,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import claims, covers, hodge, jacobian, sweeps
 from .covers import CoverSpec
-
-FORMATS = ("table", "json")
 
 # Each upper limit is the largest value at which its slowest command
 # takes about 1 s.  The cost of a cover grows fast with d and k together, and
@@ -64,6 +65,10 @@ class UsageError(Exception):
     """Input outside what a command accepts, found before any work starts."""
 
 
+class CheckError(Exception):
+    """A computed table that disagrees with its second route."""
+
+
 def _check_bounds(args) -> None:
     for name, (low, high) in BOUNDS.get(args.command, {}).items():
         value = getattr(args, name)
@@ -74,221 +79,202 @@ def _check_bounds(args) -> None:
             raise UsageError(f"{flag} = {value} is above the limit {high}")
 
 
-def _render_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _print_aligned(rows: list[list[str]]) -> None:
-    if not rows:
-        return
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+def _aligned(rows: list[list]) -> list[str]:
+    cells = [[str(cell) for cell in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in cells
+    ]
 
 
 # ---------------------------------------------------------------------------
 # hodge
 
 
-def _cmd_hodge(args) -> int:
+def _cmd_hodge(args) -> tuple[dict, int]:
     numbers = jacobian.hypersurface_hodge_numbers(args.d, args.k)
-    total = sum(dim for _, dim in numbers)
-    if args.format == "json":
-        payload = {
-            "command": "hodge",
-            "d": args.d,
-            "k": args.k,
-            "hodge_numbers": [[p, args.k - p, dim] for p, dim in numbers],
-            "total": total,
-        }
-        print(_render_json(payload))
-        return 0
-    rows = [["p", "q", "h^{p,q}_0"]]
-    rows += [[str(p), str(args.k - p), str(dim)] for p, dim in numbers]
-    _print_aligned(rows)
-    print(f"total primitive rank: {total}")
-    return 0
+    return {
+        "command": "hodge",
+        "d": args.d,
+        "k": args.k,
+        "hodge_numbers": [[p, args.k - p, dim] for p, dim in numbers],
+        "total": sum(dim for _, dim in numbers),
+    }, 0
+
+
+def _table_hodge(payload) -> list[str]:
+    rows = [["p", "q", "h^{p,q}_0"], *payload["hodge_numbers"]]
+    return _aligned(rows) + [f"total primitive rank: {payload['total']}"]
 
 
 # ---------------------------------------------------------------------------
 # eigenspaces
 
 
-def _cmd_eigenspaces(args) -> int:
+def _cmd_eigenspaces(args) -> tuple[dict, int]:
     d, k = args.d, args.k
     spec = CoverSpec(d, k)
-    dims = {
-        p: [spec.cohomology.entry(p, i) for i in range(1, d)] for p in range(k, -1, -1)
-    }
-    units = set(spec.field.units)
     # two routes: the table's rows count monomials in k + 1 variables,
     # the hodge column in k + 2
     hodge_totals = dict(jacobian.hypersurface_hodge_numbers(d, k))
-    for p, row in dims.items():
-        if sum(row) != hodge_totals[p]:
-            print(
-                f"error: row p={p} of the eigenspace table sums to {sum(row)}, "
-                f"but the Hodge number h^{{{p},{k - p}}}_0 is {hodge_totals[p]}",
-                file=sys.stderr,
+    rows = []
+    for p in range(k, -1, -1):
+        dims = [spec.cohomology.entry(p, i) for i in range(1, d)]
+        if sum(dims) != hodge_totals[p]:
+            raise CheckError(
+                f"row p={p} of the eigenspace table sums to {sum(dims)}, "
+                f"but the Hodge number h^{{{p},{k - p}}}_0 is {hodge_totals[p]}"
             )
-            return 1
-    if args.format == "json":
-        payload = {
-            "command": "eigenspaces",
-            "d": d,
-            "k": k,
-            "units": sorted(units),
-            "rows": [
-                {"p": p, "dims": row, "total": sum(row)} for p, row in dims.items()
-            ],
-            "hodge_totals": [[p, hodge_totals[p]] for p in dims],
-        }
-        print(_render_json(payload))
-        return 0
-    header = ["p\\i"] + [f"{i}{'*' if i in units else ''}" for i in range(1, d)]
-    rows = [header + ["total", "hodge"]]
-    for p, row in dims.items():
-        rows.append([str(p), *map(str, row), str(sum(row)), str(hodge_totals[p])])
-    _print_aligned(rows)
-    print("(* = unit residue; row totals must match the hodge column)")
-    return 0
+        rows.append({"p": p, "dims": dims, "total": sum(dims)})
+    return {
+        "command": "eigenspaces",
+        "d": d,
+        "k": k,
+        "units": sorted(spec.field.units),
+        "rows": rows,
+        "hodge_totals": [[row["p"], hodge_totals[row["p"]]] for row in rows],
+    }, 0
+
+
+def _table_eigenspaces(payload) -> list[str]:
+    units = set(payload["units"])
+    residues = [f"{i}{'*' if i in units else ''}" for i in range(1, payload["d"])]
+    rows = [["p\\i", *residues, "total", "hodge"]]
+    for row, (_, hodge_total) in zip(payload["rows"], payload["hodge_totals"]):
+        rows.append([row["p"], *row["dims"], row["total"], hodge_total])
+    return _aligned(rows) + [
+        "(* = unit residue; row totals must match the hodge column)"
+    ]
 
 
 # ---------------------------------------------------------------------------
 # half-twist
 
 
-def _structure_entries(structure) -> list[list[int]]:
-    return [[p, a, dim] for (p, a), dim in sorted(structure.table.items())]
-
-
-def _cmd_half_twist(args) -> int:
+def _cmd_half_twist(args) -> tuple[dict, int]:
     spec = CoverSpec(args.d, args.k)
     qt = covers.qt_decompose(spec)
     direct = covers.half_twist_exists_direct(spec, tate=args.tate)
     printed = covers.half_twist_exists_printed(spec)
-    derived = covers.half_twist_exists_derived(spec)
     bound_printed = covers.degree_bound_printed(spec)
     bound_direct = covers.half_twist_exists_direct(spec)
     target = covers.full_level_V(spec) if args.tate else covers.primitive_V(spec)
-    twisted = hodge.pos_half_twist(target) if direct else None
-    summary = None
-    if twisted is not None and twisted.weight == 1:
-        summary = hodge.abelian_summary(twisted)
+    twist = abelian = None
+    if direct:
+        twisted = hodge.pos_half_twist(target)
+        twist = [[p, a, dim] for (p, a), dim in sorted(twisted.table.items())]
+        if twisted.weight == 1:
+            summary = hodge.abelian_summary(twisted)
+            signature = sorted(summary.signature.items())
+            abelian = {
+                "dim": summary.dim_abelian,
+                "signature": [[a, list(pair)] for a, pair in signature],
+            }
     flags = []
     if args.tate and printed != direct:
         flags.append("stated criterion disagrees with the direct check")
     if not args.tate and bound_printed != bound_direct:
         flags.append("stated degree bound disagrees with the direct check")
-    if args.format == "json":
-        payload = {
-            "command": "half-twist",
-            "d": args.d,
-            "k": args.k,
-            "tate": args.tate,
-            "q": qt.q,
-            "t": qt.t,
-            "exists_direct": direct,
-            "criterion_printed": printed,
-            "criterion_derived": derived,
-            "corollary_printed": bound_printed,
-            "corollary_direct": bound_direct,
-            "flags": flags,
-            "twist": None if twisted is None else _structure_entries(twisted),
-            "abelian": None
-            if summary is None
-            else {
-                "dim": summary.dim_abelian,
-                "signature": [
-                    [a, list(pair)] for a, pair in sorted(summary.signature.items())
-                ],
-            },
-        }
-        print(_render_json(payload))
-        return 0
-    which = "V(q)" if args.tate else "V"
-    print(f"d={args.d} k={args.k}: k = {qt.q}*{args.d} + {qt.t}")
-    lines = [
-        (f"half twist of {which} (direct check)", str(direct).lower()),
-        ("stated criterion for V(q)", str(printed).lower()),
-        ("derived criterion for V(q)", str(derived).lower()),
-        (
-            "degree bound for V (stated/direct)",
-            f"{str(bound_printed).lower()}/{str(bound_direct).lower()}",
-        ),
+    return {
+        "command": "half-twist",
+        "d": args.d,
+        "k": args.k,
+        "tate": args.tate,
+        "q": qt.q,
+        "t": qt.t,
+        "exists_direct": direct,
+        "criterion_printed": printed,
+        "criterion_derived": covers.half_twist_exists_derived(spec),
+        "corollary_printed": bound_printed,
+        "corollary_direct": bound_direct,
+        "flags": flags,
+        "twist": twist,
+        "abelian": abelian,
+    }, 0
+
+
+def _table_half_twist(payload) -> list[str]:
+    d, k, twist = payload["d"], payload["k"], payload["twist"]
+    which = "V(q)" if payload["tate"] else "V"
+    printed, direct = payload["corollary_printed"], payload["corollary_direct"]
+    labelled = [
+        (f"half twist of {which} (direct check)", payload["exists_direct"]),
+        ("stated criterion for V(q)", payload["criterion_printed"]),
+        ("derived criterion for V(q)", payload["criterion_derived"]),
+        ("degree bound for V (stated/direct)", f"{printed}/{direct}"),
     ]
-    width = max(len(label) for label, _ in lines)
-    for label, value in lines:
-        print(f"{label.ljust(width)}  {value}")
-    for flag in flags:
-        print(f"flagged: {flag}")
-    if twisted is not None:
-        print(f"twisted structure: weight {twisted.weight}, rank {twisted.rank}")
-        rows = [["p", "residue", "dim"]]
-        rows += [[str(p), str(a), str(dim)] for p, a, dim in _structure_entries(twisted)]
-        _print_aligned(rows)
-        if summary is not None:
+    width = max(len(label) for label, _ in labelled)
+    lines = [f"d={d} k={k}: k = {payload['q']}*{d} + {payload['t']}"]
+    lines += [f"{label.ljust(width)}  {str(v).lower()}" for label, v in labelled]
+    lines += [f"flagged: {flag}" for flag in payload["flags"]]
+    if twist is not None:
+        # conjugation symmetry pairs index p with weight - p, so the lowest
+        # and highest Hodge index of a nonzero entry sum to the weight
+        indices = [p for p, _, _ in twist]
+        weight, rank = min(indices) + max(indices), sum(dim for _, _, dim in twist)
+        lines.append(f"twisted structure: weight {weight}, rank {rank}")
+        lines += _aligned([["p", "residue", "dim"], *twist])
+        abelian = payload["abelian"]
+        if abelian is not None:
             sig = ", ".join(
-                f"sigma_{a}: ({m}, {mbar})"
-                for a, (m, mbar) in sorted(summary.signature.items())
+                f"sigma_{a}: ({m}, {mbar})" for a, (m, mbar) in abelian["signature"]
             )
-            print(f"abelian variety: dim {summary.dim_abelian}; type {sig}")
-    return 0
+            lines.append(f"abelian variety: dim {abelian['dim']}; type {sig}")
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[list, int]:
     reports = claims.run_verification(args.section)
     if not reports:
         raise UsageError("no claims match the requested section")
-    if args.format == "json":
-        print(_render_json([r.to_dict() for r in reports]))
-    else:
-        rows = [["status", "claim", "location", "expected", "computed"]]
-        for r in reports:
-            rows.append(
-                [
-                    r.status,
-                    r.claim_id,
-                    r.location,
-                    json.dumps(r.expected, sort_keys=True),
-                    json.dumps(r.computed, sort_keys=True),
-                ]
-            )
-        _print_aligned(rows)
-        passed = sum(r.status == claims.STATUS_PASS for r in reports)
-        known = sum(r.status == claims.STATUS_KNOWN for r in reports)
-        failed = sum(r.status == claims.STATUS_FAIL for r in reports)
-        print(
-            f"{len(reports)} claims: {passed} pass, {known} known discrepancies, "
-            f"{failed} failures"
-        )
-    return claims.exit_code(reports)
+    return [r.to_dict() for r in reports], claims.exit_code(reports)
+
+
+def _table_verify(payload) -> list[str]:
+    rows = [["status", "claim", "location", "expected", "computed"]]
+    rows += [
+        [
+            r["status"],
+            r["claim_id"],
+            r["location"],
+            json.dumps(r["expected"]["value"], sort_keys=True),
+            json.dumps(r["computed"], sort_keys=True),
+        ]
+        for r in payload
+    ]
+    statuses = [r["status"] for r in payload]
+    return _aligned(rows) + [
+        f"{len(payload)} claims: {statuses.count(claims.STATUS_PASS)} pass, "
+        f"{statuses.count(claims.STATUS_KNOWN)} known discrepancies, "
+        f"{statuses.count(claims.STATUS_FAIL)} failures"
+    ]
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[list, int]:
     cells = sweeps.run_sweep(
         args.check, d_max=args.d_max, k_max=args.k_max, jobs=args.jobs
     )
-    if args.format == "json":
-        print(_render_json([asdict(c) for c in cells]))
-    else:
-        rows = [["d", "k", "status", "detail"]]
-        for c in cells:
-            rows.append([str(c.d), str(c.k), "pass" if c.ok else "FAIL", c.detail])
-        _print_aligned(rows)
-        bad = sum(not c.ok for c in cells)
-        print(
-            f"check {args.check}: {len(cells) - bad}/{len(cells)} cells pass"
-        )
-    return 1 if any(not c.ok for c in cells) else 0
+    return [dict(vars(c)) for c in cells], 1 if any(not c.ok for c in cells) else 0
+
+
+def _table_sweep(payload) -> list[str]:
+    rows = [["d", "k", "status", "detail"]]
+    for c in payload:
+        rows.append([c["d"], c["k"], "pass" if c["ok"] else "FAIL", c["detail"]])
+    passed = sum(c["ok"] for c in payload)
+    # the grid is never empty, so the first cell names the check
+    return _aligned(rows) + [
+        f"check {payload[0]['check']}: {passed}/{len(payload)} cells pass"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -304,74 +290,57 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_hodge = sub.add_parser(
-        "hodge", help="primitive Hodge numbers of a degree-d k-fold"
-    )
-    p_hodge.add_argument("d", type=int, help=f"degree, at most {MAX_D}")
-    p_hodge.add_argument("k", type=int, help=f"dimension, at most {MAX_K}")
-    p_hodge.add_argument("--format", choices=FORMATS, default="table")
-    p_hodge.set_defaults(func=_cmd_hodge)
-
-    p_eig = sub.add_parser(
-        "eigenspaces", help="full (p, eigenvalue) dimension matrix of a cover"
-    )
-    p_eig.add_argument("d", type=int, help=f"degree, at most {MAX_D}")
-    p_eig.add_argument("k", type=int, help=f"dimension, at most {MAX_K}")
-    p_eig.add_argument("--format", choices=FORMATS, default="table")
-    p_eig.set_defaults(func=_cmd_eigenspaces)
-
-    p_half = sub.add_parser(
-        "half-twist", help="existence predicates and the twisted structure"
-    )
-    p_half.add_argument("d", type=int, help=f"degree, at most {MAX_D}")
-    p_half.add_argument("k", type=int, help=f"dimension, at most {MAX_K}")
-    p_half.add_argument(
-        "--tate",
-        action="store_true",
+    commands = {}
+    for name, help_text, run, table in (
+        ("hodge", "primitive Hodge numbers of a degree-d k-fold",
+         _cmd_hodge, _table_hodge),
+        ("eigenspaces", "full (p, eigenvalue) dimension matrix of a cover",
+         _cmd_eigenspaces, _table_eigenspaces),
+        ("half-twist", "existence predicates and the twisted structure",
+         _cmd_half_twist, _table_half_twist),
+        ("verify", "recompute every recorded claim and report pass/fail",
+         _cmd_verify, _table_verify),
+        ("sweep", "run one registered property over the (d, k) grid",
+         _cmd_sweep, _table_sweep),
+    ):
+        command = commands[name] = sub.add_parser(name, help=help_text)
+        command.set_defaults(run=run, table=table)
+        if "d" in BOUNDS.get(name, {}):  # a command on one cover
+            command.add_argument("d", type=int, help=f"degree, at most {MAX_D}")
+            command.add_argument("k", type=int, help=f"dimension, at most {MAX_K}")
+    commands["half-twist"].add_argument(
+        "--tate", action="store_true",
         help="twist V(q) (full level) instead of V itself",
     )
-    p_half.add_argument("--format", choices=FORMATS, default="table")
-    p_half.set_defaults(func=_cmd_half_twist)
-
-    p_verify = sub.add_parser(
-        "verify", help="recompute every recorded claim and report pass/fail"
-    )
-    p_verify.add_argument(
+    commands["verify"].add_argument(
         "--section",
         default=None,
         help="restrict to a source section prefix (e.g. 6, 4.2) or a suite "
         "tag (e.g. kondo, thm2.6)",
     )
-    p_verify.add_argument("--format", choices=FORMATS, default="table")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="run one registered property over the (d, k) grid"
-    )
+    p_sweep = commands["sweep"]
     p_sweep.add_argument("--check", required=True, choices=sorted(sweeps.CHECKS))
-    p_sweep.add_argument(
-        "--d-max", type=int, default=9, help=f"at most {SWEEP_MAX_D}"
-    )
-    p_sweep.add_argument(
-        "--k-max", type=int, default=7, help=f"at most {SWEEP_MAX_K}"
-    )
+    p_sweep.add_argument("--d-max", type=int, default=9, help=f"at most {SWEEP_MAX_D}")
+    p_sweep.add_argument("--k-max", type=int, default=7, help=f"at most {SWEEP_MAX_K}")
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--format", choices=FORMATS, default="table")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
+    for command in commands.values():
+        command.add_argument("--format", choices=("table", "json"), default="table")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_bounds(args)
-        return args.func(args)
-    except UsageError as exc:
+        payload, code = args.run(args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print("\n".join(args.table(payload)))
+        return code
+    except (UsageError, CheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, UsageError) else 1
     except Exception as exc:  # a defect, reported as an unexpected failure
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -145,10 +145,11 @@ def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
     the series is built in one pass, the numerator's k + 2 signed
     binomials at the multiples of d - 1, then one prefix-sum pass for
     each of the k + 1 factors 1 / (1 - t), and sliced by
-    `residue_vectors`.
+    `residue_vectors`.  k = 0 gives the d - 1 one-dimensional
+    eigenspaces, all at p = 0, of the reduced H^0 of d points.
     """
-    if d < 3 or k < 1:
-        raise ValueError(f"need d >= 3 and k >= 1, got ({d}, {k})")
+    if d < 3 or k < 0:
+        raise ValueError(f"need d >= 3 and k >= 0, got ({d}, {k})")
     size = (k + 1) * (d - 2) + 1  # the series has degree (k+1)(d-2)
     series = [0] * size
     for j, m in enumerate(range(0, size, d - 1)):

@@ -77,6 +77,23 @@ def test_eigenspaces_row_sums_match_hodge(capsys):
         assert row["total"] == totals[row["p"]]
 
 
+@pytest.mark.parametrize("d", range(3, 12))
+def test_eigenspaces_of_d_points(capsys, d):
+    # k = 0: the reduced H^0 of d points, one line per nontrivial residue
+    assert jacobian.eigenspace_dims(d, 0) == {i: [1] for i in range(1, d)}
+    with pytest.raises(ValueError):
+        jacobian.eigenspace_dims(d, -1)
+    code, out, err = run_cli(capsys, "eigenspaces", str(d), "0")
+    assert (code, err) == (0, "")
+    row = ["0", *["1"] * (d - 1), str(d - 1), str(d - 1)]  # p, dims, total, hodge
+    assert out.splitlines()[1].split() == row
+    code, out, err = run_cli(capsys, "eigenspaces", str(d), "0", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["rows"] == [{"p": 0, "dims": [1] * (d - 1), "total": d - 1}]
+    assert payload["hodge_totals"] == [[0, d - 1]]
+
+
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_eigenspaces_fails_when_a_row_total_misses_its_hodge_number(
     capsys, monkeypatch, fmt

@@ -1,5 +1,6 @@
 """Byte-for-byte output of the table commands: `hodge`, `eigenspaces`,
-`half-twist` and `half-twist --tate`, each in both formats.
+`half-twist` and `half-twist --tate`, each in both formats; and each
+table as a rendering of the JSON payload of the same command.
 
 tests/golden/cli.txt holds every command's exit code and full stdout on
 a few small covers, and the sha256 digest of the stdout at the input
@@ -13,7 +14,10 @@ change of output, capture the file again with
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
+
+import pytest
 
 from halftwist import cli
 
@@ -54,6 +58,21 @@ def test_cli_output_matches_golden_file():
     assert len(actual) == len(expected), (
         f"{GOLDEN.name} has {len(expected)} lines, the commands print {len(actual)}"
     )
+
+
+RENDERED = [
+    [command[0], str(d), str(k), *command[1:]] for d, k in CELLS for command in COMMANDS
+] + [["verify"], ["sweep", "--check", "ks-space"]]
+
+
+@pytest.mark.parametrize("argv", RENDERED, ids=" ".join)
+def test_each_table_renders_the_json_payload(argv):
+    # the table renderer sees only what --format json prints
+    code, table = run([*argv, "--format", "table"])
+    json_code, text = run([*argv, "--format", "json"])
+    assert code == json_code == 0
+    table_of = cli.build_parser().parse_args(argv).table
+    assert "\n".join(table_of(json.loads(text))) + "\n" == table
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ name listed there still resolves, so a refactor that drops or renames
 one of them fails here rather than in a traced benchmark run.
 
 The same list is the one allowance of the unused-code scan below: a
-public function or class of the package that no module of the package
-refers to is dead code, unless the tracer times it.  A second scan
-finds unused options: a defaulted parameter that no call in the package
-or in bench/*.py ever passes only serves the tests."""
+top-level function or class of the package, public or private, that no
+module of the package refers to is dead code, unless the tracer times
+it.  A second scan finds unused options: a defaulted parameter that no
+call in the package or in bench/*.py ever passes only serves the
+tests."""
 
 import ast
 import importlib
@@ -43,7 +44,7 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_every_public_definition_is_referenced_or_traced():
+def test_every_definition_is_referenced_or_traced():
     # __init__.py only re-exports, so its imports are not references
     trees = [
         ast.parse(path.read_text())
@@ -51,13 +52,13 @@ def test_every_public_definition_is_referenced_or_traced():
         if path.name != "__init__.py"
     ]
     assert trees
-    public = {
+    defined = {
         node.name
         for tree in trees
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
     }
+    assert {"_run_row", "build_W"} <= defined
     referenced = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
@@ -65,7 +66,7 @@ def test_every_public_definition_is_referenced_or_traced():
         if isinstance(node, (ast.Name, ast.Attribute))
     }
     traced = {attr for _, attr in tracer_targets()}
-    assert public - referenced - traced == set()
+    assert defined - referenced - traced == set()
 
 
 def defaulted_parameters(tree):
