@@ -34,18 +34,18 @@ import sys
 from . import claims, covers, hodge, jacobian, sweeps
 from .covers import CoverSpec
 
-# Each upper limit is the largest value at which its slowest command
-# takes about 1 s.  The cost of a cover grows fast with d and k together, and
-# of a sweep with its grid: on a 2-core machine (whole-process medians
-# of 5 runs) `eigenspaces 160 160` takes 0.92 s (1.13 s at 176),
-# `half-twist 160 160 --tate` 0.44-0.55 s and `hodge 160 160` 0.38-0.46 s.
+# Each upper limit was set at the largest value at which its slowest
+# command took about 1 s.  The cost of a cover grows fast with d and k
+# together, and of a sweep with its grid: on a 2-core machine where
+# `python3 -c pass` takes 0.07 s (whole-process medians of 5 runs)
+# `eigenspaces 160 160` takes 0.6-0.7 s (0.87 s at 176),
+# `half-twist 160 160 --tate` 0.29 s and `hodge 160 160` 0.27-0.36 s.
 # At the grid limit, --d-max 50 --k-max 25, sweeps walk each degree's
-# tower of covers and `oracle-equivalence` is the slowest, at 1.03 s
-# (1.29 s one step up, at 52 x 26), since its oracle builds each
-# table's inclusion-exclusion column; `z-checksum` takes 0.66 s,
-# `ks-space` 0.65 s, `w-rank` 0.54 s, `round-trip` 0.50 s and every
-# other check 0.33 s or less (medians of 9 interleaved runs, on a host
-# where `python3 -c pass` took 0.06 s).
+# tower of covers and `oracle-equivalence` is the slowest, at 0.81 s
+# (1.03 s one step up, at 52 x 26), since its oracle builds each
+# table's inclusion-exclusion column; `z-checksum` takes 0.58 s,
+# `ks-space` 0.54 s, `round-trip` 0.45 s, `w-rank` 0.37 s and every
+# other check 0.32 s or less (medians of 9 interleaved runs).
 MAX_D = MAX_K = 160
 SWEEP_MAX_D, SWEEP_MAX_K = 50, 25
 # The (lowest, highest) value of each numeric argument, per command; None

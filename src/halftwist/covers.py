@@ -18,29 +18,34 @@ the Jacobian of the quartic threefold) is a list of summand ranks with
 multiplicities folded in.  It is returned only after it is checked
 against another route; a mismatch is a ValueError naming the
 decomposition.  The tower and the Jacobian check their sum against a
-total computed independently; the quartic split checks the full
-residue-graded tables, which fixes the ranks too.
+total computed independently, and the tower checks every Hodge number
+of the next cover as well, against the Jacobian-ring counts; the
+quartic split checks the full residue-graded tables, which fixes the
+ranks too.
 
-A `CoverSpec` owns its Hodge data: the eigenspace table, one Hodge
-vector per residue, is built once per spec, on first use, and every
-predicate and structure here reads that one table through
-`spec.cohomology` and `primitive_V`.  A spec made by `tower` carries
-its table's generating series, one step along its row from the
-previous level's, and slices it on first use; any other spec builds
-its table directly.  The (q, t) normal form is cached on the spec as
-well (`qt_decompose` reads `spec.normal_form`), so its check against
-the table runs once per spec however many predicates ask for it.
+A `CoverSpec` owns its Hodge data: the eigenspace table, one flat
+p-major list over the residues 1..d-1 (`hodge.CMHodgeStructure`), is
+built once per spec, on first use, and every predicate and structure
+here reads that one table through `spec.cohomology` and `primitive_V`.
+A spec made by `tower` carries its table's generating series, one step
+along its row from the previous level's, and reads its table off it on
+first use (`jacobian.residue_vectors`: the series reversed with every
+d-th entry deleted); any other spec builds its table directly.  The
+(q, t) normal form is cached on the spec as well (`qt_decompose` reads
+`spec.normal_form`), so its check against the table runs once per spec
+however many predicates ask for it.
 There is no cache of tables across specs, so a table and its normal
 form are freed with their spec.  The exceptions are small: `curve_h1`,
-the Fermat-curve table that `build_W` tensors with, which holds at
-most d - 1 vectors of length 2, cached per degree; K_{-1/2}, the
-weight-one structure that `ks_invariant_space` and `quartic_W_split`
-tensor with, of phi(d) vectors of length 2, cached per field by
-`hodge.k_minus_half`; the field itself, since `make_cyclotomic` builds
-one frozen `CyclotomicData` per degree; the series a `tower` generator
-holds for its next step; and the primitive ranks of
-`jacobian.primitive_middle_rank`, one int per (d, k).  Every one of
-these caches fills on first use, none at import.
+the Fermat-curve table that `build_W` tensors with, of 2(d - 1)
+entries, cached per degree; K_{-1/2}, the weight-one structure that
+`ks_invariant_space` and `quartic_W_split` tensor with, also of
+2(d - 1) entries, cached per field by `hodge.k_minus_half`; the field
+itself with its masks, since `make_cyclotomic` builds one frozen
+`CyclotomicData` per degree; the series a `tower` generator holds for
+its next step; and the primitive Hodge numbers of
+`jacobian.primitive_hodge_column`, k + 1 ints per (d, k), which the
+primitive ranks and the graded check of `z_decomposition` read.  Every
+one of these caches fills on first use, none at import.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ from .jacobian import (
     UnsupportedCaseError,
     eigenspace_dims,
     hypersurface_hodge_numbers,
+    primitive_hodge_column,
     primitive_middle_rank,
     residue_vectors,
     tower_series,
@@ -115,7 +121,7 @@ class CoverSpec:
         if self.series is None:
             vectors = eigenspace_dims(d, k)
         else:
-            vectors = residue_vectors(self.series, d, k)
+            vectors = residue_vectors(self.series, d, k), []
         return CMHodgeStructure(self.field, k, vectors)
 
     @cached_property
@@ -329,13 +335,27 @@ def _checked_ranks(label: str, ranks: list[int], expected: int) -> list[int]:
 def z_decomposition(spec: CoverSpec) -> list[int]:
     """Middle primitive cohomology of the next cover in the tower:
     d-1 Tate-twisted copies of the branch locus middle cohomology, then
-    W, checked against the Euler-recursion rank one level up."""
+    W, checked against the Euler-recursion rank one level up, and then
+    Hodge number by Hodge number against the Jacobian-ring counts of
+    both covers: h^p(Z_{k+1}) = (d-1) h^{p-1}(Z_{k-1}) + h^p(W) for
+    p = 0..k+1.  A failure names the first p."""
     d, k = spec.d, spec.k
-    return _checked_ranks(
-        f"H^{k + 1}_0(Z_{k + 1}) for d={d}",
-        [(d - 1) * primitive_middle_rank(d, k - 1), build_W(spec).rank],
+    label = f"H^{k + 1}_0(Z_{k + 1}) for d={d}"
+    W = build_W(spec)
+    ranks = _checked_ranks(
+        label,
+        [(d - 1) * primitive_middle_rank(d, k - 1), W.rank],
         euler_recursion_rank(CoverSpec(d, k + 1)),
     )
+    lower, in_W = primitive_hodge_column(d, k - 1), W.hodge_numbers()
+    for p, total in enumerate(primitive_hodge_column(d, k + 1)):
+        twisted = (d - 1) * lower[p - 1] if 1 <= p <= k else 0
+        if total != twisted + in_W.get(p, 0):
+            raise ValueError(
+                f"{label}: h^{p} = {total} != "
+                f"{twisted} (twisted copies) + {in_W.get(p, 0)} (W)"
+            )
+    return ranks
 
 
 def quartic_W_split(spec: CoverSpec) -> list[int]:

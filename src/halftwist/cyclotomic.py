@@ -28,11 +28,18 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class CyclotomicData:
-    """The degree d, its unit group (ascending) and the CM-type sigma0."""
+    """The degree d, its unit group (ascending), the CM-type sigma0, and
+    for the rows of a flat Hodge table (`hodge.CMHodgeStructure`), which
+    run over the residues 1..d-1: sigma0 as a mask (entry a - 1 is 1
+    when a is in sigma0, else 0), its complement, and the non-units
+    among 1..d-1 (ascending)."""
 
     d: int
     units: tuple[int, ...]
     sigma0: frozenset[int]
+    sigma0_mask: tuple[int, ...]
+    other_mask: tuple[int, ...]
+    nonunits: tuple[int, ...]
 
     def is_unit(self, a: int) -> bool:
         return 0 < a % self.d and gcd(a, self.d) == 1
@@ -51,7 +58,10 @@ def make_cyclotomic(d: int) -> CyclotomicData:
     sigma0 = frozenset(a for a in units if 2 * a < d)
     if len(sigma0) * 2 != len(units):
         raise InvariantError(f"CM-type of d={d} misses a conjugate pair")
-    return CyclotomicData(d=d, units=units, sigma0=sigma0)
+    sigma0_mask = tuple(int(a in sigma0) for a in range(1, d))
+    other_mask = tuple(1 - x for x in sigma0_mask)
+    nonunits = tuple(a for a in range(1, d) if a not in units)
+    return CyclotomicData(d, units, sigma0, sigma0_mask, other_mask, nonunits)
 
 
 def conjugate_residue(field: CyclotomicData, a: int) -> int:

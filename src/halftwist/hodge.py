@@ -1,22 +1,29 @@
 """The half-twist calculus on CM-graded Hodge structures.
 
-A structure of weight w with an action of the d-th cyclotomic field is
+A structure of weight w with an action of the d-th cyclotomic field has
 one Hodge vector per residue a mod d, (h^{0,w}_a, ..., h^{w,0}_a): entry
 p is the dimension of the subspace of bidegree (p, w - p) on which the
 order-d automorphism acts through the a-th embedding.  Tensoring may
 give non-unit residues (including 0); a cyclic cover gives units only.
 
-Every operation is exact and acts on whole vectors: conjugation
-symmetry puts the reversed vector at -a, a Tate twist slices or pads
-every vector, a half twist moves the sigma0 vectors only, tensor
-products convolve and sums add.  Every tensor the covers build has a
-weight-one factor (the Fermat curve's H^1 or K_{-1/2}), and convolving
-with a vector of length 2 takes one pass; longer factors go through
-the general loop, which tier-1 compares the one-pass route with.
-Symmetry is checked once per conjugate pair {a, -a}, from its lower
-residue.
-A structure is built from its vectors only; the (p, a) table view
-(`table`, `entry`) and the read-only `vectors` view serve callers
+A structure is stored as one flat p-major list over the residues
+1..d-1, entry (p, a) at p(d - 1) + a - 1, and residue 0's vector on its
+own.  Conjugation, (p, a) -> (w - p, -a), takes the index
+p(d - 1) + a - 1 to (w - p)(d - 1) + (d - a) - 1, and the two add up to
+the last index: conjugation is the reversal of the list, and symmetry
+is `rows == rows[::-1]`.  Every operation is exact and acts on whole
+lists: effectivity is one `min`, a Tate twist slices or pads d - 1
+entries per Hodge index, a half twist moves the columns (one residue's
+vector each) that the field's sigma0 mask picks by one row,
+`tensor_invariants` adds one shifted copy of the left rows per Hodge
+index of the right factor, times that row of coefficients (two copies
+for the weight-one factors of every tensor the covers build: the
+Fermat curve's H^1 and K_{-1/2}), restriction keeps columns, Hodge
+numbers are row sums and a direct sum adds the lists.  Only the
+general `tensor`, whose residues add, works one residue vector at a
+time.  Every construction goes through the constructor and its one
+validation, given residue vectors or the flat pair; the (p, a) table
+view (`table`, `entry`) and the read-only `vectors` view serve callers
 outside the module.  `k_minus_half` is built once per field.
 
 The positive half twist exists exactly when the top Hodge piece is
@@ -34,15 +41,18 @@ walk instead of twisting again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, product, repeat
+from functools import cache, partial, reduce
+from itertools import chain, compress, cycle, product, repeat
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .cyclotomic import CyclotomicData, InvariantError, conjugate_residue
 
 Vector = tuple[int, ...]  # entry p: the dimension at Hodge index p
+# (rows, zero): rows p-major over residues 1..d-1, entry (p, a) at
+# p(d - 1) + a - 1; zero the vector of residue 0, [] when it vanishes
+Flat = tuple[list[int], list[int]]
 
 
 class EmptyStructureError(ValueError):
@@ -70,98 +80,147 @@ class MalformedStructureError(ValueError):
 
 
 class CMHodgeStructure:
-    """Hodge vectors {a: (h^{0,w}_a, ..., h^{w,0}_a)}, all-zero ones
-    dropped, of an effective weight-w structure with residue grading.
+    """An effective weight-w structure with residue grading, stored flat:
+    `_rows` holds h^{p,w-p}_a at p(d - 1) + a - 1 for a = 1..d-1, so
+    each Hodge index is one row of d - 1 entries and conjugation,
+    (p, a) -> (w - p, -a), is the reversal of the list; `_zero` holds
+    residue 0's vector, or [] when it vanishes.
 
-    Built from `vectors` of length w + 1 keyed by residues 0..d-1; a key
-    outside that range, a vector of another length, a negative dimension
-    and, unless check_symmetry is False, a break of conjugation symmetry
-    raise MalformedStructureError.  Equality is exact equality of
-    (d, weight, vectors), with no isogeny coarsening."""
+    Built from `vectors`: residue vectors of length w + 1 keyed by
+    0..d-1, or the flat pair (rows, zero).  A key outside that range, a
+    vector of another length, a negative dimension and, unless
+    check_symmetry is False, a break of conjugation symmetry raise
+    MalformedStructureError.  Equality is exact equality of
+    (d, weight, table), with no isogeny coarsening."""
 
     def __init__(
         self,
         field: CyclotomicData,
         weight: int,
-        vectors: Mapping[int, Sequence[int]],
+        vectors: Union[Mapping[int, Sequence[int]], Flat],
         check_symmetry: bool = True,
     ):
         if weight < 0:
             raise MalformedStructureError(f"weight must be >= 0, got {weight}")
-        self.field, self.weight, self._vectors = field, weight, {}
-        for a, vec in vectors.items():
-            if not 0 <= a < field.d:
-                raise MalformedStructureError(f"residue {a} outside 0..{field.d - 1}")
-            if len(vec) != weight + 1 or min(vec) < 0:
-                raise MalformedStructureError(_not_effective(vec, a, weight))
-            if any(vec):
-                self._vectors[a] = tuple(vec)
+        self.field, self.weight = field, weight
+        if isinstance(vectors, tuple):
+            rows, zero = vectors
+            order: Iterable[int] = range(field.d)
+        else:
+            rows, zero = _flattened(field.d, weight, vectors)
+            order = vectors
+        self._rows, self._zero = rows, zero if any(zero) else []
+        if (
+            len(rows) != (weight + 1) * (field.d - 1)
+            or min(rows) < 0
+            or self._zero and (len(zero) != weight + 1 or min(zero) < 0)
+        ):
+            raise MalformedStructureError(self._not_effective(order))
         if check_symmetry and not self.is_conjugation_symmetric():
             raise MalformedStructureError("table breaks conjugation symmetry")
 
+    def _not_effective(self, order: Iterable[int]) -> str:
+        """Why the stored lists are rejected: their sizes when those are
+        wrong, else the first negative entry of the first residue in
+        `order` that has one."""
+        rows, zero, w = self._rows, self._zero, self.weight
+        if len(rows) != (w + 1) * (self.field.d - 1) or zero and len(zero) != w + 1:
+            return f"not effective: {len(rows)} and {len(zero)} entries for weight {w}"
+        a, p, x = next(
+            (a, p, x) for a in order for p, x in enumerate(self._vector(a)) if x < 0
+        )
+        return f"not effective: entry (p={p}, residue={a}) = {x}"
+
+    def _vector(self, a: int) -> Vector:
+        if a:
+            return tuple(self._rows[a - 1::self.field.d - 1])
+        return tuple(self._zero) or (0,) * (self.weight + 1)
+
+    def _residue_vectors(self) -> Iterator[tuple[int, Vector]]:
+        """(a, vector) for every residue with a nonzero vector, ascending."""
+        vectors = map(self._vector, range(self.field.d))
+        return ((a, vec) for a, vec in enumerate(vectors) if any(vec))
+
+    def _columns(self) -> list[int]:
+        """h^{p, w-p} summed over all residues, for p = 0..w: row sums."""
+        sums = map(sum, zip(*[iter(self._rows)] * (self.field.d - 1)))
+        return list(map(add, sums, self._zero or repeat(0)))
+
     @property
     def table(self) -> dict[tuple[int, int], int]:
-        vectors = self._vectors.items()
+        vectors = self._residue_vectors()
         return {(p, a): x for a, vec in vectors for p, x in enumerate(vec) if x}
 
     @property
     def vectors(self) -> Mapping[int, Vector]:
-        return MappingProxyType(self._vectors)
+        return MappingProxyType(dict(self._residue_vectors()))
 
     @property
     def rank(self) -> int:
-        return sum(map(sum, self._vectors.values()))
+        return sum(self._rows) + sum(self._zero)
 
     def entry(self, p: int, a: int) -> int:
-        vec = self._vectors.get(a % self.field.d)
-        return vec[p] if vec is not None and 0 <= p <= self.weight else 0
+        a %= self.field.d
+        if not 0 <= p <= self.weight:
+            return 0
+        if a:
+            return self._rows[p * (self.field.d - 1) + a - 1]
+        return self._zero[p] if self._zero else 0
 
     def residues(self) -> frozenset[int]:
-        return frozenset(self._vectors)
+        return frozenset(a for a, _ in self._residue_vectors())
 
     def hodge_numbers(self) -> dict[int, int]:
         """Residue-blind Hodge numbers p -> h^{p, weight-p}, nonzero only."""
-        columns = map(sum, zip(*self._vectors.values()))
-        return {p: dim for p, dim in enumerate(columns) if dim}
+        return {p: dim for p, dim in enumerate(self._columns()) if dim}
 
     def is_conjugation_symmetric(self) -> bool:
-        # each conjugate pair {a, d - a} is compared once, from its lower
-        # residue (0 and d/2 with their own reverse); an upper residue
-        # needs only its partner to be present
-        vectors, d = self._vectors, self.field.d
-        return all(
-            vectors.get(-a % d) == vec[::-1] if 2 * a <= d else d - a in vectors
-            for a, vec in vectors.items()
-        )
+        # (p, a) and its conjugate (w - p, -a) sit at mirrored indices of
+        # the rows; residue 0 is its own conjugate
+        rows, zero = self._rows, self._zero
+        return rows == rows[::-1] and zero == zero[::-1]
 
     def restrict_residues(self, residues: Iterable[int]) -> "CMHodgeStructure":
-        keep = {a % self.field.d for a in residues}
+        d, width = self.field.d, self.field.d - 1
+        keep = {a % d for a in residues}
         symmetric = all(conjugate_residue(self.field, a) in keep for a in keep)
-        vectors = {a: vec for a, vec in self._vectors.items() if a in keep}
-        return CMHodgeStructure(self.field, self.weight, vectors, symmetric)
+        rows = [0] * len(self._rows)
+        for a in keep - {0}:
+            rows[a - 1::width] = self._rows[a - 1::width]
+        zero = self._zero if 0 in keep else []
+        return CMHodgeStructure(self.field, self.weight, (rows, zero), symmetric)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CMHodgeStructure):
             return NotImplemented
-        return (self.field.d, self.weight, self._vectors) == (
-            other.field.d, other.weight, other._vectors
+        return (self.field.d, self.weight, self._rows, self._zero) == (
+            other.field.d, other.weight, other._rows, other._zero
         )
 
     def __hash__(self):
-        return hash((self.field.d, self.weight, frozenset(self._vectors.items())))
+        rows, zero = tuple(self._rows), tuple(self._zero)
+        return hash((self.field.d, self.weight, rows, zero))
 
     def __repr__(self) -> str:
         d, w = self.field.d, self.weight
         return f"CMHodgeStructure(d={d}, weight={w}, rank={self.rank})"
 
 
-def _not_effective(vec: Sequence[int], a: int, weight: int) -> str:
-    """Why the vector at residue a is rejected: the whole vector when
-    its length is wrong, else its first negative entry."""
-    if len(vec) != weight + 1:
-        return f"not effective: {vec} at residue {a}"
-    p = next(p for p, x in enumerate(vec) if x < 0)
-    return f"not effective: entry (p={p}, residue={a}) = {vec[p]}"
+def _flattened(d: int, weight: int, vectors: Mapping[int, Sequence[int]]) -> Flat:
+    """The flat pair of residue vectors keyed by 0..d-1; a key outside
+    that range or a vector of another length than weight + 1 is a
+    MalformedStructureError naming it."""
+    rows, zero = [0] * ((weight + 1) * (d - 1)), []
+    for a, vec in vectors.items():
+        if not 0 <= a < d:
+            raise MalformedStructureError(f"residue {a} outside 0..{d - 1}")
+        if len(vec) != weight + 1:
+            raise MalformedStructureError(f"not effective: {vec} at residue {a}")
+        if a:
+            rows[a - 1::d - 1] = vec
+        else:
+            zero = list(vec)
+    return rows, zero
 
 
 def _summed(pairs: Iterable[tuple[int, Sequence[int]]]) -> dict[int, list[int]]:
@@ -172,20 +231,37 @@ def _summed(pairs: Iterable[tuple[int, Sequence[int]]]) -> dict[int, list[int]]:
     return out
 
 
-def _trimmed(vec: Vector, low: int, high: int) -> Vector:
-    """`vec` cut by `low` entries at the bottom and `high` at the top, a
-    negative count padding zeros instead; a cut nonzero fails effectivity."""
-    cut_low, cut_high = max(low, 0), len(vec) - max(high, 0)
-    if any(vec[:cut_low]) or any(vec[max(cut_low, cut_high):]):
-        raise MalformedStructureError(f"shifting {vec} drops an entry (not effective)")
-    return (0,) * -low + vec[cut_low:cut_high] + (0,) * -high
+def _shifted(rows: list[int], width: int, low: int, high: int) -> Optional[list[int]]:
+    """`rows`, `width` entries per Hodge index, cut by `low` indices at
+    the bottom and `high` at the top, a negative count padding zeros
+    instead; None when a cut entry is nonzero."""
+    cut_low, cut_high = max(low, 0) * width, len(rows) - max(high, 0) * width
+    if any(rows[:cut_low]) or any(rows[max(cut_low, cut_high):]):
+        return None
+    return [0] * (-low * width) + rows[cut_low:cut_high] + [0] * (-high * width)
+
+
+def _drop_error(
+    structure: CMHodgeStructure,
+    sigma0_cuts: tuple[int, int],
+    other_cuts: tuple[int, int],
+) -> MalformedStructureError:
+    """The effectivity error of a shift that cuts (low, high) Hodge
+    indices, `sigma0_cuts` off each sigma0 vector and `other_cuts` off
+    the others: it names the first vector that loses a nonzero entry."""
+    sigma0 = structure.field.sigma0
+    vec = next(
+        vec for a, vec in structure._residue_vectors()
+        if _shifted(list(vec), 1, *(sigma0_cuts if a in sigma0 else other_cuts)) is None
+    )
+    return MalformedStructureError(f"shifting {vec} drops an entry (not effective)")
 
 
 def _convolve(x: Vector, y: Vector) -> list[int]:
     """The Hodge vector of a tensor product: the coefficients of the
-    product of the polynomials with coefficients x and y.  A weight-one
-    factor (c0, c1), the Fermat curve's H^1 or K_{-1/2} in every tensor
-    the covers build, takes one pass: c0 * (x, 0) + c1 * (0, x)."""
+    product of the polynomials with coefficients x and y, for the
+    general `tensor` and for residue 0.  A weight-one factor (c0, c1)
+    takes one pass: c0 * (x, 0) + c1 * (0, x)."""
     if len(x) == 2:
         x, y = y, x
     if len(y) == 2:
@@ -234,12 +310,16 @@ def require_equal(
         diff = f"degree {actual.field.d} != {expected.field.d}"
     elif actual.weight != expected.weight:
         diff = f"weight {actual.weight} != {expected.weight}"
-    elif actual._vectors == expected._vectors:
+    elif (actual._rows, actual._zero) == (expected._rows, expected._zero):
         return
     else:
-        left, right = actual.table, expected.table
-        p, a = min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
-        x, y = left.get((p, a), 0), right.get((p, a), 0)
+        p, a = next(
+            (p, a)
+            for p in range(actual.weight + 1)
+            for a in range(actual.field.d)
+            if actual.entry(p, a) != expected.entry(p, a)
+        )
+        x, y = actual.entry(p, a), expected.entry(p, a)
         diff = f"entry (p={p}, residue={a}): {x} != {y}"
     raise ValueError(f"{context}: {diff}")
 
@@ -253,16 +333,19 @@ def level(structure: CMHodgeStructure) -> int:
 
 
 def tate_twist(structure: CMHodgeStructure, m: int) -> CMHodgeStructure:
-    """Shift weight by -2m and every Hodge index by -m: each vector loses
-    m entries at either end (m > 0) or gains m zeros there (m < 0).  A
-    nonzero entry lost at the bottom is a TwistRangeError; one lost at
-    the top, which conjugation symmetry rules out, fails effectivity."""
-    vectors = structure._vectors
-    if m > 0 and any(any(vec[:m]) for vec in vectors.values()):
+    """Shift weight by -2m and every Hodge index by -m: the rows lose m
+    Hodge indices, m(d - 1) entries, at either end (m > 0) or gain m
+    zero rows there (m < 0), and so does residue 0's vector.  A nonzero
+    entry lost at the bottom is a TwistRangeError; one lost at the top,
+    which conjugation symmetry rules out, fails effectivity."""
+    rows, zero, width = structure._rows, structure._zero, structure.field.d - 1
+    if m > 0 and (any(rows[:m * width]) or any(zero[:m])):
         low = min(structure.hodge_numbers())
         raise TwistRangeError(f"twist by {m} would leave effectivity (min p = {low})")
-    vectors = {a: _trimmed(vec, m, m) for a, vec in vectors.items()}
-    return CMHodgeStructure(structure.field, structure.weight - 2 * m, vectors)
+    rows, zero = _shifted(rows, width, m, m), _shifted(zero, 1, m, m)
+    if rows is None or zero is None:
+        raise _drop_error(structure, (m, m), (m, m))
+    return CMHodgeStructure(structure.field, structure.weight - 2 * m, (rows, zero))
 
 
 @cache
@@ -278,20 +361,34 @@ def k_minus_half(field: CyclotomicData) -> CMHodgeStructure:
 def _require_unit_support(structure: CMHodgeStructure, op: str) -> None:
     # twists shift the sigma0 side against its conjugate side, so they
     # need the field to act through embeddings: unit residues only
-    stray = structure.residues() - frozenset(structure.field.units)
-    if stray:
-        raise MalformedStructureError(f"{op} needs unit residues only: {sorted(stray)}")
+    rows, width = structure._rows, structure.field.d - 1
+    stray = [a for a in structure.field.nonunits if any(rows[a - 1::width])]
+    if structure._zero or stray:
+        stray = [0] * bool(structure._zero) + stray
+        raise MalformedStructureError(f"{op} needs unit residues only: {stray}")
 
 
 def _shift_sigma0(structure: CMHodgeStructure, step: int) -> CMHodgeStructure:
-    # weight and the sigma0 vectors move by step, the conjugate side stays:
-    # sigma0 vectors are padded or cut at the bottom, the others at the top
-    sigma0 = structure.field.sigma0
-    vectors = {
-        a: _trimmed(vec, -step, 0) if a in sigma0 else _trimmed(vec, 0, -step)
-        for a, vec in structure._vectors.items()
-    }
-    return CMHodgeStructure(structure.field, structure.weight + step, vectors)
+    # weight and the sigma0 entries move by step rows, the conjugate side
+    # stays: each column of the rows, one residue's vector, is copied
+    # whole, to a place shifted by step rows when the sigma0 mask picks
+    # it; a lowering step drops the bottom row of the sigma0 columns and
+    # the top row of the others.  Unit support is the callers' check, so
+    # residue 0 is empty
+    field, rows = structure.field, structure._rows
+    width = field.d - 1
+    out = [0] * (len(rows) + step * width)
+    up, down = max(step, 0) * width, max(-step, 0) * width
+    if any(map(mul, rows[:down], field.sigma0_mask)) or any(
+        map(mul, rows[len(out):], field.other_mask)
+    ):
+        raise _drop_error(structure, (-step, 0), (0, -step))
+    for i, moves in enumerate(field.sigma0_mask):
+        if moves:
+            out[up + i::width] = rows[down + i::width]
+        else:
+            out[i:len(rows):width] = rows[i:len(out):width]
+    return CMHodgeStructure(field, structure.weight + step, (out, []))
 
 
 def neg_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
@@ -320,8 +417,13 @@ def top_offenders(structure: CMHodgeStructure, p: int) -> list[int]:
     """The residues outside sigma0 that carry dimension at Hodge index p,
     ascending.  The top piece is one-sided when there are none at
     p = weight."""
-    sigma0 = structure.field.sigma0
-    return sorted(a for a in structure.residues() - sigma0 if structure.entry(p, a))
+    field, zero = structure.field, structure._zero
+    if not 0 <= p <= structure.weight:
+        return []
+    width = field.d - 1
+    row = structure._rows[p * width:(p + 1) * width]
+    outside = compress(range(1, field.d), map(mul, row, field.other_mask))
+    return [0] * bool(zero and zero[p]) + list(outside)
 
 
 # rung m of a Tate ladder: (tate_twist(V, m), its positive half twist or None)
@@ -386,7 +488,7 @@ def tensor(left: CMHodgeStructure, right: CMHodgeStructure) -> CMHodgeStructure:
         raise FieldMismatchError(
             f"cannot tensor structures over d={left.field.d} and d={right.field.d}"
         )
-    d, pairs = left.field.d, product(left._vectors.items(), right._vectors.items())
+    d, pairs = left.field.d, product(left._residue_vectors(), right._residue_vectors())
     vectors = _summed(((a + b) % d, _convolve(x, y)) for (a, x), (b, y) in pairs)
     return CMHodgeStructure(left.field, left.weight + right.weight, vectors)
 
@@ -398,21 +500,36 @@ def tensor_invariants(
     graded by the left-hand residue (the surviving quotient action): the
     vector at a is left[a] convolved with right[-a] for rule="sum"
     (invariants of the product automorphism), with right[a] for
-    rule="difference" (invariants of alpha (x) zeta^{-1})."""
+    rule="difference" (invariants of alpha (x) zeta^{-1}).
+
+    On the rows: each Hodge index p of the right factor adds one copy of
+    the left rows shifted up by p indices, masked entry by entry by the
+    right factor's row p, read backwards for "sum" (residue -a) and
+    forwards for "difference" (residue a).  A weight-one right factor
+    takes two masked, shifted copies.  Residue 0 pairs with residue 0
+    under both rules."""
     if left.field.d != right.field.d:
         raise FieldMismatchError("matching rule needs a common field")
     if rule not in ("sum", "difference"):
         raise ValueError(f"unknown matching rule {rule!r}")
-    d, sign = left.field.d, -1 if rule == "sum" else 1
-    pairs = ((a, x, right._vectors.get(sign * a % d)) for a, x in left._vectors.items())
-    vectors = {a: _convolve(x, y) for a, x, y in pairs if y}
-    return CMHodgeStructure(left.field, left.weight + right.weight, vectors)
+    x, y, width = left._rows, right._rows, left.field.d - 1
+    pad, step = [0] * (len(y) - width), -1 if rule == "sum" else 1
+    copies = []
+    for start in range(0, len(y), width):
+        coefficients = cycle(y[start:start + width][::step])
+        copies.append(map(mul, chain(pad[:start], x, pad[start:]), coefficients))
+    rows = list(reduce(partial(map, add), copies))
+    zero = _convolve(left._zero, right._zero) if left._zero and right._zero else []
+    return CMHodgeStructure(left.field, left.weight + right.weight, (rows, zero))
 
 
 def collapse_residues(structure: CMHodgeStructure) -> CMHodgeStructure:
-    """Forget the residue grading: all vectors add up at residue 0."""
-    vectors = _summed((0, vec) for vec in structure._vectors.values())
-    return CMHodgeStructure(structure.field, structure.weight, vectors)
+    """Forget the residue grading: all vectors add up at residue 0, whose
+    vector is the row sums."""
+    rows = [0] * len(structure._rows)
+    return CMHodgeStructure(
+        structure.field, structure.weight, (rows, structure._columns())
+    )
 
 
 def direct_sum(*structures: CMHodgeStructure) -> CMHodgeStructure:
@@ -423,8 +540,9 @@ def direct_sum(*structures: CMHodgeStructure) -> CMHodgeStructure:
         s.field.d != first.field.d or s.weight != first.weight for s in structures
     ):
         raise FieldMismatchError("summands must share degree and weight")
-    vectors = _summed(pair for s in structures for pair in s._vectors.items())
-    return CMHodgeStructure(first.field, first.weight, vectors)
+    rows = list(map(sum, zip(*(s._rows for s in structures))))
+    zero = list(map(sum, zip(*(s._zero for s in structures if s._zero))))
+    return CMHodgeStructure(first.field, first.weight, (rows, zero))
 
 
 def abelian_summary(structure: CMHodgeStructure) -> AbelianSummary:

@@ -9,11 +9,12 @@ fraction-free linear algebra backing the period-map rank computation.
 Three independent routes exist for the eigenspace counts, and none is
 ever collapsed into another.  Production reads a whole table off its
 generating function, the polynomial power P^{k+1} with
-P = 1 + t + ... + t^{d-2}, taking each residue's Hodge vector as one
-strided slice of it (`residue_vectors`).  The series itself comes by
-one of two roads, chosen by the shape of the request: for one cover,
-`eigenspace_dims` builds it directly in one pass; along a row of fixed
-d, `tower_series` steps from level k to level k + 1 by one
+P = 1 + t + ... + t^{d-2}: padded with k zeros at either end and
+reversed, with every d-th entry deleted, it is the flat p-major table
+of all residues' Hodge vectors (`residue_vectors`).  The series itself
+comes by one of two roads, chosen by the shape of the request: for one
+cover, `eigenspace_dims` builds it directly in one pass; along a row of
+fixed d, `tower_series` steps from level k to level k + 1 by one
 multiplication by P, since the covers of one degree form a tower.
 Tier-1 checks that the two roads give the same table on every cell of
 the CLI sweep grid.  Inclusion-exclusion, a closed-form binomial sum,
@@ -124,11 +125,17 @@ def hypersurface_hodge_numbers(d: int, k: int) -> list[tuple[int, int]]:
 
 
 @cache
+def primitive_hodge_column(d: int, k: int) -> tuple[int, ...]:
+    """The primitive Hodge numbers h^{p, k-p}_0 for p = 0..k, indexed by
+    p; kept once per (d, k) for the run, since the identities of the
+    tower ask for the same column from neighbouring levels."""
+    return tuple(dim for _, dim in reversed(hypersurface_hodge_numbers(d, k)))
+
+
 def primitive_middle_rank(d: int, k: int) -> int:
-    """The sum of the primitive Hodge numbers; an int, kept once per
-    (d, k) for the run, since the identities of the tower ask for the
-    same rank from neighbouring levels."""
-    return sum(dim for _, dim in hypersurface_hodge_numbers(d, k))
+    """The sum of the primitive Hodge numbers, read off the memoized
+    column."""
+    return sum(primitive_hodge_column(d, k))
 
 
 def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
@@ -145,7 +152,8 @@ def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
     the series is built in one pass, the numerator's k + 2 signed
     binomials at the multiples of d - 1, then one prefix-sum pass for
     each of the k + 1 factors 1 / (1 - t), and sliced by
-    `residue_vectors`.  k = 0 gives the d - 1 one-dimensional
+    `residue_vectors`, whose flat table has residue i's vector at every
+    (d - 1)-th entry from i - 1.  k = 0 gives the d - 1 one-dimensional
     eigenspaces, all at p = 0, of the reduced H^0 of d points.
     """
     if d < 3 or k < 0:
@@ -156,7 +164,8 @@ def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
         series[m] = (-1) ** j * comb(k + 1, j)
     for _ in range(k + 1):
         series = list(accumulate(series))
-    return residue_vectors(series, d, k)
+    rows = residue_vectors(series, d, k)
+    return {i: rows[i - 1::d - 1] for i in range(1, d)}
 
 
 def tower_series(d: int, k_max: int) -> Iterator[list[int]]:
@@ -176,18 +185,20 @@ def tower_series(d: int, k_max: int) -> Iterator[list[int]]:
         yield series
 
 
-def residue_vectors(series: list[int], d: int, k: int) -> dict[int, list[int]]:
-    """The Hodge vectors of `eigenspace_dims(d, k)` read off its series:
-    entry p of residue i is the coefficient at m = d(k - p + 1) - k - 1 - i.
-    As p grows by one, m falls by d, so each residue's vector is one
-    stride-d slice of the series padded with k zeros at either end,
-    read backwards.  The padded series is reversed once, and each
-    vector is a forward slice of that.  The invariant (i = 0) part of
-    primitive cohomology vanishes, so the vectors start at i = 1."""
-    # the padded series has (k+1)d - 1 entries, coefficient m at index
-    # m + k; reversed, entry p of residue i sits at index i - 1 + dp
+def residue_vectors(series: list[int], d: int, k: int) -> list[int]:
+    """The Hodge vectors of `eigenspace_dims(d, k)` read off its series,
+    as one flat p-major table over the residues 1..d-1, entry p of
+    residue i at p(d - 1) + i - 1: the rows of `hodge.CMHodgeStructure`.
+    Entry p of residue i is the coefficient at m = d(k - p + 1) - k - 1 - i.
+    As p grows by one, m falls by d, so the series padded with k zeros
+    at either end and read backwards holds entry p of residue i at
+    i - 1 + dp: d entries per Hodge index, the last of them (i = d) the
+    invariant part of primitive cohomology, which vanishes.  Deleting
+    every d-th entry leaves the flat table."""
+    # the padded series has (k+1)d - 1 entries, coefficient m at index m + k
     backwards = ([0] * k + series + [0] * k)[::-1]
-    return {i: backwards[i - 1::d] for i in range(1, d)}
+    del backwards[d - 1::d]
+    return backwards
 
 
 def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:

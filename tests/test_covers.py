@@ -433,6 +433,25 @@ def test_a_checksum_mismatch_fails_loudly(monkeypatch):
     assert (cell.ok, cell.detail) == (False, message)
 
 
+def test_a_regraded_W_fails_the_z_checksum_at_its_first_hodge_number(monkeypatch):
+    # the conjugate Fermat curve makes a W of the right rank but the
+    # grading of the "difference" rule, which only the Hodge-number
+    # identity sees
+    real = covers.curve_h1
+
+    def conjugate_curve(d):
+        vectors = {a: vec[::-1] for a, vec in real(d).vectors.items()}
+        return CMHodgeStructure(make_cyclotomic(d), 1, vectors)
+
+    monkeypatch.setattr(covers, "curve_h1", conjugate_curve)
+    message = "H^4_0(Z_4) for d=3: h^1 = 1 != 0 (twisted copies) + 4 (W)"
+    with pytest.raises(ValueError) as caught:
+        z_decomposition(CoverSpec(3, 3))
+    assert str(caught.value) == message
+    cell = sweeps.check_cover("z-checksum", CoverSpec(3, 3))
+    assert (cell.ok, cell.detail) == (False, message)
+
+
 def test_corollary_of_inclusion_rank_inequality():
     # when the half twist exists, (d-1) h_{k-1} + rank(V) <= h_{k+1}
     for d, k in GRID:
@@ -627,12 +646,26 @@ def test_a_dim_identity_sweep_computes_each_rank_once(monkeypatch):
         return real(d, k)
 
     monkeypatch.setattr(jacobian, "hypersurface_hodge_numbers", counted)
-    jacobian.primitive_middle_rank.cache_clear()
+    jacobian.primitive_hodge_column.cache_clear()
     cells = sweeps.run_sweep("dim-identity", d_max=8, k_max=6, jobs=1)
     assert all(cell.ok for cell in cells)
     # k = 1 reads h_1 only; k >= 2 reads h_{k-1}, h_k and h_{k+1}
     assert set(ranks) == {(d, j) for d in range(3, 9) for j in range(1, 8)}
     assert set(ranks.values()) == {1}
+
+
+@pytest.mark.parametrize("check", sorted(sweeps.CHECKS))
+def test_a_passing_sweep_reads_no_per_residue_view(monkeypatch, check):
+    # the (p, residue) table and the residue vectors are views for callers
+    # outside `hodge`; the sweeps run on the flat rows alone
+    def unread(self):
+        raise AssertionError("a per-residue view was read")
+
+    for view in ("table", "vectors"):
+        monkeypatch.setattr(CMHodgeStructure, view, property(unread))
+    cells = sweeps.run_sweep(check, d_max=6, k_max=4, jobs=1)
+    assert len(cells) == 4 * 4
+    assert all(cell.ok for cell in cells)
 
 
 def test_a_ks_space_sweep_builds_k_once_per_degree(monkeypatch):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from halftwist.hodge import (
     tensor,
     tensor_invariants,
 )
-from halftwist.covers import CoverSpec, primitive_V
+from halftwist.covers import CoverSpec, curve_h1, primitive_V, tower
 from hodge_tables import from_table
 
 K3 = make_cyclotomic(3)
@@ -407,9 +409,9 @@ def test_abelian_summary_needs_unit_support():
 def draw_structure(draw, field, residues, weight=None):
     """A random conjugation-symmetric structure over `field` whose
     entries sit on residues drawn from the strategy `residues`; of a
-    random weight unless one is given."""
+    random weight 0..4 unless one is given."""
     if weight is None:
-        weight = draw(st.integers(min_value=1, max_value=4))
+        weight = draw(st.integers(min_value=0, max_value=4))
     n = draw(st.integers(min_value=1, max_value=5))
     entries = {}
     for _ in range(n):
@@ -421,9 +423,14 @@ def draw_structure(draw, field, residues, weight=None):
     return symmetric_structure(field, weight, entries)
 
 
+# d = 9 is an odd composite: its non-unit residues 3 and 6 form a
+# conjugate pair, where the even degrees have the self-conjugate d/2
+DEGREES = [3, 4, 5, 6, 8, 9]
+
+
 @st.composite
 def random_structures(draw):
-    field = make_cyclotomic(draw(st.sampled_from([3, 4, 5, 6, 8])))
+    field = make_cyclotomic(draw(st.sampled_from(DEGREES)))
     return draw_structure(draw, field, st.integers(min_value=0, max_value=field.d - 1))
 
 
@@ -573,7 +580,7 @@ def oracle_cases(draw):
     """Random symmetric structures over one field: two of any weights,
     a third of the first one's weight and a fourth on units only; then
     a Tate twist and a set of residues to keep."""
-    field = make_cyclotomic(draw(st.sampled_from([3, 4, 5, 6, 8])))
+    field = make_cyclotomic(draw(st.sampled_from(DEGREES)))
     any_residue = st.integers(min_value=0, max_value=field.d - 1)
     left = draw_structure(draw, field, any_residue)
     right = draw_structure(draw, field, any_residue)
@@ -610,3 +617,28 @@ def test_vector_operations_match_the_entrywise_oracle(case):
     ]
     for number, (vector_route, entry_route) in enumerate(pairs):
         assert outcome(vector_route) == outcome(entry_route), number
+
+
+def test_operations_on_cover_tables_match_the_entrywise_oracle():
+    # real tables, with entries far larger than the random draws reach:
+    # every cover in 3..12 x 1..8, on the tower route that the sweeps read
+    for d in range(3, 13):
+        C, K = curve_h1(d), k_minus_half(make_cyclotomic(d))
+        for spec in tower(d, 8):
+            H, V = spec.cohomology, spec.V
+            pairs = [
+                (partial(tate_twist, H, m), partial(entrywise_tate_twist, H, m))
+                for m in (-1, 1)
+            ] + [
+                (partial(neg_half_twist, V), partial(entrywise_shift_sigma0, V, 1)),
+                (partial(pos_half_twist, V), partial(entrywise_pos_half_twist, V)),
+            ] + [
+                (
+                    partial(tensor_invariants, H, right, rule),
+                    partial(entrywise_tensor_invariants, H, right, rule),
+                )
+                for right in (C, K)
+                for rule in ("sum", "difference")
+            ]
+            for number, (vector_route, entry_route) in enumerate(pairs):
+                assert outcome(vector_route) == outcome(entry_route), (spec, number)

@@ -60,7 +60,7 @@ def test_importing_the_cli_fills_no_cache():
         "import halftwist.cli\n"
         "from halftwist import covers, cyclotomic, hodge, jacobian\n"
         "caches = (cyclotomic.make_cyclotomic, covers.curve_h1,\n"
-        "          hodge.k_minus_half, jacobian.primitive_middle_rank)\n"
+        "          hodge.k_minus_half, jacobian.primitive_hodge_column)\n"
         "print(*(f.cache_info().currsize for f in caches))\n"
     )
     proc = run_script(script)
@@ -207,7 +207,7 @@ def test_the_sweep_oracle_stays_off_the_production_route():
 
 def test_a_structure_is_built_from_its_vectors_only():
     # one constructor path: (field, weight, vectors, check_symmetry), and
-    # the stored vectors are private to `hodge`
+    # the stored rows and residue-0 vector are private to `hodge`
     tree = ast.parse((PACKAGE / "hodge.py").read_text())
     (cls,) = [
         n for n in tree.body
@@ -225,6 +225,6 @@ def test_a_structure_is_built_from_its_vectors_only():
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "_vectors"
+        if isinstance(node, ast.Attribute) and node.attr in ("_rows", "_zero")
     }
     assert readers == {"hodge.py"}
