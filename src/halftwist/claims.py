@@ -205,8 +205,7 @@ def _cubics_W_identity(spec: Specs):
         cover = spec(3, k)
         W = covers.build_W(cover)
         twisted = hodge.tate_twist(hodge.pos_half_twist(covers.primitive_V(cover)), -1)
-        if W != twisted:
-            return False
+        hodge.require_equal(W, twisted, f"cubic W identity fails for k={k}")
     return True
 
 
@@ -219,11 +218,8 @@ def _cubics_extremal_dims(spec: Specs):
 
 
 def _quartic_splits(spec: Specs):
-    try:
-        for k in (1, 2, 3):
-            covers.quartic_W_split(spec(4, k))
-    except ValueError:
-        return False
+    for k in (1, 2, 3):
+        covers.quartic_W_split(spec(4, k))
     return True
 
 
@@ -272,10 +268,13 @@ def _tate_commutes_on_grid(spec: Specs, cell: Cells) -> bool:
 
 def _torelli_quotients_match_W(spec: Specs):
     W = covers.build_W(spec(3, 4)).hodge_numbers()
-    return all(
-        jacobian.build_w_quotient(4, p).dimension == W.get(4 - p, 0)
-        for p in jacobian.w_ladder_steps(4)
-    )
+    for p in jacobian.w_ladder_steps(4):
+        rung, h = jacobian.build_w_quotient(4, p).dimension, W.get(4 - p, 0)
+        if rung != h:
+            raise InvariantError(
+                f"W ladder rung p={p}: dimension {rung} != h^{4 - p}(W) = {h}"
+            )
+    return True
 
 
 def _torelli_rank_both_routes(k: int) -> int:

@@ -35,17 +35,15 @@ from . import claims, covers, hodge, jacobian, sweeps
 from .covers import CoverSpec
 
 # Each upper limit was set at the largest value at which its slowest
-# command took about 1 s.  The cost of a cover grows fast with d and k
-# together, and of a sweep with its grid: on a 2-core machine where
-# `python3 -c pass` takes 0.07 s (whole-process medians of 5 runs)
-# `eigenspaces 160 160` takes 0.6-0.7 s (0.87 s at 176),
-# `half-twist 160 160 --tate` 0.29 s and `hodge 160 160` 0.27-0.36 s.
-# At the grid limit, --d-max 50 --k-max 25, sweeps walk each degree's
-# tower of covers and `oracle-equivalence` is the slowest, at 0.81 s
-# (1.03 s one step up, at 52 x 26), since its oracle builds each
-# table's inclusion-exclusion column; `z-checksum` takes 0.58 s,
-# `ks-space` 0.54 s, `round-trip` 0.45 s, `w-rank` 0.37 s and every
-# other check 0.32 s or less (medians of 9 interleaved runs).
+# command took about 1 s on a slower host, and is kept.  The cost of a
+# cover grows fast with d and k together, and of a sweep with its grid:
+# on a 2-core machine where `python3 -c pass` takes 0.05 s (whole-process
+# medians of 7 interleaved runs) `eigenspaces 160 160` takes 0.56 s,
+# `half-twist 160 160 --tate` 0.32 s and `hodge 160 160` 0.31 s.  At the
+# grid limit, --d-max 50 --k-max 25, sweeps walk each degree's tower of
+# covers and no check stands out: `oracle-equivalence` and `z-checksum`
+# take 0.47 s, `ks-space` 0.42 s, `round-trip` 0.31 s, `w-rank` 0.29 s,
+# `dim-identity` 0.25 s, `cmtype-search` 0.22 s and `monotonicity` 0.20 s.
 MAX_D = MAX_K = 160
 SWEEP_MAX_D, SWEEP_MAX_K = 50, 25
 # The (lowest, highest) value of each numeric argument, per command; None
@@ -322,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--check", required=True, choices=sorted(sweeps.CHECKS))
     p_sweep.add_argument("--d-max", type=int, default=9, help=f"at most {SWEEP_MAX_D}")
     p_sweep.add_argument("--k-max", type=int, default=7, help=f"at most {SWEEP_MAX_K}")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at least 1"
+    )
     for command in commands.values():
         command.add_argument("--format", choices=("table", "json"), default="table")
     return parser

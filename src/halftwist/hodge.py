@@ -258,22 +258,10 @@ def _drop_error(
 
 
 def _convolve(x: Vector, y: Vector) -> list[int]:
-    """The Hodge vector of a tensor product: the coefficients of the
-    product of the polynomials with coefficients x and y, for the
-    general `tensor` and for residue 0.  A weight-one factor (c0, c1)
-    takes one pass: c0 * (x, 0) + c1 * (0, x)."""
-    if len(x) == 2:
-        x, y = y, x
-    if len(y) == 2:
-        c0, c1 = y
-        return [a * c0 + b * c1 for a, b in zip(chain(x, (0,)), chain((0,), x))]
-    return _convolve_by_slices(x, y)
-
-
-def _convolve_by_slices(x: Vector, y: Vector) -> list[int]:
-    """`_convolve` for factors of any length: x scaled by each nonzero
-    coefficient of y, added in at its shift.  The only route for two
-    factors longer than 2, and the reference for the one-pass route."""
+    """The Hodge vector of a tensor product, for the general `tensor`
+    and for residue 0: the coefficients of the product of the
+    polynomials with coefficients x and y, x scaled by each nonzero
+    coefficient of y and added in at its shift."""
     out = [0] * (len(x) + len(y) - 1)
     for shift, c in enumerate(y):
         if c:

@@ -6,26 +6,24 @@ hypersurface), the eigenspace dimension tables of cyclic covers, the
 W-ladder quotients of the d = 3 Jacobian ring, and the
 fraction-free linear algebra backing the period-map rank computation.
 
-Three independent routes exist for the eigenspace counts, and none is
-ever collapsed into another.  Production reads a whole table off its
-generating function, the polynomial power P^{k+1} with
-P = 1 + t + ... + t^{d-2}: padded with k zeros at either end and
-reversed, with every d-th entry deleted, it is the flat p-major table
-of all residues' Hodge vectors (`residue_vectors`).  The series itself
+Two production roads lead to the eigenspace counts, and each is the
+other's oracle.  Both read a whole table off its generating function,
+the polynomial power P^{k+1} with P = 1 + t + ... + t^{d-2}: padded
+with k zeros at either end and reversed, with every d-th entry
+deleted, it is the flat p-major table of all residues' Hodge vectors
+(`residue_vectors`, the one thing the roads share).  The series itself
 comes by one of two roads, chosen by the shape of the request: for one
 cover, `eigenspace_dims` builds it directly in one pass; along a row of
 fixed d, `tower_series` steps from level k to level k + 1 by one
-multiplication by P, since the covers of one degree form a tower.
-Tier-1 checks that the two roads give the same table on every cell of
-the CLI sweep grid.  Inclusion-exclusion, a closed-form binomial sum,
-has two evaluators: one entry at a time (`count_bounded_monomials`),
-the production route of `hypersurface_hodge_numbers`, which needs only
-k + 1 entries; and one whole column at a time
-(`bounded_monomial_counts`), signed shifted copies of one binomial
-column, which is the oracle of the `oracle-equivalence` sweep: sliced by
-`residue_vectors`, it is compared with the tower-route table that every
-other sweep reads.  Tier-1 checks the column evaluator entry by entry
-against the per-entry one, and the slicing against the per-entry
+multiplication by P, since the covers of one degree form a tower.  The
+`oracle-equivalence` sweep compares the two roads on every cell it
+visits, and tier-1 on every cell of the CLI sweep grid.
+Inclusion-exclusion, a closed-form binomial sum, has one evaluator per
+use: one entry at a time (`count_bounded_monomials`) for the Hodge
+numbers of `hypersurface_hodge_numbers`, which need only k + 1
+entries, and one pass for a cover's whole table, the direct road of
+`eigenspace_dims`.  Tier-1 checks the one-pass table entry by entry
+against the per-entry sum, and the slicing against the per-entry
 formula and the tuple oracle.
 An exact integer convolution over the tuple entries
 (`shioda_tuple_count`) is the tier-1 test oracle, and is itself checked
@@ -54,9 +52,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations
 from math import comb, gcd
-from operator import add, mul, sub
+from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cyclotomic import InvariantError
@@ -89,25 +87,6 @@ def count_bounded_monomials(n_vars: int, d: int, m: int) -> int:
             break
         total += (-1) ** j * comb(n_vars, j) * comb(upper, n_vars - 1)
     return total
-
-
-def bounded_monomial_counts(n_vars: int, d: int) -> list[int]:
-    """[N(n, d, m) for m = 0..n(d-2)], the whole column of
-    `count_bounded_monomials` by the same inclusion-exclusion: the
-    binomial column C(m + n - 1, n - 1), plus its copy shifted by
-    j(d-1) and scaled by (-1)^j C(n, j) for each j = 1..n that still
-    lands inside the column."""
-    if n_vars < 1:
-        raise ValueError(f"need at least one variable, got {n_vars}")
-    if d < 3:
-        raise ValueError(f"need degree >= 3, got {d}")
-    size = n_vars * (d - 2) + 1
-    base = [comb(m + n_vars - 1, n_vars - 1) for m in range(size)]
-    column = base[:]
-    for j, shift in enumerate(range(d - 1, size, d - 1), start=1):
-        sign = (-1) ** j * comb(n_vars, j)
-        column[shift:] = map(add, column[shift:], map(mul, repeat(sign), base))
-    return column
 
 
 def hypersurface_hodge_numbers(d: int, k: int) -> list[tuple[int, int]]:

@@ -9,9 +9,10 @@ cover's series is one step on from the one below it, and only
 (check, d, k_max) crosses a process boundary.  Rows are independent,
 so the grid is embarrassingly parallel; results are sorted by (d, k)
 before rendering, which makes the output independent of the worker
-count.  Every check asserts what it reports: `oracle-equivalence`
-compares the tower-route table that the other checks read with the
-inclusion-exclusion column and names the first differing entry, and
+count.  Every check asserts what it reports: `oracle-equivalence` is
+the one-pass road of `jacobian.eigenspace_dims` checked against the
+tower-route table that the other checks read, so a fault on either
+road fails it and the cell names the first differing entry; and
 `cmtype-search` fails a cell with an optimality gap, where some CM-type
 does better than the fixed one.
 """
@@ -37,13 +38,11 @@ class SweepCell:
 
 def _oracle_equivalence(spec: CoverSpec) -> tuple[bool, str]:
     # the table every other check reads (the tower route on a sweep)
-    # against the inclusion-exclusion column of the same series, sliced
-    # by the same residue map; unchecked for symmetry, so that a bad
-    # column shows as its first differing entry
+    # against the one-pass table of the same cover; unchecked for
+    # symmetry, so that a bad table shows as its first differing entry
     d, k = spec.d, spec.k
-    column = jacobian.bounded_monomial_counts(k + 1, d)
-    rows = jacobian.residue_vectors(column, d, k)
-    oracle = hodge.CMHodgeStructure(spec.field, k, (rows, []), check_symmetry=False)
+    vectors = jacobian.eigenspace_dims(d, k)
+    oracle = hodge.CMHodgeStructure(spec.field, k, vectors, check_symmetry=False)
     hodge.require_equal(spec.cohomology, oracle, "inclusion-exclusion differs")
     return True, f"{(k + 1) * (d - 1)} entries agree"
 

@@ -137,6 +137,31 @@ def test_torelli_rank_claim_fails_when_the_routes_disagree(monkeypatch):
     assert "closed form 10, elimination 9" in report.computed
 
 
+# Each claim on W, with what it says when W is counted twice.
+W_CLAIMS = [
+    ("cubics.W_equals_half_twist",
+     "cubic W identity fails for k=2: entry (p=1, residue=1): 6 != 3"),
+    ("quartics.split_table_equality",
+     "quartic split fails at table level for k=1: entry (p=0, residue=2): 2 != 1"),
+    ("torelli.quotients_match_W", "W ladder rung p=1: dimension 11 != h^3(W) = 22"),
+]
+
+
+@pytest.mark.parametrize("claim_id, message", W_CLAIMS, ids=[c for c, _ in W_CLAIMS])
+def test_a_failing_W_claim_names_what_differs(monkeypatch, claim_id, message):
+    claim = claim_named(claim_id)
+    assert claims.evaluate(claim).status == claims.STATUS_PASS
+    real = covers.build_W
+
+    def doubled(spec):
+        return hodge.direct_sum(real(spec), real(spec))
+
+    monkeypatch.setattr(covers, "build_W", doubled)
+    report = claims.evaluate(claim)
+    assert report.status == claims.STATUS_FAIL
+    assert report.computed == f"error: {message}"
+
+
 # Each grid claim runs a sweep check; (claim, check, a cell of its grid).
 SWEEP_BACKED = [
     ("lemma3.7.grid", "dim-identity", (9, 7)),

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import accumulate
 from math import comb
 from pathlib import Path
 
@@ -330,22 +331,50 @@ def test_oracle_sweep_fails_on_one_changed_entry(capsys, monkeypatch):
     assert out.splitlines()[-1] == "check oracle-equivalence: 11/12 cells pass"
 
 
-def test_a_negative_oracle_count_names_its_entry(monkeypatch):
-    # inclusion-exclusion with the sign of every term j >= 2 flipped: most
-    # columns then hold a negative count, which the oracle's constructor
-    # rejects; the cell names the first negative entry, as a differing
-    # nonnegative entry is named by the comparison
-    def flipped(n_vars, d):
-        size = n_vars * (d - 2) + 1
-        base = [comb(m + n_vars - 1, n_vars - 1) for m in range(size)]
-        column = base[:]
-        for j, shift in enumerate(range(d - 1, size, d - 1), start=1):
-            sign = (-1) ** j * comb(n_vars, j) * (-1 if j >= 2 else 1)
-            for m in range(shift, size):
-                column[m] += sign * base[m - shift]
-        return column
+def test_oracle_sweep_fails_on_one_changed_entry_of_the_one_pass_table(
+    capsys, monkeypatch
+):
+    # the mirror of the tower fault: the (5, 2) table of the one-pass
+    # road, which only the oracle reads on a sweep, with one conjugate
+    # pair of entries one larger
+    real = jacobian.eigenspace_dims
 
-    monkeypatch.setattr(jacobian, "bounded_monomial_counts", flipped)
+    def one_pair_off(d, k):
+        vectors = real(d, k)
+        if (d, k) == (5, 2):
+            vectors[2][1] += 1  # p = 1, residue 2
+            vectors[3][1] += 1  # its conjugate: p = 1, residue 3
+        return vectors
+
+    monkeypatch.setattr(jacobian, "eigenspace_dims", one_pair_off)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--check", "oracle-equivalence", "--d-max", "6", "--k-max", "3"
+    )
+    assert code == 1
+    rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
+    assert [row for row in rows if row[2] != "pass"] == [
+        ["5", "2", "FAIL",
+         "inclusion-exclusion differs: entry (p=1, residue=2): 12 != 13"]
+    ]
+    assert out.splitlines()[-1] == "check oracle-equivalence: 11/12 cells pass"
+
+
+def test_a_negative_oracle_count_names_its_entry(monkeypatch):
+    # the one-pass table with the numerator's sign flipped for every term
+    # j >= 2: most tables then hold a negative count, which the oracle's
+    # constructor rejects; the cell names the first negative entry, as a
+    # differing nonnegative entry is named by the comparison
+    def flipped(d, k):
+        size = (k + 1) * (d - 2) + 1
+        series = [0] * size
+        for j, m in enumerate(range(0, size, d - 1)):
+            series[m] = (-1) ** j * comb(k + 1, j) * (-1 if j >= 2 else 1)
+        for _ in range(k + 1):
+            series = list(accumulate(series))
+        rows = jacobian.residue_vectors(series, d, k)
+        return {i: rows[i - 1::d - 1] for i in range(1, d)}
+
+    monkeypatch.setattr(jacobian, "eigenspace_dims", flipped)
     cells = run_sweep("oracle-equivalence", 12, 8, jobs=1)
     failing = [cell.detail for cell in cells if not cell.ok]
     assert failing

@@ -1,7 +1,7 @@
 from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halftwist import hodge
@@ -461,24 +461,6 @@ def test_half_twists_need_unit_support():
 @settings(max_examples=60, deadline=None)
 def test_tensor_rank_multiplicative_random(V):
     assert tensor(V, V).rank == V.rank * V.rank
-
-
-DIMS = st.integers(min_value=0, max_value=30)
-
-
-@given(st.lists(DIMS, min_size=1, max_size=20), st.tuples(DIMS, DIMS))
-@example([4, 0, 7], (0, 3))
-@example([4, 0, 7], (3, 0))
-@example([0, 0], (0, 0))
-@example([5], (2, 9))
-@settings(max_examples=200, deadline=None)
-def test_a_weight_one_factor_convolves_in_one_pass(x, c):
-    # the one-pass route against the general loop, the weight-one factor
-    # on either side
-    x = tuple(x)
-    expected = hodge._convolve_by_slices(x, c)
-    assert hodge._convolve(x, c) == expected
-    assert hodge._convolve(c, x) == expected
 
 
 # ---------------------------------------------------------------------------

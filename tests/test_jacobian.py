@@ -14,7 +14,6 @@ from halftwist.jacobian import (
     COVER_VARIABLES,
     Polynomial,
     UnsupportedCaseError,
-    bounded_monomial_counts,
     build_w_quotient,
     count_bounded_monomials,
     cover_variables,
@@ -83,24 +82,6 @@ def test_inclusion_exclusion_equals_enumeration(n, d):
 def test_count_matches_enumeration_random(n, d, m):
     if (d - 1) ** n <= 100_000:
         assert count_bounded_monomials(n, d, m) == brute_count(n, d, m)
-
-
-def test_column_evaluator_matches_the_per_entry_sum():
-    # the two evaluators of inclusion-exclusion, entry by entry, on every
-    # column the sweep oracle reads within the CLI's sweep limits: the
-    # cell (d, k) reads the column for n = k + 1
-    for d in range(3, cli.SWEEP_MAX_D + 1):
-        for n in range(1, cli.SWEEP_MAX_K + 2):
-            column = bounded_monomial_counts(n, d)
-            assert len(column) == n * (d - 2) + 1
-            expected = [count_bounded_monomials(n, d, m) for m in range(len(column))]
-            assert column == expected, (n, d)
-
-
-@pytest.mark.parametrize("n, d", [(0, 5), (2, 2)])
-def test_column_evaluator_rejects_bad_arguments(n, d):
-    with pytest.raises(ValueError):
-        bounded_monomial_counts(n, d)
 
 
 def test_count_symmetry():

@@ -158,14 +158,16 @@ def test_a_cover_table_is_read_only_through_its_spec():
     # the ledger takes every cover from its one memo of specs, and no
     # module reads a table around a spec; a tower's series reaches
     # production only inside the specs that `covers.tower` makes, and the
-    # sweep oracle slices its column by the one residue map
+    # sweep oracle builds the one-pass table of the cover it checks
     assert callers(PACKAGE / "claims.py", "CoverSpec") == set()
-    assert package_callers("eigenspace_dims") == {("covers", "CoverSpec.cohomology")}
+    assert package_callers("eigenspace_dims") == {
+        ("covers", "CoverSpec.cohomology"),
+        ("sweeps", "_oracle_equivalence"),
+    }
     assert package_callers("tower_series") == {("covers", "tower")}
     assert package_callers("residue_vectors") == {
         ("covers", "CoverSpec.cohomology"),
         ("jacobian", "eigenspace_dims"),
-        ("sweeps", "_oracle_equivalence"),
     }
 
 
@@ -175,34 +177,37 @@ def test_the_ledger_runs_sweep_cells_only_through_its_memo():
     assert callers(PACKAGE / "claims.py", "check_cover") == {"_cell_memo.cell"}
 
 
-def calls_in(path, function):
-    """How often each name is called, bare or as an attribute, inside
-    the module-level function `function` of a module."""
+def function_node(path, function):
+    """The module-level function `function` of a module, parsed."""
     tree = ast.parse(path.read_text())
     (node,) = [
         n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function
     ]
+    return node
+
+
+def calls_in(path, function):
+    """How often each name is called, bare or as an attribute, inside
+    the module-level function `function` of a module."""
     return Counter(
         call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
-        for call in ast.walk(node)
+        for call in ast.walk(function_node(path, function))
         if isinstance(call, ast.Call)
     )
 
 
 def test_the_sweep_oracle_stays_off_the_production_route():
-    # production reads the table off k + 1 prefix-sum passes or a tower
-    # step; the oracle builds one inclusion-exclusion column, slices it by
-    # the shared residue map and compares it with the spec's table
+    # on a sweep every spec's table comes off its tower series; the
+    # oracle builds the same cover's table by the one-pass road and
+    # compares the two, touching neither the series nor the tower step
     oracle = calls_in(PACKAGE / "sweeps.py", "_oracle_equivalence")
-    assert oracle["bounded_monomial_counts"] == 1
-    assert oracle["residue_vectors"] == 1
+    assert oracle["eigenspace_dims"] == 1
     assert oracle["require_equal"] == 1
-    for name in ("eigenspace_dims", "tower_series", "accumulate"):
+    for name in ("tower_series", "residue_vectors", "accumulate"):
         assert oracle[name] == 0, name
-    column = calls_in(PACKAGE / "jacobian.py", "bounded_monomial_counts")
-    assert column["comb"] > 0
-    for name in ("accumulate", "eigenspace_dims", "count_bounded_monomials"):
-        assert column[name] == 0, name
+    node = function_node(PACKAGE / "sweeps.py", "_oracle_equivalence")
+    attributes = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    assert "series" not in attributes
 
 
 def test_a_structure_is_built_from_its_vectors_only():
