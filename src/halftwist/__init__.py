@@ -36,7 +36,7 @@ from .jacobian import (
     count_bounded_monomials,
     cover_variables,
     eigenspace_dims,
-    hypersurface_hodge_numbers,
+    primitive_hodge_column,
     primitive_middle_rank,
     sparse_rank,
     torelli_deformation_dimension,
@@ -52,7 +52,7 @@ from .covers import (
     build_W,
     curve_h1,
     degree_bound_printed,
-    dim_identity_check,
+    dim_identity_terms,
     euler_recursion_rank,
     fermat_gamma_invariants,
     gamma_invariant_h1_dimension,

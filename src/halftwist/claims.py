@@ -7,7 +7,8 @@ recursion, exact rank), "trivial" a value forced by definitions.
 
 A claim over a grid of (d, k) cells runs the registered sweep check on
 every cell (`sweeps.check_cover`), so the ledger and the sweeps share one
-definition of each property; a claim reads a cell's `ok`, never its text.
+definition of each property; a claim reads a cell's `ok`, and its text
+only to name the first failing cell.
 
 One ledger run holds one `CoverSpec` per cover and one cell per
 (check, d, k): `all_claims` makes a memo of specs and, over it, a memo
@@ -149,7 +150,7 @@ def _kondo_isogeny(kondo: CoverSpec):
 
 
 def _jz5_dims(spec: Specs):
-    z5 = covers.euler_recursion_rank(spec(3, 5)) // 2
+    z5 = covers.euler_recursion_rank(3, 5) // 2
     x3 = jacobian.primitive_middle_rank(3, 3) // 2
     twist = hodge.abelian_summary(
         hodge.pos_half_twist(covers.full_level_V(spec(3, 4)))
@@ -173,7 +174,7 @@ def _sextic_half_twists(spec: Specs):
 def _quintic_extremal(spec: Specs, k: int):
     cover = spec(5, k)
     top = covers.qt_decompose(cover).top
-    full = dict(jacobian.hypersurface_hodge_numbers(5, k))[top]
+    full = jacobian.primitive_hodge_column(5, k)[top]
     return [full, [cover.cohomology.entry(top, 1), cover.cohomology.entry(top, 2)]]
 
 
@@ -213,7 +214,7 @@ def _cubics_extremal_dims(spec: Specs):
     out = []
     for k in (4, 7):
         top = covers.qt_decompose(spec(3, k)).top
-        out.append(dict(jacobian.hypersurface_hodge_numbers(3, k))[top])
+        out.append(jacobian.primitive_hodge_column(3, k)[top])
     return out
 
 
@@ -224,9 +225,7 @@ def _quartic_splits(spec: Specs):
 
 
 def _lemma37_example(d: int, k: int):
-    total = jacobian.primitive_middle_rank(d, k + 1)
-    lower = (d - 1) * jacobian.primitive_middle_rank(d, k - 1)
-    same = (d - 2) * jacobian.primitive_middle_rank(d, k)
+    total, lower, same = covers.dim_identity_terms(d, k)
     return [total, [lower, same]]
 
 
@@ -247,8 +246,13 @@ def _cell_memo(spec: Specs) -> Cells:
 
 
 def _sweep_holds(cell: Cells, check: str, grid) -> bool:
-    """Whether the sweep check passes on every (d, k) cell of the grid."""
-    return all(cell(check, d, k).ok for d, k in grid)
+    """True when the sweep check passes on every (d, k) cell of the grid;
+    a ValueError names the first failing cell and its detail."""
+    for d, k in grid:
+        result = cell(check, d, k)
+        if not result.ok:
+            raise ValueError(f"{check} fails at (d={d}, k={k}): {result.detail}")
+    return True
 
 
 def _grid(ds, ks) -> list[tuple[int, int]]:
@@ -261,9 +265,11 @@ def _tate_commutes_on_grid(spec: Specs, cell: Cells) -> bool:
     # agree by construction, so the claim needs a cell with a second
     # count, a comparison at some m >= 1
     grid = _grid(GRID_D, GRID_K)
-    return _sweep_holds(cell, "round-trip", grid) and any(
-        hodge.tate_commutations(covers.primitive_V(spec(d, k))) >= 2 for d, k in grid
-    )
+    _sweep_holds(cell, "round-trip", grid)
+    counts = (hodge.tate_commutations(covers.primitive_V(spec(d, k))) for d, k in grid)
+    if not any(count >= 2 for count in counts):
+        raise ValueError("no cell of the grid compares a Tate commutation at m >= 1")
+    return True
 
 
 def _torelli_quotients_match_W(spec: Specs):
@@ -330,18 +336,18 @@ def all_claims() -> tuple[Claim, ...]:
               lambda: list(hodge.abelian_summary(
                   hodge.pos_half_twist(covers.primitive_V(kondo))).cm_type)),
         Claim("kondo.h21_quartic_threefold", "4.2", "kondo", "paper", 30,
-              lambda: dict(jacobian.hypersurface_hodge_numbers(4, 3))[2]),
+              lambda: jacobian.primitive_hodge_column(4, 3)[2]),
         Claim("kondo.isogeny_checksum", "4.2", "kondo", "paper",
               [30, [9, 14, 7]], lambda: _kondo_isogeny(kondo)),
         Claim("kondo.genus", "4.2", "kondo", "paper", 3,
               lambda: covers.curve_h1(4).rank // 2),
         # --- cubic fourfold suite
         Claim("cubic4.h31", "6.1", "cubic4", "paper", 1,
-              lambda: dict(jacobian.hypersurface_hodge_numbers(3, 4))[3]),
+              lambda: jacobian.primitive_hodge_column(3, 4)[3]),
         Claim("cubic4.h22_0", "6.1", "cubic4", "paper", 20,
-              lambda: dict(jacobian.hypersurface_hodge_numbers(3, 4))[2]),
+              lambda: jacobian.primitive_hodge_column(3, 4)[2]),
         Claim("cubic4.h40", "6.1", "cubic4", "paper", 0,
-              lambda: dict(jacobian.hypersurface_hodge_numbers(3, 4))[4]),
+              lambda: jacobian.primitive_hodge_column(3, 4)[4]),
         Claim("cubic4.rank_V", "6.1", "cubic4", "derived", 22,
               lambda: covers.primitive_V(cubic4).rank),
         Claim("cubic4.twist_level", "6.1", "cubic4", "paper", 2,

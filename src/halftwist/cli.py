@@ -91,13 +91,13 @@ def _aligned(rows: list[list]) -> list[str]:
 
 
 def _cmd_hodge(args) -> tuple[dict, int]:
-    numbers = jacobian.hypersurface_hodge_numbers(args.d, args.k)
+    column = jacobian.primitive_hodge_column(args.d, args.k)
     return {
         "command": "hodge",
         "d": args.d,
         "k": args.k,
-        "hodge_numbers": [[p, args.k - p, dim] for p, dim in numbers],
-        "total": sum(dim for _, dim in numbers),
+        "hodge_numbers": [[p, args.k - p, column[p]] for p in range(args.k, -1, -1)],
+        "total": sum(column),
     }, 0
 
 
@@ -115,7 +115,7 @@ def _cmd_eigenspaces(args) -> tuple[dict, int]:
     spec = CoverSpec(d, k)
     # two routes: the table's rows count monomials in k + 1 variables,
     # the hodge column in k + 2
-    hodge_totals = dict(jacobian.hypersurface_hodge_numbers(d, k))
+    hodge_totals = jacobian.primitive_hodge_column(d, k)
     rows = []
     for p in range(k, -1, -1):
         dims = [spec.cohomology.entry(p, i) for i in range(1, d)]

@@ -44,7 +44,8 @@ itself with its masks, since `make_cyclotomic` builds one frozen
 `CyclotomicData` per degree; the series a `tower` generator holds for
 its next step; and the primitive Hodge numbers of
 `jacobian.primitive_hodge_column`, k + 1 ints per (d, k), which the
-primitive ranks and the graded check of `z_decomposition` read.  Every
+primitive ranks, the Lemma 3.7 terms of `dim_identity_terms`, the graded
+check of `z_decomposition` and `quartic_isogeny_report` read.  Every
 one of these caches fills on first use, none at import.
 """
 
@@ -73,7 +74,6 @@ from .hodge import (
 from .jacobian import (
     UnsupportedCaseError,
     eigenspace_dims,
-    hypersurface_hodge_numbers,
     primitive_hodge_column,
     primitive_middle_rank,
     residue_vectors,
@@ -290,27 +290,25 @@ def half_twist_any_cmtype(spec: CoverSpec) -> bool:
 # dimension identities and decompositions
 
 
-def euler_recursion_rank(spec: CoverSpec) -> int:
+def euler_recursion_rank(d: int, k: int) -> int:
     """Primitive middle rank via the Euler-characteristic recursion of
     the tower of covers: (-1)^k h_k = (d-1)(1 - (-1)^(k-1) h_{k-1}),
     starting from h_0 = d - 1.  Independent of the Jacobian-ring route.
     """
-    d = spec.d
     h = d - 1
-    for j in range(1, spec.k + 1):
+    for j in range(1, k + 1):
         h = (-1) ** j * (d - 1) * (1 - (-1) ** (j - 1) * h)
     return h
 
 
-def dim_identity_check(spec: CoverSpec) -> bool:
-    """h_{k+1} = (d-1) h_{k-1} + (d-2) h_k with all three ranks computed
-    from the Jacobian-ring counts."""
-    d, k = spec.d, spec.k
+def dim_identity_terms(d: int, k: int) -> tuple[int, int, int]:
+    """The terms (h_{k+1}, (d-1) h_{k-1}, (d-2) h_k) of Lemma 3.7,
+    h_{k+1} = (d-1) h_{k-1} + (d-2) h_k, from the Jacobian-ring counts:
+    the one definition that the sweep check and the ledger's examples read."""
     if k < 2:
         raise ValueError("identity needs k >= 2")
-    return primitive_middle_rank(d, k + 1) == (d - 1) * primitive_middle_rank(
-        d, k - 1
-    ) + (d - 2) * primitive_middle_rank(d, k)
+    h = {j: primitive_middle_rank(d, j) for j in (k - 1, k, k + 1)}
+    return h[k + 1], (d - 1) * h[k - 1], (d - 2) * h[k]
 
 
 def build_W(spec: CoverSpec) -> CMHodgeStructure:
@@ -318,7 +316,7 @@ def build_W(spec: CoverSpec) -> CMHodgeStructure:
     cohomology of the cover) tensor (H^1 of the Fermat curve), graded by
     the cover-side residue.  Rank is pinned to (d-2) * h_k."""
     W = tensor_invariants(spec.cohomology, curve_h1(spec.d), rule="sum")
-    expected = (spec.d - 2) * euler_recursion_rank(spec)
+    expected = (spec.d - 2) * euler_recursion_rank(spec.d, spec.k)
     if W.rank != expected:
         raise ValueError(f"W rank {W.rank} != (d-2) h_k = {expected}")
     return W
@@ -345,7 +343,7 @@ def z_decomposition(spec: CoverSpec) -> list[int]:
     ranks = _checked_ranks(
         label,
         [(d - 1) * primitive_middle_rank(d, k - 1), W.rank],
-        euler_recursion_rank(CoverSpec(d, k + 1)),
+        euler_recursion_rank(d, k + 1),
     )
     lower, in_W = primitive_hodge_column(d, k - 1), W.hodge_numbers()
     for p, total in enumerate(primitive_hodge_column(d, k + 1)):
@@ -391,7 +389,7 @@ def quartic_isogeny_report(spec: CoverSpec) -> list[int]:
     return _checked_ranks(
         "J of the quartic threefold",
         [3 * genus, 2 * a_c, 7 * a_k],
-        dict(hypersurface_hodge_numbers(4, 3))[2],
+        primitive_hodge_column(4, 3)[2],
     )
 
 
@@ -415,7 +413,7 @@ def fermat_gamma_invariants(d: int) -> list[int]:
     )
     if exponents != list(range(1, (d - 1) // 2 + 1)):
         raise InvariantError(f"invariant exponents of d={d} are {exponents}")
-    if {a for a in exponents if field.is_unit(a)} != set(field.sigma0):
+    if {a for a in exponents if a in field.units} != set(field.sigma0):
         raise InvariantError(f"unit exponents of d={d} are not the CM-type")
     return exponents
 

@@ -41,9 +41,6 @@ class CyclotomicData:
     other_mask: tuple[int, ...]
     nonunits: tuple[int, ...]
 
-    def is_unit(self, a: int) -> bool:
-        return 0 < a % self.d and gcd(a, self.d) == 1
-
     def __repr__(self) -> str:
         return f"CyclotomicData(d={self.d})"
 

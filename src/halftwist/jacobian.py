@@ -20,8 +20,8 @@ multiplication by P, since the covers of one degree form a tower.  The
 visits, and tier-1 on every cell of the CLI sweep grid.
 Inclusion-exclusion, a closed-form binomial sum, has one evaluator per
 use: one entry at a time (`count_bounded_monomials`) for the Hodge
-numbers of `hypersurface_hodge_numbers`, which need only k + 1
-entries, and one pass for a cover's whole table, the direct road of
+numbers of `primitive_hodge_column`, which need only k + 1 entries,
+and one pass for a cover's whole table, the direct road of
 `eigenspace_dims`.  Tier-1 checks the one-pass table entry by entry
 against the per-entry sum, and the slicing against the per-entry
 formula and the tuple oracle.
@@ -89,26 +89,21 @@ def count_bounded_monomials(n_vars: int, d: int, m: int) -> int:
     return total
 
 
-def hypersurface_hodge_numbers(d: int, k: int) -> list[tuple[int, int]]:
-    """Primitive Hodge numbers (p, h^{p, k-p}_0) of a smooth degree-d
-    k-fold in projective (k+1)-space, from the graded dimensions of its
-    Jacobian ring.  k = 0 gives the reduced cohomology of d points."""
+@cache
+def primitive_hodge_column(d: int, k: int) -> tuple[int, ...]:
+    """The primitive Hodge numbers h^{p, k-p}_0 of a smooth degree-d
+    k-fold in projective (k+1)-space, indexed by p = 0..k: entry p is the
+    Jacobian-ring count N(k+2, d, d(k - p + 1) - k - 2), and k = 0 gives
+    the reduced cohomology of d points.  Kept once per (d, k) for the run,
+    since the tower's identities read the columns of neighbouring levels."""
     if d < 3:
         raise ValueError(f"need degree >= 3, got {d}")
     if k < 0:
         raise ValueError(f"need dimension >= 0, got {k}")
-    return [
-        (k - q, count_bounded_monomials(k + 2, d, d * (q + 1) - k - 2))
-        for q in range(k + 1)
-    ]
-
-
-@cache
-def primitive_hodge_column(d: int, k: int) -> tuple[int, ...]:
-    """The primitive Hodge numbers h^{p, k-p}_0 for p = 0..k, indexed by
-    p; kept once per (d, k) for the run, since the identities of the
-    tower ask for the same column from neighbouring levels."""
-    return tuple(dim for _, dim in reversed(hypersurface_hodge_numbers(d, k)))
+    return tuple(
+        count_bounded_monomials(k + 2, d, d * (k - p + 1) - k - 2)
+        for p in range(k + 1)
+    )
 
 
 def primitive_middle_rank(d: int, k: int) -> int:

@@ -9,12 +9,13 @@ cover's series is one step on from the one below it, and only
 (check, d, k_max) crosses a process boundary.  Rows are independent,
 so the grid is embarrassingly parallel; results are sorted by (d, k)
 before rendering, which makes the output independent of the worker
-count.  Every check asserts what it reports: `oracle-equivalence` is
-the one-pass road of `jacobian.eigenspace_dims` checked against the
-tower-route table that the other checks read, so a fault on either
-road fails it and the cell names the first differing entry; and
-`cmtype-search` fails a cell with an optimality gap, where some CM-type
-does better than the fixed one.
+count.  A check returns its pass text and fails only by raising a
+ValueError, whose message is the failing cell's detail; and every check
+asserts what it reports: `oracle-equivalence` checks the one-pass road
+of `jacobian.eigenspace_dims` against the tower-route table that the
+other checks read, so a fault on either road fails it and the cell
+names the first differing entry, and `cmtype-search` fails a cell with
+an optimality gap, where some CM-type does better than the fixed one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class SweepCell:
     detail: str
 
 
-def _oracle_equivalence(spec: CoverSpec) -> tuple[bool, str]:
+def _oracle_equivalence(spec: CoverSpec) -> str:
     # the table every other check reads (the tower route on a sweep)
     # against the one-pass table of the same cover; unchecked for
     # symmetry, so that a bad table shows as its first differing entry
@@ -44,22 +45,23 @@ def _oracle_equivalence(spec: CoverSpec) -> tuple[bool, str]:
     vectors = jacobian.eigenspace_dims(d, k)
     oracle = hodge.CMHodgeStructure(spec.field, k, vectors, check_symmetry=False)
     hodge.require_equal(spec.cohomology, oracle, "inclusion-exclusion differs")
-    return True, f"{(k + 1) * (d - 1)} entries agree"
+    return f"{(k + 1) * (d - 1)} entries agree"
 
 
-def _dim_identity(spec: CoverSpec) -> tuple[bool, str]:
-    euler = covers.euler_recursion_rank(spec)
+def _dim_identity(spec: CoverSpec) -> str:
+    euler = covers.euler_recursion_rank(spec.d, spec.k)
     griffiths = jacobian.primitive_middle_rank(spec.d, spec.k)
     if euler != griffiths:
-        return False, f"euler {euler} != griffiths {griffiths}"
+        raise ValueError(f"euler {euler} != griffiths {griffiths}")
     if spec.k < 2:
-        return True, "euler=griffiths (identity needs k>=2)"
-    if not covers.dim_identity_check(spec):
-        return False, "h_{k+1} != (d-1) h_{k-1} + (d-2) h_k"
-    return True, "identity and euler oracle hold"
+        return "euler=griffiths (identity needs k>=2)"
+    total, lower, same = covers.dim_identity_terms(spec.d, spec.k)
+    if total != lower + same:
+        raise ValueError("h_{k+1} != (d-1) h_{k-1} + (d-2) h_k")
+    return "identity and euler oracle hold"
 
 
-def _round_trip(spec: CoverSpec) -> tuple[bool, str]:
+def _round_trip(spec: CoverSpec) -> str:
     # one Tate ladder of V: rung 0 holds V and its half twist, rung q
     # holds V(q) and its half twist, and the commutation count reads the
     # same rungs
@@ -69,44 +71,44 @@ def _round_trip(spec: CoverSpec) -> tuple[bool, str]:
         if covers.half_twist_exists_direct(spec, tate=tate):
             rung, twisted = ladder[covers.qt_decompose(spec).q if tate else 0]
             if twisted is None or hodge.neg_half_twist(twisted) != rung:
-                return False, f"round trip fails on {name}"
+                raise ValueError(f"round trip fails on {name}")
             done.append(name)
     compared = hodge.ladder_commutations(ladder)
     if not done and not compared:
-        return True, "no twist exists here"
-    return True, f"round trips: {','.join(done) or 'none'}; commutations: {compared}"
+        return "no twist exists here"
+    return f"round trips: {','.join(done) or 'none'}; commutations: {compared}"
 
 
-def _monotonicity(spec: CoverSpec) -> tuple[bool, str]:
+def _monotonicity(spec: CoverSpec) -> str:
     top = covers.qt_decompose(spec).top
     for i in range(1, spec.d - 1):
         if spec.cohomology.entry(top, i) < spec.cohomology.entry(top, i + 1):
-            return False, f"extremal eigenspaces grow at i={i}"
-    return True, f"nonincreasing along the extremal row p={top}"
+            raise ValueError(f"extremal eigenspaces grow at i={i}")
+    return f"nonincreasing along the extremal row p={top}"
 
 
-def _w_rank(spec: CoverSpec) -> tuple[bool, str]:
+def _w_rank(spec: CoverSpec) -> str:
     W = covers.build_W(spec)
-    return True, f"rank {W.rank} = (d-2) h_k"
+    return f"rank {W.rank} = (d-2) h_k"
 
 
-def _z_checksum(spec: CoverSpec) -> tuple[bool, str]:
+def _z_checksum(spec: CoverSpec) -> str:
     ranks = covers.z_decomposition(spec)
-    return True, f"checksum {sum(ranks)}"
+    return f"checksum {sum(ranks)}"
 
 
-def _ks_space(spec: CoverSpec) -> tuple[bool, str]:
+def _ks_space(spec: CoverSpec) -> str:
     S = covers.ks_invariant_space(spec)
-    return True, f"invariant space = V(-1), rank {S.rank}"
+    return f"invariant space = V(-1), rank {S.rank}"
 
 
-def _cmtype_search(spec: CoverSpec) -> tuple[bool, str]:
+def _cmtype_search(spec: CoverSpec) -> str:
     # a disagreement means the fixed CM-type is not optimal for this cell
     direct = covers.half_twist_exists_direct(spec)
     any_type = covers.half_twist_any_cmtype(spec)
-    if direct == any_type:
-        return True, f"fixed CM-type is optimal (exists={direct})"
-    return False, f"OPTIMALITY GAP: fixed type {direct}, some type {any_type}"
+    if direct != any_type:
+        raise ValueError(f"OPTIMALITY GAP: fixed type {direct}, some type {any_type}")
+    return f"fixed CM-type is optimal (exists={direct})"
 
 
 CHECKS = {
@@ -122,14 +124,14 @@ CHECKS = {
 
 
 def check_cover(check: str, spec: CoverSpec) -> SweepCell:
-    """Run one registered check on one cover.  A ValueError from the
-    check (a rank, checksum or table identity that does not hold) is a
-    failing cell that carries its message; an unknown check name is a
-    ValueError of the caller."""
+    """Run one registered check on one cover.  A check returns its pass
+    text and fails only by raising a ValueError (a rank, checksum or table
+    identity that does not hold): a failing cell with the message as its
+    detail.  An unknown check name is a ValueError of the caller."""
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
     try:
-        ok, detail = CHECKS[check](spec)
+        ok, detail = True, CHECKS[check](spec)
     except ValueError as exc:
         ok, detail = False, str(exc)
     return SweepCell(d=spec.d, k=spec.k, check=check, ok=ok, detail=detail)

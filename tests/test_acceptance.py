@@ -13,7 +13,7 @@ from halftwist.covers import (
     CoverSpec,
     build_W,
     degree_bound_printed,
-    dim_identity_check,
+    dim_identity_terms,
     euler_recursion_rank,
     half_twist_any_cmtype,
     half_twist_exists_direct,
@@ -36,7 +36,7 @@ from halftwist.jacobian import (
     build_w_quotient,
     cover_variables,
     eigenspace_dims,
-    hypersurface_hodge_numbers,
+    primitive_hodge_column,
     primitive_middle_rank,
     shioda_tuple_count,
     torelli_deformation_dimension,
@@ -72,7 +72,7 @@ def test_c01_kondo_quartic_surface_suite():
         summary = abelian_summary(pos_half_twist(primitive_V(spec)))
         assert summary.dim_abelian == 7
         assert summary.cm_type == (1, 6)
-        assert dict(hypersurface_hodge_numbers(4, 3))[2] == 30
+        assert primitive_hodge_column(4, 3)[2] == 30
         isogeny = quartic_isogeny_report(spec)
         assert sum(isogeny) == 30
         assert isogeny == [9, 14, 7]
@@ -80,14 +80,14 @@ def test_c01_kondo_quartic_surface_suite():
 
 def test_c02_cubic_fourfold_suite():
     with criterion(2, "cubic fourfold suite", 1.0):
-        numbers = dict(hypersurface_hodge_numbers(3, 4))
+        numbers = primitive_hodge_column(3, 4)
         assert numbers[3] == 1 and numbers[2] == 20
         V = primitive_V(CoverSpec(3, 4))
         assert V.rank == 22
         summary = abelian_summary(pos_half_twist(tate_twist(V, 1)))
         assert summary.dim_abelian == 11
         assert summary.cm_type == (1, 10)
-        jz5 = euler_recursion_rank(CoverSpec(3, 5)) // 2
+        jz5 = euler_recursion_rank(3, 5) // 2
         jx3 = primitive_middle_rank(3, 3) // 2
         assert (jz5, jx3) == (21, 5)
         assert jz5 == 2 * jx3 + summary.dim_abelian
@@ -112,7 +112,7 @@ def test_c04_quintic_suite():
             qt = qt_decompose(spec)
             assert k == 5 * qt.q + 2
             top = k - qt.q
-            assert dict(hypersurface_hodge_numbers(5, k))[top] == k + 2
+            assert primitive_hodge_column(5, k)[top] == k + 2
             dims = eigenspace_dims(5, k)
             assert dims[1][top] == k + 1
             assert dims[2][top] == 1
@@ -135,11 +135,12 @@ def test_c06_dimension_identity_and_checksums():
     with criterion(6, "dimension identity, decomposition checksum, Euler oracle", 30.0):
         for d, k in GRID:
             spec = CoverSpec(d, k)
-            assert euler_recursion_rank(spec) == primitive_middle_rank(d, k)
+            assert euler_recursion_rank(d, k) == primitive_middle_rank(d, k)
             if k >= 2:
-                assert dim_identity_check(spec), (d, k)
+                total, lower, same = dim_identity_terms(d, k)
+                assert total == lower + same, (d, k)
             ranks = z_decomposition(spec)
-            assert sum(ranks) == euler_recursion_rank(CoverSpec(d, k + 1))
+            assert sum(ranks) == euler_recursion_rank(d, k + 1)
 
 
 def test_c07_round_trip_and_commutation():

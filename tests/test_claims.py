@@ -186,10 +186,35 @@ def test_sweep_backed_claim_fails_with_one_failing_cell(
     real = sweeps.CHECKS[check]
 
     def one_cell_fails(spec):
-        return (False, "forced failure") if (spec.d, spec.k) == cell else real(spec)
+        if (spec.d, spec.k) == cell:
+            raise ValueError("forced failure")
+        return real(spec)
 
     monkeypatch.setitem(sweeps.CHECKS, check, one_cell_fails)
-    assert claims.evaluate(claim).status == claims.STATUS_FAIL
+    report = claims.evaluate(claim)
+    assert report.status == claims.STATUS_FAIL
+    d, k = cell
+    assert report.computed == (
+        f"error: {check} fails at (d={d}, k={k}): forced failure"
+    )
+
+
+def test_a_swapped_lemma37_coefficient_fails_the_sweep_and_the_ledger(monkeypatch):
+    # the sweep check and the ledger's examples read one definition of
+    # the three terms, so one fault in it fails all of them
+    real = covers.dim_identity_terms
+
+    def swapped(d, k):
+        total, _, same = real(d, k)
+        return total, (d - 2) * jacobian.primitive_middle_rank(d, k - 1), same
+
+    monkeypatch.setattr(covers, "dim_identity_terms", swapped)
+    cells = sweeps.run_sweep("dim-identity", d_max=6, k_max=4, jobs=1)
+    assert [(c.d, c.k) for c in cells if not c.ok] == [
+        (d, k) for d in range(3, 7) for k in range(2, 5)
+    ]
+    for claim_id in ("lemma3.7.grid", "lemma3.7.kondo", "lemma3.7.cubic4"):
+        assert claims.evaluate(claim_named(claim_id)).status == claims.STATUS_FAIL
 
 
 def test_a_verify_run_evaluates_each_sweep_cell_once(monkeypatch):
@@ -211,11 +236,18 @@ def test_a_verify_run_evaluates_each_sweep_cell_once(monkeypatch):
     }
 
 
+NO_COMMUTATION = (
+    "error: no cell of the grid compares a Tate commutation at m >= 1"
+)
+
+
 def test_tate_commutation_needs_a_compared_commutation(monkeypatch):
     claim = claim_named("twists.tate_commutation")
     assert claims.evaluate(claim).status == claims.STATUS_PASS
     monkeypatch.setattr(hodge, "tate_commutations", lambda structure: 0)
-    assert claims.evaluate(claim).status == claims.STATUS_FAIL
+    report = claims.evaluate(claim)
+    assert report.status == claims.STATUS_FAIL
+    assert report.computed == NO_COMMUTATION
 
 
 def test_tate_commutation_needs_more_than_the_identity(monkeypatch):
@@ -223,7 +255,9 @@ def test_tate_commutation_needs_more_than_the_identity(monkeypatch):
     # construction since tate_twist(X, 0) is X
     claim = claim_named("twists.tate_commutation")
     monkeypatch.setattr(hodge, "tate_commutations", lambda structure: 1)
-    assert claims.evaluate(claim).status == claims.STATUS_FAIL
+    report = claims.evaluate(claim)
+    assert report.status == claims.STATUS_FAIL
+    assert report.computed == NO_COMMUTATION
 
 
 def test_even_degree_claims_fail_on_an_even_disagreement(monkeypatch):

@@ -99,12 +99,12 @@ def test_eigenspaces_of_d_points(capsys, d):
 def test_eigenspaces_fails_when_a_row_total_misses_its_hodge_number(
     capsys, monkeypatch, fmt
 ):
-    real = jacobian.hypersurface_hodge_numbers
+    real = jacobian.primitive_hodge_column
 
     def one_row_off(d, k):
-        return [(p, dim + (p == 1)) for p, dim in real(d, k)]
+        return tuple(dim + (p == 1) for p, dim in enumerate(real(d, k)))
 
-    monkeypatch.setattr(jacobian, "hypersurface_hodge_numbers", one_row_off)
+    monkeypatch.setattr(jacobian, "primitive_hodge_column", one_row_off)
     code, out, err = run_cli(capsys, "eigenspaces", "4", "2", "--format", fmt)
     assert code == 1
     assert out == ""
@@ -232,8 +232,8 @@ def _no_work_may_start(*_args, **_kwargs):
 @pytest.mark.parametrize(
     "argv, entry",
     [
-        (["hodge", "3", "3000"], "jacobian.hypersurface_hodge_numbers"),
-        (["hodge", str(cli.MAX_D + 1), "2"], "jacobian.hypersurface_hodge_numbers"),
+        (["hodge", "3", "3000"], "jacobian.primitive_hodge_column"),
+        (["hodge", str(cli.MAX_D + 1), "2"], "jacobian.primitive_hodge_column"),
         (["eigenspaces", "3", str(cli.MAX_K + 1)], "covers.eigenspace_dims"),
         (["eigenspaces", str(cli.MAX_D + 1), "2"], "covers.eigenspace_dims"),
         (["half-twist", "3", "3000"], "covers.qt_decompose"),
@@ -255,8 +255,8 @@ def test_inputs_above_the_limits_are_rejected_before_running(
 
 
 def test_inputs_at_the_limits_are_accepted(capsys, monkeypatch):
-    monkeypatch.setattr("halftwist.jacobian.hypersurface_hodge_numbers",
-                        lambda d, k: [])
+    monkeypatch.setattr("halftwist.jacobian.primitive_hodge_column",
+                        lambda d, k: (0,) * (k + 1))
     code, _, _ = run_cli(capsys, "hodge", str(cli.MAX_D), str(cli.MAX_K))
     assert code == 0
     monkeypatch.setattr(
@@ -387,7 +387,7 @@ def test_value_error_in_a_check_is_a_failing_cell(capsys, monkeypatch):
     def check(spec):
         if (spec.d, spec.k) == (4, 2):
             raise ValueError("rank 5 != 6")
-        return True, "holds"
+        return "holds"
 
     monkeypatch.setitem(CHECKS, "raises", check)
     code, out, err = run_cli(

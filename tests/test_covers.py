@@ -10,7 +10,7 @@ from halftwist.covers import (
     build_W,
     curve_h1,
     degree_bound_printed,
-    dim_identity_check,
+    dim_identity_terms,
     euler_recursion_rank,
     fermat_gamma_invariants,
     full_level_V,
@@ -343,34 +343,37 @@ def test_cmtype_search_reaches_large_prime_degree():
 
 
 def test_euler_recursion_examples():
-    assert euler_recursion_rank(CoverSpec(3, 4)) == 22
-    assert euler_recursion_rank(CoverSpec(4, 2)) == 21
+    assert euler_recursion_rank(3, 4) == 22
+    assert euler_recursion_rank(4, 2) == 21
     for d in (3, 4, 7):
-        assert euler_recursion_rank(CoverSpec(d, 0)) == d - 1
+        assert euler_recursion_rank(d, 0) == d - 1
 
 
 def test_euler_matches_griffiths_on_grid():
     for d in range(3, 10):
         for k in range(0, 8):
-            assert euler_recursion_rank(CoverSpec(d, k)) == (
-                primitive_middle_rank(d, k)
-            ), (d, k)
+            assert euler_recursion_rank(d, k) == primitive_middle_rank(d, k), (d, k)
+
+
+def identity_holds(d, k):
+    total, lower, same = dim_identity_terms(d, k)
+    return total == lower + same
 
 
 def test_dim_identity_examples():
     assert primitive_middle_rank(4, 3) == 60
     assert 60 == 3 * 6 + 2 * 21
-    assert dim_identity_check(CoverSpec(4, 2))
+    assert dim_identity_terms(4, 2) == (60, 18, 42)
     assert primitive_middle_rank(3, 5) == 42
     assert 42 == 2 * 10 + 1 * 22
-    assert dim_identity_check(CoverSpec(3, 4))
-    assert dim_identity_check(CoverSpec(6, 3))
+    assert dim_identity_terms(3, 4) == (42, 20, 22)
+    assert identity_holds(6, 3)
 
 
 def test_dim_identity_on_grid():
     for d, k in GRID:
         if k >= 2:
-            assert dim_identity_check(CoverSpec(d, k)), (d, k)
+            assert identity_holds(d, k), (d, k)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +385,7 @@ def test_build_W_ranks():
     assert build_W(CoverSpec(5, 2)).rank == 3 * primitive_middle_rank(5, 2)
     for d, k in GRID:
         spec = CoverSpec(d, k)
-        assert build_W(spec).rank == (d - 2) * euler_recursion_rank(spec), (d, k)
+        assert build_W(spec).rank == (d - 2) * euler_recursion_rank(d, k), (d, k)
 
 
 def test_W_is_the_matched_tensor():
@@ -416,14 +419,14 @@ def test_z_decomposition_examples():
 def test_z_decomposition_on_grid():
     for d, k in GRID:
         ranks = z_decomposition(CoverSpec(d, k))
-        assert sum(ranks) == euler_recursion_rank(CoverSpec(d, k + 1))
+        assert sum(ranks) == euler_recursion_rank(d, k + 1)
 
 
 def test_a_checksum_mismatch_fails_loudly(monkeypatch):
     # one too high one level up, where only the checksum reads it
     real = covers.euler_recursion_rank
     monkeypatch.setattr(
-        covers, "euler_recursion_rank", lambda spec: real(spec) + (spec.k == 3)
+        covers, "euler_recursion_rank", lambda d, k: real(d, k) + (k == 3)
     )
     message = "H^3_0(Z_3) for d=4: checksum 60 != expected 61"
     with pytest.raises(ValueError) as caught:
@@ -638,20 +641,29 @@ def test_a_round_trip_sweep_builds_no_table_directly(table_builds):
 
 
 def test_a_dim_identity_sweep_computes_each_rank_once(monkeypatch):
-    ranks = Counter()
-    real = jacobian.hypersurface_hodge_numbers
+    # a column of (d, k) counts monomials in k + 2 variables, one count
+    # per Hodge number
+    entries = Counter()
+    real = jacobian.count_bounded_monomials
 
-    def counted(d, k):
-        ranks[(d, k)] += 1
-        return real(d, k)
+    def counted(n_vars, d, m):
+        entries[(d, n_vars - 2)] += 1
+        return real(n_vars, d, m)
 
-    monkeypatch.setattr(jacobian, "hypersurface_hodge_numbers", counted)
+    monkeypatch.setattr(jacobian, "count_bounded_monomials", counted)
     jacobian.primitive_hodge_column.cache_clear()
     cells = sweeps.run_sweep("dim-identity", d_max=8, k_max=6, jobs=1)
     assert all(cell.ok for cell in cells)
     # k = 1 reads h_1 only; k >= 2 reads h_{k-1}, h_k and h_{k+1}
-    assert set(ranks) == {(d, j) for d in range(3, 9) for j in range(1, 8)}
-    assert set(ranks.values()) == {1}
+    assert set(entries) == {(d, j) for d in range(3, 9) for j in range(1, 8)}
+    assert all(count == k + 1 for (_, k), count in entries.items())
+
+
+@pytest.mark.parametrize("check", sorted(sweeps.CHECKS))
+def test_a_check_returns_its_pass_text(check):
+    # a check fails only by raising, so what it returns is the text of a
+    # passing cell
+    assert isinstance(sweeps.CHECKS[check](CoverSpec(5, 3)), str)
 
 
 @pytest.mark.parametrize("check", sorted(sweeps.CHECKS))

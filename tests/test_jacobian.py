@@ -19,7 +19,7 @@ from halftwist.jacobian import (
     cover_variables,
     eigenspace_dims,
     exact_rank,
-    hypersurface_hodge_numbers,
+    primitive_hodge_column,
     reduced_cover_numerator,
     residue_vectors,
     shioda_tuple_count,
@@ -100,26 +100,26 @@ def test_count_symmetry():
 
 
 def test_hodge_numbers_cubic_fourfold():
-    numbers = dict(hypersurface_hodge_numbers(3, 4))
+    numbers = primitive_hodge_column(3, 4)
     assert numbers[4] == 0 and numbers[3] == 1 and numbers[2] == 20
 
 
 def test_hodge_numbers_quartic_surface():
-    numbers = dict(hypersurface_hodge_numbers(4, 2))
+    numbers = primitive_hodge_column(4, 2)
     assert numbers[2] == 1
-    assert sum(numbers.values()) == 21
+    assert sum(numbers) == 21
 
 
 def test_hodge_numbers_cubic_threefold():
     # cross-check: both middle numbers equal 5, so the intermediate
     # Jacobian is five-dimensional
-    numbers = dict(hypersurface_hodge_numbers(3, 3))
+    numbers = primitive_hodge_column(3, 3)
     assert numbers[2] == 5 and numbers[1] == 5
 
 
 def test_hodge_numbers_points_on_a_line():
-    assert hypersurface_hodge_numbers(3, 0) == [(0, 2)]
-    assert hypersurface_hodge_numbers(7, 0) == [(0, 6)]
+    assert primitive_hodge_column(3, 0) == (2,)
+    assert primitive_hodge_column(7, 0) == (6,)
 
 
 @pytest.mark.parametrize(
@@ -140,8 +140,7 @@ def test_eigenspace_column_sums_match_hodge_numbers():
     for d in range(3, 10):
         for k in range(1, 8):
             dims = eigenspace_dims(d, k)
-            numbers = dict(hypersurface_hodge_numbers(d, k))
-            for p, total in numbers.items():
+            for p, total in enumerate(primitive_hodge_column(d, k)):
                 assert sum(dims[i][p] for i in range(1, d)) == total, (d, k, p)
 
 
