@@ -8,7 +8,9 @@ recursion, exact rank), "trivial" a value forced by definitions.
 A claim over a grid of (d, k) cells runs the registered sweep check on
 every cell (`sweeps.check_cover`), so the ledger and the sweeps share one
 definition of each property; a claim reads a cell's `ok`, and its text
-only to name the first failing cell.
+only to name the first failing cell.  `euler.matches_griffiths` names
+one part of the `dim-identity` cell, so it calls that part alone,
+`covers.middle_rank_both_routes`, and a Lemma 3.7 fault cannot fail it.
 
 One ledger run holds one `CoverSpec` per cover and one cell per
 (check, d, k): `all_claims` makes a memo of specs and, over it, a memo
@@ -229,6 +231,15 @@ def _lemma37_example(d: int, k: int):
     return [total, [lower, same]]
 
 
+def _euler_matches_griffiths() -> bool:
+    for d, k in _grid(GRID_D, range(0, 8)):
+        try:
+            covers.middle_rank_both_routes(d, k)
+        except ValueError as exc:
+            raise ValueError(f"ranks differ at (d={d}, k={k}): {exc}") from None
+    return True
+
+
 def _cell_memo(spec: Specs) -> Cells:
     """The run's memo of sweep cells, each run once on the cover from
     `spec`.  A cell is keyed by its check's registered function, not its
@@ -422,7 +433,7 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("prop3.5.checksum_grid", "3.5", "dims", "derived", True,
               lambda: _sweep_holds(cell, "z-checksum", _grid(GRID_D, GRID_K))),
         Claim("euler.matches_griffiths", "3.7", "dims", "derived", True,
-              lambda: _sweep_holds(cell, "dim-identity", _grid(GRID_D, range(0, 8)))),
+              _euler_matches_griffiths),
         # --- Kuga-Satake dimension space
         Claim("ks.cubic4_table", "5.2", "ks", "paper", True,
               lambda: _sweep_holds(cell, "ks-space", [(3, 4)])),

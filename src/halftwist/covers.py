@@ -40,13 +40,14 @@ the Fermat-curve table that `build_W` tensors with, of 2(d - 1)
 entries, cached per degree; K_{-1/2}, the weight-one structure that
 `ks_invariant_space` and `quartic_W_split` tensor with, also of
 2(d - 1) entries, cached per field by `hodge.k_minus_half`; the field
-itself with its masks, since `make_cyclotomic` builds one frozen
-`CyclotomicData` per degree; the series a `tower` generator holds for
-its next step; and the primitive Hodge numbers of
-`jacobian.primitive_hodge_column`, k + 1 ints per (d, k), which the
-primitive ranks, the Lemma 3.7 terms of `dim_identity_terms`, the graded
-check of `z_decomposition` and `quartic_isogeny_report` read.  Every
-one of these caches fills on first use, none at import.
+itself, one frozen `CyclotomicData` per degree from `make_cyclotomic`,
+with its unit group and masks derived from (d, sigma0) when it is
+built; the series a `tower` generator holds for its next step; and the
+primitive Hodge numbers of `jacobian.primitive_hodge_column`, k + 1
+ints per (d, k), which the primitive ranks, the Lemma 3.7 terms of
+`dim_identity_terms`, the graded check of `z_decomposition` and
+`quartic_isogeny_report` read.  Every one of these caches fills on
+first use, none at import.
 """
 
 from __future__ import annotations
@@ -279,8 +280,10 @@ def half_twist_any_cmtype(spec: CoverSpec) -> bool:
     A CM-type picks one embedding from each conjugate pair {a, d - a},
     so some CM-type contains the top support exactly when the support
     holds no such pair: O(phi(d)).  The exhaustive search over all
-    2^(phi(d)/2) CM-types is its test oracle, `any_cmtype_exhaustive`
-    in tests/test_covers.py."""
+    2^(phi(d)/2) CM-types gives its two test oracles in
+    tests/test_covers.py: `any_cmtype_exhaustive` tests this containment
+    for each CM-type, and `any_cmtype_by_predicate` asks
+    `has_positive_half_twist` of V rebuilt over each CM-type."""
     V = primitive_V(spec)
     top_support = {a for a in spec.field.units if V.entry(spec.k, a)}
     return all(spec.d - a not in top_support for a in top_support)
@@ -299,6 +302,18 @@ def euler_recursion_rank(d: int, k: int) -> int:
     for j in range(1, k + 1):
         h = (-1) ** j * (d - 1) * (1 - (-1) ** (j - 1) * h)
     return h
+
+
+def middle_rank_both_routes(d: int, k: int) -> int:
+    """The primitive middle rank h_k, once by the Euler recursion and once
+    from the Jacobian-ring counts: the one comparison of the two routes,
+    which the dim-identity sweep check and the ledger both read.  A
+    ValueError names both ranks when they differ."""
+    euler = euler_recursion_rank(d, k)
+    griffiths = primitive_middle_rank(d, k)
+    if euler != griffiths:
+        raise ValueError(f"euler {euler} != griffiths {griffiths}")
+    return euler
 
 
 def dim_identity_terms(d: int, k: int) -> tuple[int, int, int]:

@@ -5,6 +5,11 @@ this package depends only on exponents mod d.  An embedding sigma_a is
 therefore stored as the unit residue a, complex conjugation is the
 involution a -> d - a, and the preferred CM-type picks the units in the
 open interval (0, d/2).
+
+A field is defined by two values, its degree d and its CM-type sigma0;
+everything else about it (the unit group, the masks that the half
+twists read, the non-units) is derived from those two, so a field with
+another CM-type never carries the data of the old one.
 """
 
 from __future__ import annotations
@@ -28,18 +33,45 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class CyclotomicData:
-    """The degree d, its unit group (ascending), the CM-type sigma0, and
-    for the rows of a flat Hodge table (`hodge.CMHodgeStructure`), which
-    run over the residues 1..d-1: sigma0 as a mask (entry a - 1 is 1
-    when a is in sigma0, else 0), its complement, and the non-units
-    among 1..d-1 (ascending)."""
+    """The d-th cyclotomic field with a CM-type, defined by the degree
+    d >= 3 and the CM-type sigma0, one unit residue from each conjugate
+    pair {a, d - a}; these two alone are fields, so they alone take part
+    in equality, hashing and `dataclasses.replace`, and a bad pair
+    raises at construction.
+
+    Derived from them when the field is built, as plain attributes: the
+    unit group `units` (ascending), and for the rows of a flat Hodge
+    table (`hodge.CMHodgeStructure`), which run over the residues
+    1..d-1, `sigma0_mask` (entry a - 1 is 1 when a is in sigma0, else
+    0), its complement `other_mask`, and the non-units `nonunits`
+    (ascending)."""
 
     d: int
-    units: tuple[int, ...]
     sigma0: frozenset[int]
-    sigma0_mask: tuple[int, ...]
-    other_mask: tuple[int, ...]
-    nonunits: tuple[int, ...]
+
+    def __post_init__(self):
+        d, sigma0 = self.d, self.sigma0
+        if d < 3:
+            raise InvalidDegreeError(f"degree must be >= 3, got {d}")
+        units = tuple(a for a in range(1, d) if gcd(a, d) == 1)
+        conjugates = {d - a for a in sigma0}
+        if sigma0 | conjugates != set(units) or conjugates & sigma0:
+            raise ValueError(
+                f"{sorted(sigma0)} is not a CM-type of d={d}: "
+                "it must hold one unit of each pair {a, d - a}"
+            )
+        mask = tuple(int(a in sigma0) for a in range(1, d))
+        # set once here rather than as cached properties, whose writes
+        # into the instance __dict__ would slow every read of the field,
+        # d included, on the twists' hot paths
+        derived = {
+            "units": units,
+            "sigma0_mask": mask,
+            "other_mask": tuple(1 - x for x in mask),
+            "nonunits": tuple(a for a in range(1, d) if a not in units),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         return f"CyclotomicData(d={self.d})"
@@ -47,24 +79,10 @@ class CyclotomicData:
 
 @cache
 def make_cyclotomic(d: int) -> CyclotomicData:
-    """Unit group and CM-type data for the d-th cyclotomic field, d >= 3;
-    built once per degree, since the data is frozen."""
-    if d < 3:
-        raise InvalidDegreeError(f"degree must be >= 3, got {d}")
-    units = tuple(a for a in range(1, d) if gcd(a, d) == 1)
-    sigma0 = frozenset(a for a in units if 2 * a < d)
-    if len(sigma0) * 2 != len(units):
-        raise InvariantError(f"CM-type of d={d} misses a conjugate pair")
-    sigma0_mask = tuple(int(a in sigma0) for a in range(1, d))
-    other_mask = tuple(1 - x for x in sigma0_mask)
-    nonunits = tuple(a for a in range(1, d) if a not in units)
-    return CyclotomicData(d, units, sigma0, sigma0_mask, other_mask, nonunits)
-
-
-def conjugate_residue(field: CyclotomicData, a: int) -> int:
-    """Complex conjugation on residues, a -> -a mod d: on units it takes
-    sigma_a to sigma_{d-a}, and 0 is self-conjugate."""
-    return (-a) % field.d
+    """The d-th cyclotomic field, d >= 3, with the preferred CM-type, the
+    units in (0, d/2); built once per degree, since the data is frozen."""
+    sigma0 = frozenset(a for a in range(1, d) if 2 * a < d and gcd(a, d) == 1)
+    return CyclotomicData(d, sigma0)
 
 
 def all_cm_types(field: CyclotomicData) -> Iterator[frozenset[int]]:

@@ -47,7 +47,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .cyclotomic import CyclotomicData, InvariantError, conjugate_residue
+from .cyclotomic import CyclotomicData, InvariantError
 
 Vector = tuple[int, ...]  # entry p: the dimension at Hodge index p
 # (rows, zero): rows p-major over residues 1..d-1, entry (p, a) at
@@ -167,9 +167,6 @@ class CMHodgeStructure:
             return self._rows[p * (self.field.d - 1) + a - 1]
         return self._zero[p] if self._zero else 0
 
-    def residues(self) -> frozenset[int]:
-        return frozenset(a for a, _ in self._residue_vectors())
-
     def hodge_numbers(self) -> dict[int, int]:
         """Residue-blind Hodge numbers p -> h^{p, weight-p}, nonzero only."""
         return {p: dim for p, dim in enumerate(self._columns()) if dim}
@@ -183,7 +180,7 @@ class CMHodgeStructure:
     def restrict_residues(self, residues: Iterable[int]) -> "CMHodgeStructure":
         d, width = self.field.d, self.field.d - 1
         keep = {a % d for a in residues}
-        symmetric = all(conjugate_residue(self.field, a) in keep for a in keep)
+        symmetric = all((-a) % d in keep for a in keep)
         rows = [0] * len(self._rows)
         for a in keep - {0}:
             rows[a - 1::width] = self._rows[a - 1::width]

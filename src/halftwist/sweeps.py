@@ -49,15 +49,14 @@ def _oracle_equivalence(spec: CoverSpec) -> str:
 
 
 def _dim_identity(spec: CoverSpec) -> str:
-    euler = covers.euler_recursion_rank(spec.d, spec.k)
-    griffiths = jacobian.primitive_middle_rank(spec.d, spec.k)
-    if euler != griffiths:
-        raise ValueError(f"euler {euler} != griffiths {griffiths}")
+    covers.middle_rank_both_routes(spec.d, spec.k)
     if spec.k < 2:
         return "euler=griffiths (identity needs k>=2)"
     total, lower, same = covers.dim_identity_terms(spec.d, spec.k)
     if total != lower + same:
-        raise ValueError("h_{k+1} != (d-1) h_{k-1} + (d-2) h_k")
+        raise ValueError(
+            f"h_{{k+1}} != (d-1) h_{{k-1}} + (d-2) h_k: {total} != {lower} + {same}"
+        )
     return "identity and euler oracle hold"
 
 

@@ -165,7 +165,6 @@ def test_a_failing_W_claim_names_what_differs(monkeypatch, claim_id, message):
 # Each grid claim runs a sweep check; (claim, check, a cell of its grid).
 SWEEP_BACKED = [
     ("lemma3.7.grid", "dim-identity", (9, 7)),
-    ("euler.matches_griffiths", "dim-identity", (9, 0)),
     ("prop3.5.checksum_grid", "z-checksum", (9, 7)),
     ("twists.roundtrip_grid", "round-trip", (8, 8)),
     ("twists.tate_commutation", "round-trip", (9, 7)),
@@ -213,13 +212,32 @@ def test_a_swapped_lemma37_coefficient_fails_the_sweep_and_the_ledger(monkeypatc
     assert [(c.d, c.k) for c in cells if not c.ok] == [
         (d, k) for d in range(3, 7) for k in range(2, 5)
     ]
+    # h_3 = 10 at d = 3, and the swapped middle term is 1 * h_1 = 2
+    assert cells[1].detail == "h_{k+1} != (d-1) h_{k-1} + (d-2) h_k: 10 != 2 + 6"
     for claim_id in ("lemma3.7.grid", "lemma3.7.kondo", "lemma3.7.cubic4"):
         assert claims.evaluate(claim_named(claim_id)).status == claims.STATUS_FAIL
+    # the two rank routes still agree, and their claim says so
+    euler = claims.evaluate(claim_named("euler.matches_griffiths"))
+    assert euler.status == claims.STATUS_PASS
+
+
+def test_an_euler_fault_fails_its_claim_at_the_first_cell(monkeypatch):
+    claim = claim_named("euler.matches_griffiths")
+    assert claims.evaluate(claim).status == claims.STATUS_PASS
+    real = covers.euler_recursion_rank
+
+    def off_by_one_at_9_0(d, k):
+        return real(d, k) + ((d, k) == (9, 0))
+
+    monkeypatch.setattr(covers, "euler_recursion_rank", off_by_one_at_9_0)
+    report = claims.evaluate(claim)
+    assert report.status == claims.STATUS_FAIL
+    assert report.computed == "error: ranks differ at (d=9, k=0): euler 9 != griffiths 8"
 
 
 def test_a_verify_run_evaluates_each_sweep_cell_once(monkeypatch):
-    # the grid claims overlap (round trips on d <= 8 and on d <= 9, the
-    # dimension identity for k >= 2 and for k >= 0); each shared cell runs once
+    # two grid claims overlap (round trips on d <= 8, k <= 8 and on
+    # d <= 9, k <= 7); each shared cell runs once
     runs = Counter()
     real = sweeps.check_cover
 

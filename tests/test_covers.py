@@ -28,7 +28,12 @@ from halftwist.covers import (
     secondary_parts,
     z_decomposition,
 )
-from halftwist.cyclotomic import InvariantError, all_cm_types, make_cyclotomic
+from halftwist.cyclotomic import (
+    CyclotomicData,
+    InvariantError,
+    all_cm_types,
+    make_cyclotomic,
+)
 from halftwist.hodge import (
     CMHodgeStructure,
     NoHalfTwistError,
@@ -67,8 +72,8 @@ def test_V_is_the_cohomology_itself_only_for_prime_degree():
     prime = CoverSpec(7, 3)
     assert prime.V is prime.cohomology
     composite = CoverSpec(6, 3)
-    assert composite.V.residues() < composite.cohomology.residues()
-    assert composite.V.residues() == {1, 5}
+    assert set(composite.V.vectors) < set(composite.cohomology.vectors)
+    assert set(composite.V.vectors) == {1, 5}
 
 
 def test_tower_specs_are_the_covers_of_one_degree():
@@ -287,10 +292,27 @@ def any_cmtype_exhaustive(spec):
     return any(top_support <= sigma for sigma in all_cm_types(spec.field))
 
 
+def any_cmtype_by_predicate(spec):
+    """Second test oracle for `half_twist_any_cmtype`: for each of the
+    2^(phi(d)/2) CM-types tau, rebuild V over the field with CM-type tau
+    and ask `has_positive_half_twist` itself.  Symmetry is not checked,
+    so that the synthetic supports below can be asked too."""
+    V = covers.primitive_V(spec)
+    return any(
+        has_positive_half_twist(
+            CMHodgeStructure(
+                CyclotomicData(spec.d, tau), V.weight, V.vectors, check_symmetry=False
+            )
+        )
+        for tau in all_cm_types(spec.field)
+    )
+
+
 def test_cmtype_search_examples():
     for d, k, expected in [(4, 2, True), (7, 2, False), (3, 4, True)]:
         assert half_twist_any_cmtype(CoverSpec(d, k)) is expected
         assert any_cmtype_exhaustive(CoverSpec(d, k)) is expected
+        assert any_cmtype_by_predicate(CoverSpec(d, k)) is expected
 
 
 def test_cmtype_search_agrees_with_fixed_type_on_grid():
@@ -299,6 +321,7 @@ def test_cmtype_search_agrees_with_fixed_type_on_grid():
         direct = half_twist_exists_direct(spec)
         assert half_twist_any_cmtype(spec) == direct, (d, k)
         assert any_cmtype_exhaustive(spec) == direct, (d, k)
+        assert any_cmtype_by_predicate(spec) == direct, (d, k)
 
 
 def test_cmtype_closed_form_matches_exhaustive_oracle():
@@ -329,6 +352,7 @@ def test_cmtype_closed_form_matches_oracle_on_every_support(monkeypatch):
                 monkeypatch.setattr(covers, "primitive_V", lambda spec: V)
                 closed = half_twist_any_cmtype(spec)
                 assert closed == any_cmtype_exhaustive(spec), (d, support)
+                assert closed == any_cmtype_by_predicate(spec), (d, support)
 
 
 def test_cmtype_search_reaches_large_prime_degree():

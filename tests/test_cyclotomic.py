@@ -1,11 +1,13 @@
+import dataclasses
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
 from halftwist.cyclotomic import (
+    CyclotomicData,
     InvalidDegreeError,
     all_cm_types,
-    conjugate_residue,
     make_cyclotomic,
 )
 
@@ -35,25 +37,53 @@ def test_degree_below_three_rejected(d):
         make_cyclotomic(d)
 
 
-@pytest.mark.parametrize("d, a, expected", [(4, 1, 3), (7, 3, 4), (12, 5, 7)])
-def test_conjugate_examples(d, a, expected):
-    assert conjugate_residue(make_cyclotomic(d), a) == expected
-
-
 @pytest.mark.parametrize("d", range(3, 31))
 def test_structure_invariants(d):
     data = make_cyclotomic(d)
     phi = sum(1 for a in range(1, d) if gcd(a, d) == 1)
     assert len(data.units) == phi
-    assert all(d - a in data.units for a in data.units)
-    # conjugation is a fixed-point-free involution on units
-    for a in data.units:
-        assert conjugate_residue(data, conjugate_residue(data, a)) == a
-        assert conjugate_residue(data, a) != a
-    conj_sigma0 = {conjugate_residue(data, a) for a in data.sigma0}
+    # conjugation a -> d - a is a fixed-point-free involution on units
+    assert all(d - a in data.units and d - a != a for a in data.units)
+    conj_sigma0 = {d - a for a in data.sigma0}
     assert data.sigma0.isdisjoint(conj_sigma0)
     assert data.sigma0 | conj_sigma0 == set(data.units)
     assert len(data.sigma0) * 2 == phi
+    assert data.nonunits == tuple(a for a in range(1, d) if a not in data.units)
+    assert data.sigma0_mask == tuple(int(a in data.sigma0) for a in range(1, d))
+    assert all(x + y == 1 for x, y in zip(data.sigma0_mask, data.other_mask))
+
+
+def test_a_field_stores_only_its_degree_and_cm_type():
+    fields = tuple(field.name for field in dataclasses.fields(CyclotomicData))
+    assert fields == ("d", "sigma0")
+    assert repr(make_cyclotomic(5)) == "CyclotomicData(d=5)"
+
+
+def test_a_replaced_cm_type_carries_its_own_masks():
+    other = replace(make_cyclotomic(5), sigma0=frozenset({3, 4}))
+    assert other.units == (1, 2, 3, 4)
+    assert other.sigma0_mask == (0, 0, 1, 1)
+    assert other.other_mask == (1, 1, 0, 0)
+    assert other != make_cyclotomic(5)
+    assert other == CyclotomicData(5, frozenset({3, 4}))
+    assert hash(other) == hash(CyclotomicData(5, frozenset({3, 4})))
+
+
+NOT_CM_TYPES = {
+    "a-conjugate-pair": (5, {1, 4}),
+    "a-pair-left-out": (5, {1}),
+    "both-of-a-pair": (5, {1, 2, 3}),
+    "a-non-unit": (6, {1, 3}),
+    "residue-zero": (6, {0, 1}),
+}
+
+
+@pytest.mark.parametrize(
+    "d, sigma0", NOT_CM_TYPES.values(), ids=list(NOT_CM_TYPES)
+)
+def test_a_set_that_is_not_a_cm_type_is_rejected(d, sigma0):
+    with pytest.raises(ValueError, match="not a CM-type"):
+        replace(make_cyclotomic(d), sigma0=frozenset(sigma0))
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 7, 8, 12])
@@ -66,4 +96,5 @@ def test_all_cm_types(d):
         assert len(sigma) == len(data.units) // 2
         # one embedding per conjugate pair
         assert all((d - a) not in sigma for a in sigma)
+        assert CyclotomicData(d, sigma).sigma0 == sigma
     assert data.sigma0 in types

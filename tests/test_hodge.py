@@ -1,3 +1,4 @@
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -208,6 +209,21 @@ def test_neg_twist_of_trivial_structure_is_k_minus_half():
         assert neg_half_twist(trivial) == k_minus_half(field)
 
 
+def test_half_twists_follow_a_replaced_cm_type():
+    # over the conjugate CM-type {3, 4}, K_{-1/2} carries 3 and 4 in its
+    # top piece, so that piece is one-sided, and both twists move 3 and 4
+    field = replace(K5, sigma0=frozenset({3, 4}))
+    K = k_minus_half(field)
+    assert {a for p, a in K.table if p == 1} == {3, 4}
+    assert hodge.top_offenders(K, 1) == []
+    assert has_positive_half_twist(K)
+    lowered = pos_half_twist(K)
+    assert lowered.table == {(0, a): 1 for a in (1, 2, 3, 4)}
+    trivial = CMHodgeStructure(field, 0, {a: (1,) for a in field.units})
+    for raised in (neg_half_twist(lowered), neg_half_twist(trivial)):
+        assert raised.table == {(1, 3): 1, (1, 4): 1, (0, 1): 1, (0, 2): 1}
+
+
 def test_pos_twist_requires_one_sided_top():
     V = symmetric_structure(K4, 2, {(2, 3): 1, (1, 1): 2})
     with pytest.raises(NoHalfTwistError, match=r"\(2, 3\)"):
@@ -302,7 +318,7 @@ def test_tensor_field_mismatch():
 def test_invariant_part_of_absent_residue_is_empty():
     V = primitive_V(CoverSpec(4, 2))  # residues {1, 3}, so sums hit {0, 2}
     T = tensor(V, V)
-    assert T.residues() == frozenset({0, 2})
+    assert set(T.vectors) == {0, 2}
     assert T.restrict_residues([1]).rank == 0
     assert T.restrict_residues([3]).rank == 0
 
@@ -441,7 +457,7 @@ def test_operations_preserve_conjugation_symmetry(V):
     assert tensor(V, V).is_conjugation_symmetric()
     assert tensor_invariants(V, V, rule="sum").is_conjugation_symmetric()
     assert tensor(V, V).restrict_residues([0]).is_conjugation_symmetric()
-    if V.residues() <= frozenset(V.field.units):
+    if set(V.vectors) <= set(V.field.units):
         assert neg_half_twist(V).is_conjugation_symmetric()
         if has_positive_half_twist(V):
             tw = pos_half_twist(V)

@@ -7,9 +7,11 @@ one of them fails here rather than in a traced benchmark run.
 The same list is the one allowance of the unused-code scan below: a
 top-level function or class of the package, public or private, that no
 module of the package refers to is dead code, unless the tracer times
-it.  A second scan finds unused options: a defaulted parameter that no
-call in the package or in bench/*.py ever passes only serves the
-tests."""
+it.  The same scan finds dead class members: a method or property,
+dunders aside, whose name no attribute access in the package or in
+bench/*.py reads only serves the tests.  A second scan finds unused
+options: a defaulted parameter that no call in the package or in
+bench/*.py ever passes only serves the tests."""
 
 import ast
 import importlib
@@ -67,6 +69,25 @@ def test_every_definition_is_referenced_or_traced():
     }
     traced = {attr for _, attr in tracer_targets()}
     assert defined - referenced - traced == set()
+    # a member is reached through an attribute, here or in the benchmark
+    members = {
+        (cls.name, node.name)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    assert {("CoverSpec", "field"), ("CMHodgeStructure", "entry")} <= members
+    bench = [ast.parse(path.read_text()) for path in TRACER.parent.glob("*.py")]
+    read = {
+        node.attr
+        for tree in trees + bench
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    assert {(cls, name) for cls, name in members if name not in read} == set()
 
 
 def defaulted_parameters(tree):
