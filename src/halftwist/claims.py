@@ -277,8 +277,8 @@ def _tate_commutes_on_grid(spec: Specs, cell: Cells) -> bool:
     # count, a comparison at some m >= 1
     grid = _grid(GRID_D, GRID_K)
     _sweep_holds(cell, "round-trip", grid)
-    counts = (hodge.tate_commutations(covers.primitive_V(spec(d, k))) for d, k in grid)
-    if not any(count >= 2 for count in counts):
+    ladders = (hodge.tate_ladder(covers.primitive_V(spec(d, k))) for d, k in grid)
+    if not any(hodge.ladder_commutations(ladder) >= 2 for ladder in ladders):
         raise ValueError("no cell of the grid compares a Tate commutation at m >= 1")
     return True
 

@@ -22,9 +22,14 @@ Fermat curve's H^1 and K_{-1/2}), restriction keeps columns, Hodge
 numbers are row sums and a direct sum adds the lists.  Only the
 general `tensor`, whose residues add, works one residue vector at a
 time.  Every construction goes through the constructor and its one
-validation, given residue vectors or the flat pair; the (p, a) table
-view (`table`, `entry`) and the read-only `vectors` view serve callers
-outside the module.  `k_minus_half` is built once per field.
+validation, given residue vectors or the flat pair, which makes every
+structure effective and conjugation symmetric: no operation guards
+against broken input, and a kernel fault still raises.  The (p, a)
+table view (`table`, `entry`) and the read-only `vectors` view serve
+callers outside the module.  `k_minus_half` is built once per field.
+A structure lives over one field, its degree and CM-type sigma0: over
+two fields structures differ, and combining them is a
+FieldMismatchError naming the degree or CM-type that differs.
 
 The positive half twist exists exactly when the top Hodge piece is
 one-sided: no residue outside the CM-type sigma0 carries dimension
@@ -68,7 +73,7 @@ class NoHalfTwistError(ValueError):
 
 
 class FieldMismatchError(ValueError):
-    """Operands live over cyclotomic fields of different degree."""
+    """Operands live over fields of different degree or CM-type."""
 
 
 class NotWeightOneError(ValueError):
@@ -88,48 +93,61 @@ class CMHodgeStructure:
 
     Built from `vectors`: residue vectors of length w + 1 keyed by
     0..d-1, or the flat pair (rows, zero).  A key outside that range, a
-    vector of another length, a negative dimension and, unless
-    check_symmetry is False, a break of conjugation symmetry raise
-    MalformedStructureError.  Equality is exact equality of
-    (d, weight, table), with no isogeny coarsening."""
+    vector of another length, a negative dimension and a break of
+    conjugation symmetry, h^{p,w-p}_a != h^{w-p,p}_{-a}, raise
+    MalformedStructureError.  Equality is exact equality of (field,
+    weight, table), with no isogeny coarsening."""
 
     def __init__(
         self,
         field: CyclotomicData,
         weight: int,
         vectors: Union[Mapping[int, Sequence[int]], Flat],
-        check_symmetry: bool = True,
     ):
         if weight < 0:
             raise MalformedStructureError(f"weight must be >= 0, got {weight}")
         self.field, self.weight = field, weight
         if isinstance(vectors, tuple):
             rows, zero = vectors
-            order: Iterable[int] = range(field.d)
         else:
             rows, zero = _flattened(field.d, weight, vectors)
-            order = vectors
         self._rows, self._zero = rows, zero if any(zero) else []
         if (
             len(rows) != (weight + 1) * (field.d - 1)
             or min(rows) < 0
             or self._zero and (len(zero) != weight + 1 or min(zero) < 0)
         ):
-            raise MalformedStructureError(self._not_effective(order))
-        if check_symmetry and not self.is_conjugation_symmetric():
-            raise MalformedStructureError("table breaks conjugation symmetry")
+            raise MalformedStructureError(self._not_effective())
+        # (p, a) and its conjugate (w - p, -a) sit at mirrored indices of
+        # the rows; residue 0 is its own conjugate
+        if rows != rows[::-1] or self._zero != self._zero[::-1]:
+            raise MalformedStructureError(self._not_symmetric())
 
-    def _not_effective(self, order: Iterable[int]) -> str:
+    def _not_effective(self) -> str:
         """Why the stored lists are rejected: their sizes when those are
-        wrong, else the first negative entry of the first residue in
-        `order` that has one."""
-        rows, zero, w = self._rows, self._zero, self.weight
-        if len(rows) != (w + 1) * (self.field.d - 1) or zero and len(zero) != w + 1:
+        wrong, else the first negative entry of the first residue that
+        has one."""
+        rows, zero, w, d = self._rows, self._zero, self.weight, self.field.d
+        if len(rows) != (w + 1) * (d - 1) or zero and len(zero) != w + 1:
             return f"not effective: {len(rows)} and {len(zero)} entries for weight {w}"
         a, p, x = next(
-            (a, p, x) for a in order for p, x in enumerate(self._vector(a)) if x < 0
+            (a, p, x) for a in range(d) for p, x in enumerate(self._vector(a)) if x < 0
         )
         return f"not effective: entry (p={p}, residue={a}) = {x}"
+
+    def _not_symmetric(self) -> str:
+        """The symmetry error: the first entry, by residue and then by p,
+        whose conjugate differs, with both dimensions."""
+        d, w, entry = self.field.d, self.weight, self.entry
+        p, a = next(
+            (p, a) for a in range(d) for p in range(w + 1)
+            if entry(p, a) != entry(w - p, -a)
+        )
+        return (
+            f"table breaks conjugation symmetry: entry (p={p}, residue={a}) = "
+            f"{entry(p, a)}, conjugate (p={w - p}, residue={-a % d}) = "
+            f"{entry(w - p, -a)}"
+        )
 
     def _vector(self, a: int) -> Vector:
         if a:
@@ -171,32 +189,27 @@ class CMHodgeStructure:
         """Residue-blind Hodge numbers p -> h^{p, weight-p}, nonzero only."""
         return {p: dim for p, dim in enumerate(self._columns()) if dim}
 
-    def is_conjugation_symmetric(self) -> bool:
-        # (p, a) and its conjugate (w - p, -a) sit at mirrored indices of
-        # the rows; residue 0 is its own conjugate
-        rows, zero = self._rows, self._zero
-        return rows == rows[::-1] and zero == zero[::-1]
-
     def restrict_residues(self, residues: Iterable[int]) -> "CMHodgeStructure":
+        """The sub-structure on the given residues mod d; keeping a nonzero
+        vector without its conjugate is a MalformedStructureError."""
         d, width = self.field.d, self.field.d - 1
         keep = {a % d for a in residues}
-        symmetric = all((-a) % d in keep for a in keep)
         rows = [0] * len(self._rows)
         for a in keep - {0}:
             rows[a - 1::width] = self._rows[a - 1::width]
         zero = self._zero if 0 in keep else []
-        return CMHodgeStructure(self.field, self.weight, (rows, zero), symmetric)
+        return CMHodgeStructure(self.field, self.weight, (rows, zero))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CMHodgeStructure):
             return NotImplemented
-        return (self.field.d, self.weight, self._rows, self._zero) == (
-            other.field.d, other.weight, other._rows, other._zero
+        return (self.field, self.weight, self._rows, self._zero) == (
+            other.field, other.weight, other._rows, other._zero
         )
 
     def __hash__(self):
         rows, zero = tuple(self._rows), tuple(self._zero)
-        return hash((self.field.d, self.weight, rows, zero))
+        return hash((self.field, self.weight, rows, zero))
 
     def __repr__(self) -> str:
         d, w = self.field.d, self.weight
@@ -228,30 +241,11 @@ def _summed(pairs: Iterable[tuple[int, Sequence[int]]]) -> dict[int, list[int]]:
     return out
 
 
-def _shifted(rows: list[int], width: int, low: int, high: int) -> Optional[list[int]]:
-    """`rows`, `width` entries per Hodge index, cut by `low` indices at
-    the bottom and `high` at the top, a negative count padding zeros
-    instead; None when a cut entry is nonzero."""
-    cut_low, cut_high = max(low, 0) * width, len(rows) - max(high, 0) * width
-    if any(rows[:cut_low]) or any(rows[max(cut_low, cut_high):]):
-        return None
-    return [0] * (-low * width) + rows[cut_low:cut_high] + [0] * (-high * width)
-
-
-def _drop_error(
-    structure: CMHodgeStructure,
-    sigma0_cuts: tuple[int, int],
-    other_cuts: tuple[int, int],
-) -> MalformedStructureError:
-    """The effectivity error of a shift that cuts (low, high) Hodge
-    indices, `sigma0_cuts` off each sigma0 vector and `other_cuts` off
-    the others: it names the first vector that loses a nonzero entry."""
-    sigma0 = structure.field.sigma0
-    vec = next(
-        vec for a, vec in structure._residue_vectors()
-        if _shifted(list(vec), 1, *(sigma0_cuts if a in sigma0 else other_cuts)) is None
-    )
-    return MalformedStructureError(f"shifting {vec} drops an entry (not effective)")
+def _shifted(rows: list[int], width: int, m: int) -> list[int]:
+    """`rows`, `width` entries per Hodge index, cut by m indices at both
+    ends, or padded by -m zero indices there when m is negative."""
+    cut, pad = max(m, 0) * width, [0] * (-m * width)
+    return pad + rows[cut:len(rows) - cut] + pad
 
 
 def _convolve(x: Vector, y: Vector) -> list[int]:
@@ -285,18 +279,36 @@ class AbelianSummary:
         return next(iter(self.signature.values()))
 
 
+def _field_difference(left: CyclotomicData, right: CyclotomicData) -> str:
+    """What sets two different fields apart: the degree, else the CM-type."""
+    if left.d != right.d:
+        return f"degree {left.d} != {right.d}"
+    return f"CM-type {sorted(left.sigma0)} != {sorted(right.sigma0)}"
+
+
+def _common_field(op: str, *structures: CMHodgeStructure) -> CyclotomicData:
+    """The one field of the operands of `op`; a FieldMismatchError that
+    names the first difference when another operand's field differs."""
+    field = structures[0].field
+    for other in structures[1:]:
+        if other.field != field:
+            diff = _field_difference(field, other.field)
+            raise FieldMismatchError(f"{op} needs one field: {diff}")
+    return field
+
+
 def require_equal(
     actual: CMHodgeStructure, expected: CMHodgeStructure, context: str
 ) -> None:
     """ValueError unless the structures are equal.  The message names
-    the first difference only: the degree, the weight, or the first
-    differing (p, residue) entry with both dimensions."""
-    if actual.field.d != expected.field.d:
-        diff = f"degree {actual.field.d} != {expected.field.d}"
+    the first difference only: the degree, the CM-type, the weight, or
+    the first differing (p, residue) entry with both dimensions."""
+    if actual == expected:
+        return
+    if actual.field != expected.field:
+        diff = _field_difference(actual.field, expected.field)
     elif actual.weight != expected.weight:
         diff = f"weight {actual.weight} != {expected.weight}"
-    elif (actual._rows, actual._zero) == (expected._rows, expected._zero):
-        return
     else:
         p, a = next(
             (p, a)
@@ -321,15 +333,13 @@ def tate_twist(structure: CMHodgeStructure, m: int) -> CMHodgeStructure:
     """Shift weight by -2m and every Hodge index by -m: the rows lose m
     Hodge indices, m(d - 1) entries, at either end (m > 0) or gain m
     zero rows there (m < 0), and so does residue 0's vector.  A nonzero
-    entry lost at the bottom is a TwistRangeError; one lost at the top,
-    which conjugation symmetry rules out, fails effectivity."""
+    entry lost at the bottom is a TwistRangeError; by conjugation
+    symmetry the top then loses none."""
     rows, zero, width = structure._rows, structure._zero, structure.field.d - 1
     if m > 0 and (any(rows[:m * width]) or any(zero[:m])):
         low = min(structure.hodge_numbers())
         raise TwistRangeError(f"twist by {m} would leave effectivity (min p = {low})")
-    rows, zero = _shifted(rows, width, m, m), _shifted(zero, 1, m, m)
-    if rows is None or zero is None:
-        raise _drop_error(structure, (m, m), (m, m))
+    rows, zero = _shifted(rows, width, m), _shifted(zero, 1, m)
     return CMHodgeStructure(structure.field, structure.weight - 2 * m, (rows, zero))
 
 
@@ -358,16 +368,12 @@ def _shift_sigma0(structure: CMHodgeStructure, step: int) -> CMHodgeStructure:
     # stays: each column of the rows, one residue's vector, is copied
     # whole, to a place shifted by step rows when the sigma0 mask picks
     # it; a lowering step drops the bottom row of the sigma0 columns and
-    # the top row of the others.  Unit support is the callers' check, so
-    # residue 0 is empty
+    # the top row of the others, both empty when the top is one-sided.
+    # Unit support is the callers' check, so residue 0 is empty
     field, rows = structure.field, structure._rows
     width = field.d - 1
     out = [0] * (len(rows) + step * width)
     up, down = max(step, 0) * width, max(-step, 0) * width
-    if any(map(mul, rows[:down], field.sigma0_mask)) or any(
-        map(mul, rows[len(out):], field.other_mask)
-    ):
-        raise _drop_error(structure, (-step, 0), (0, -step))
     for i, moves in enumerate(field.sigma0_mask):
         if moves:
             out[up + i::width] = rows[down + i::width]
@@ -388,8 +394,8 @@ def pos_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
 
     Defined only when the top piece is one-sided, i.e. carries no
     residue outside sigma0; otherwise the dropped entries would leave
-    no Hodge structure at all.  A sigma0 entry at p = 0, which symmetry
-    rules out once the top is one-sided, fails effectivity."""
+    no Hodge structure at all.  By conjugation symmetry the sigma0
+    entries at p = 0 then vanish too, so no entry is lost."""
     _require_unit_support(structure, "positive half twist")
     k = structure.weight
     offending = [(k, a) for a in top_offenders(structure, k)]
@@ -456,12 +462,6 @@ def ladder_commutations(rungs: list[Rung]) -> int:
     return compared
 
 
-def tate_commutations(structure: CMHodgeStructure) -> int:
-    """`ladder_commutations` on the Tate ladder of `structure`, for a
-    caller that does not hold the ladder."""
-    return ladder_commutations(tate_ladder(structure))
-
-
 def has_positive_half_twist(structure: CMHodgeStructure) -> bool:
     """Whether the top Hodge piece is one-sided for the fixed CM-type."""
     return not top_offenders(structure, structure.weight)
@@ -469,13 +469,10 @@ def has_positive_half_twist(structure: CMHodgeStructure) -> bool:
 
 def tensor(left: CMHodgeStructure, right: CMHodgeStructure) -> CMHodgeStructure:
     """Graded tensor product: residues add mod d, vectors convolve."""
-    if left.field.d != right.field.d:
-        raise FieldMismatchError(
-            f"cannot tensor structures over d={left.field.d} and d={right.field.d}"
-        )
-    d, pairs = left.field.d, product(left._residue_vectors(), right._residue_vectors())
+    field = _common_field("tensor", left, right)
+    d, pairs = field.d, product(left._residue_vectors(), right._residue_vectors())
     vectors = _summed(((a + b) % d, _convolve(x, y)) for (a, x), (b, y) in pairs)
-    return CMHodgeStructure(left.field, left.weight + right.weight, vectors)
+    return CMHodgeStructure(field, left.weight + right.weight, vectors)
 
 
 def tensor_invariants(
@@ -493,11 +490,10 @@ def tensor_invariants(
     forwards for "difference" (residue a).  A weight-one right factor
     takes two masked, shifted copies.  Residue 0 pairs with residue 0
     under both rules."""
-    if left.field.d != right.field.d:
-        raise FieldMismatchError("matching rule needs a common field")
+    field = _common_field("tensor_invariants", left, right)
     if rule not in ("sum", "difference"):
         raise ValueError(f"unknown matching rule {rule!r}")
-    x, y, width = left._rows, right._rows, left.field.d - 1
+    x, y, width = left._rows, right._rows, field.d - 1
     pad, step = [0] * (len(y) - width), -1 if rule == "sum" else 1
     copies = []
     for start in range(0, len(y), width):
@@ -505,7 +501,7 @@ def tensor_invariants(
         copies.append(map(mul, chain(pad[:start], x, pad[start:]), coefficients))
     rows = list(reduce(partial(map, add), copies))
     zero = _convolve(left._zero, right._zero) if left._zero and right._zero else []
-    return CMHodgeStructure(left.field, left.weight + right.weight, (rows, zero))
+    return CMHodgeStructure(field, left.weight + right.weight, (rows, zero))
 
 
 def collapse_residues(structure: CMHodgeStructure) -> CMHodgeStructure:
@@ -520,14 +516,12 @@ def collapse_residues(structure: CMHodgeStructure) -> CMHodgeStructure:
 def direct_sum(*structures: CMHodgeStructure) -> CMHodgeStructure:
     if not structures:
         raise ValueError("direct sum of nothing")
-    first = structures[0]
-    if any(
-        s.field.d != first.field.d or s.weight != first.weight for s in structures
-    ):
-        raise FieldMismatchError("summands must share degree and weight")
+    field, weight = _common_field("direct sum", *structures), structures[0].weight
+    if any(s.weight != weight for s in structures):
+        raise FieldMismatchError("summands must share one weight")
     rows = list(map(sum, zip(*(s._rows for s in structures))))
     zero = list(map(sum, zip(*(s._zero for s in structures if s._zero))))
-    return CMHodgeStructure(first.field, first.weight, (rows, zero))
+    return CMHodgeStructure(field, weight, (rows, zero))
 
 
 def abelian_summary(structure: CMHodgeStructure) -> AbelianSummary:
@@ -537,8 +531,6 @@ def abelian_summary(structure: CMHodgeStructure) -> AbelianSummary:
         raise NotWeightOneError(
             f"abelian summary needs weight 1, got {structure.weight}"
         )
-    if structure.rank % 2:
-        raise MalformedStructureError("weight-one structure of odd rank")
     _require_unit_support(structure, "abelian summary")
     field = structure.field
     dim = structure.rank // 2

@@ -39,12 +39,12 @@ class SweepCell:
 
 def _oracle_equivalence(spec: CoverSpec) -> str:
     # the table every other check reads (the tower route on a sweep)
-    # against the one-pass table of the same cover; unchecked for
-    # symmetry, so that a bad table shows as its first differing entry
+    # against the one-pass table of the same cover: a faulty one-pass
+    # table fails its constructor at its first negative or asymmetric
+    # entry, and any other difference shows as the first differing entry
     d, k = spec.d, spec.k
-    vectors = jacobian.eigenspace_dims(d, k)
-    oracle = hodge.CMHodgeStructure(spec.field, k, vectors, check_symmetry=False)
-    hodge.require_equal(spec.cohomology, oracle, "inclusion-exclusion differs")
+    oracle = hodge.CMHodgeStructure(spec.field, k, jacobian.eigenspace_dims(d, k))
+    hodge.require_equal(spec.cohomology, oracle, "one-pass table differs")
     return f"{(k + 1) * (d - 1)} entries agree"
 
 

@@ -7,7 +7,7 @@ route that some tests keep as an oracle."""
 from halftwist.hodge import CMHodgeStructure, MalformedStructureError
 
 
-def from_table(field, weight, table, check_symmetry=True):
+def from_table(field, weight, table):
     """The structure whose (p, residue) entries are `table`: residues are
     reduced mod d and entries at one key add up.  A negative dimension,
     or a nonzero one outside 0 <= p <= weight, is a
@@ -21,4 +21,4 @@ def from_table(field, weight, table, check_symmetry=True):
         vec = vectors.setdefault(a % field.d, [0] * (weight + 1))
         if dim:
             vec[p] += dim
-    return CMHodgeStructure(field, weight, vectors, check_symmetry)
+    return CMHodgeStructure(field, weight, vectors)

@@ -262,7 +262,7 @@ NO_COMMUTATION = (
 def test_tate_commutation_needs_a_compared_commutation(monkeypatch):
     claim = claim_named("twists.tate_commutation")
     assert claims.evaluate(claim).status == claims.STATUS_PASS
-    monkeypatch.setattr(hodge, "tate_commutations", lambda structure: 0)
+    monkeypatch.setattr(hodge, "ladder_commutations", lambda rungs: 0)
     report = claims.evaluate(claim)
     assert report.status == claims.STATUS_FAIL
     assert report.computed == NO_COMMUTATION
@@ -272,7 +272,7 @@ def test_tate_commutation_needs_more_than_the_identity(monkeypatch):
     # a count of 1 is the m = 0 comparison alone, which holds by
     # construction since tate_twist(X, 0) is X
     claim = claim_named("twists.tate_commutation")
-    monkeypatch.setattr(hodge, "tate_commutations", lambda structure: 1)
+    monkeypatch.setattr(hodge, "ladder_commutations", lambda rungs: 1)
     report = claims.evaluate(claim)
     assert report.status == claims.STATUS_FAIL
     assert report.computed == NO_COMMUTATION

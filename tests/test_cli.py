@@ -326,7 +326,7 @@ def test_oracle_sweep_fails_on_one_changed_entry(capsys, monkeypatch):
     rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
     assert [row for row in rows if row[2] != "pass"] == [
         ["5", "2", "FAIL",
-         "inclusion-exclusion differs: entry (p=1, residue=2): 13 != 12"]
+         "one-pass table differs: entry (p=1, residue=2): 13 != 12"]
     ]
     assert out.splitlines()[-1] == "check oracle-equivalence: 11/12 cells pass"
 
@@ -354,7 +354,35 @@ def test_oracle_sweep_fails_on_one_changed_entry_of_the_one_pass_table(
     rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
     assert [row for row in rows if row[2] != "pass"] == [
         ["5", "2", "FAIL",
-         "inclusion-exclusion differs: entry (p=1, residue=2): 12 != 13"]
+         "one-pass table differs: entry (p=1, residue=2): 12 != 13"]
+    ]
+    assert out.splitlines()[-1] == "check oracle-equivalence: 11/12 cells pass"
+
+
+def test_oracle_sweep_fails_on_one_changed_entry_without_its_conjugate(
+    capsys, monkeypatch
+):
+    # a single entry of the one-pass (5, 2) table one larger and its
+    # conjugate left as it is: the oracle's constructor rejects the table
+    # and the cell names the entry with its conjugate
+    real = jacobian.eigenspace_dims
+
+    def one_entry_off(d, k):
+        vectors = real(d, k)
+        if (d, k) == (5, 2):
+            vectors[2][1] += 1  # p = 1, residue 2
+        return vectors
+
+    monkeypatch.setattr(jacobian, "eigenspace_dims", one_entry_off)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--check", "oracle-equivalence", "--d-max", "6", "--k-max", "3"
+    )
+    assert code == 1
+    rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
+    assert [row for row in rows if row[2] != "pass"] == [
+        ["5", "2", "FAIL",
+         "table breaks conjugation symmetry: entry (p=1, residue=2) = 13, "
+         "conjugate (p=1, residue=3) = 12"]
     ]
     assert out.splitlines()[-1] == "check oracle-equivalence: 11/12 cells pass"
 

@@ -295,14 +295,11 @@ def any_cmtype_exhaustive(spec):
 def any_cmtype_by_predicate(spec):
     """Second test oracle for `half_twist_any_cmtype`: for each of the
     2^(phi(d)/2) CM-types tau, rebuild V over the field with CM-type tau
-    and ask `has_positive_half_twist` itself.  Symmetry is not checked,
-    so that the synthetic supports below can be asked too."""
+    and ask `has_positive_half_twist` itself."""
     V = covers.primitive_V(spec)
     return any(
         has_positive_half_twist(
-            CMHodgeStructure(
-                CyclotomicData(spec.d, tau), V.weight, V.vectors, check_symmetry=False
-            )
+            CMHodgeStructure(CyclotomicData(spec.d, tau), V.weight, V.vectors)
         )
         for tau in all_cm_types(spec.field)
     )
@@ -340,15 +337,15 @@ def test_cmtype_closed_form_matches_exhaustive_oracle():
 def test_cmtype_closed_form_matches_oracle_on_every_support(monkeypatch):
     # a cover's top support is an initial segment of the units, where the
     # closed form agrees with the fixed CM-type; arbitrary supports tell
-    # the two apart
+    # the two apart.  Each top entry (1, a) comes with its conjugate
+    # (0, d - a), which keeps the top support as it is
     for d in (5, 7, 8, 11, 12):
         spec = CoverSpec(d, 1)
         units = spec.field.units
         for size in range(len(units) + 1):
             for support in combinations(units, size):
-                V = CMHodgeStructure(
-                    spec.field, 1, {a: (0, 1) for a in support}, check_symmetry=False
-                )
+                table = {(1, a): 1 for a in support} | {(0, d - a): 1 for a in support}
+                V = from_table(spec.field, 1, table)
                 monkeypatch.setattr(covers, "primitive_V", lambda spec: V)
                 closed = half_twist_any_cmtype(spec)
                 assert closed == any_cmtype_exhaustive(spec), (d, support)
@@ -503,13 +500,15 @@ def test_quartic_split_table_equality():
 
 
 def bump_first_entry(structure):
-    """The structure with its first (p, residue) entry one larger."""
-    table = structure.table
-    key = min(table)
+    """The structure with its first (p, residue) entry one larger, and
+    so its conjugate entry too."""
+    table, d, w = structure.table, structure.field.d, structure.weight
+    p, a = key = min(table)
     table[key] += 1
-    return key, from_table(
-        structure.field, structure.weight, table, check_symmetry=False
-    )
+    conjugate = (w - p, -a % d)
+    if conjugate != key:
+        table[conjugate] += 1
+    return key, from_table(structure.field, w, table)
 
 
 def test_quartic_split_failure_names_one_entry(monkeypatch):
@@ -709,10 +708,10 @@ def test_a_ks_space_sweep_builds_k_once_per_degree(monkeypatch):
     builds = Counter()
     init = CMHodgeStructure.__init__
 
-    def counted(self, field, weight, vectors, check_symmetry=True):
+    def counted(self, field, weight, vectors):
         if sys._getframe(1).f_code.co_name == "k_minus_half":
             builds[field.d] += 1
-        init(self, field, weight, vectors, check_symmetry)
+        init(self, field, weight, vectors)
 
     monkeypatch.setattr(CMHodgeStructure, "__init__", counted)
     hodge.k_minus_half.cache_clear()

@@ -78,12 +78,17 @@ def test_rejects_residue_keys_outside_the_field():
     for key in (5, -1, 4):
         vectors = {key: (0, 1), 3: (1, 0)}
         with pytest.raises(MalformedStructureError, match=r"outside 0\.\.3"):
-            CMHodgeStructure(K4, 1, vectors=vectors, check_symmetry=False)
+            CMHodgeStructure(K4, 1, vectors=vectors)
 
 
 def test_rejects_asymmetric_tables():
-    with pytest.raises(MalformedStructureError):
+    # the error names the first entry whose conjugate differs, and both
+    with pytest.raises(MalformedStructureError) as info:
         CMHodgeStructure(K4, 2, {1: (0, 0, 1)})
+    assert str(info.value) == (
+        "table breaks conjugation symmetry: entry (p=2, residue=1) = 1, "
+        "conjugate (p=0, residue=3) = 0"
+    )
 
 
 @pytest.mark.parametrize(
@@ -102,8 +107,6 @@ def test_rejects_asymmetric_tables():
 def test_each_conjugate_pair_is_checked(field, weight, vectors):
     with pytest.raises(MalformedStructureError, match="conjugation symmetry"):
         CMHodgeStructure(field, weight, vectors)
-    unchecked = CMHodgeStructure(field, weight, vectors, check_symmetry=False)
-    assert not unchecked.is_conjugation_symmetric()
 
 
 def test_zero_entries_are_dropped():
@@ -113,22 +116,6 @@ def test_zero_entries_are_dropped():
     assert dict(s.vectors) == {1: (0, 0, 1), 3: (1, 0, 0)}
     with pytest.raises(TypeError):
         s.vectors[2] = (0, 1, 0)
-
-
-def test_a_tate_twist_that_drops_a_top_entry_fails_effectivity():
-    # nothing sits below p = 1, so no TwistRangeError; the top entry at
-    # p = 2 would need Hodge index 1 in weight 0
-    top_only = CMHodgeStructure(K4, 2, {1: (0, 0, 1)}, check_symmetry=False)
-    with pytest.raises(MalformedStructureError):
-        tate_twist(top_only, 1)
-
-
-def test_a_shift_that_drops_a_top_entry_fails_effectivity():
-    # residue 3 is outside sigma0 = {1}, so a lowering shift keeps its p
-    # and cuts the top of its vector, where the entry sits
-    top_only = CMHodgeStructure(K4, 2, {3: (0, 0, 1)}, check_symmetry=False)
-    with pytest.raises(MalformedStructureError):
-        hodge._shift_sigma0(top_only, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +218,6 @@ def test_pos_twist_requires_one_sided_top():
     assert not has_positive_half_twist(V)
 
 
-def test_pos_twist_rejects_a_sigma0_entry_at_the_bottom():
-    # one-sided top, but without conjugation symmetry the sigma0 entry at
-    # p = 0 would drop below effectivity
-    V = CMHodgeStructure(K4, 1, {1: (1, 0)}, check_symmetry=False)
-    assert has_positive_half_twist(V)
-    with pytest.raises(MalformedStructureError):
-        pos_half_twist(V)
-
-
 def test_kondo_twist_table():
     V = primitive_V(CoverSpec(4, 2))
     tw = pos_half_twist(V)
@@ -307,8 +285,45 @@ def test_tensor_rank_is_multiplicative():
 
 
 def test_tensor_field_mismatch():
-    with pytest.raises(FieldMismatchError):
+    with pytest.raises(FieldMismatchError) as caught:
         tensor(k_minus_half(K3), k_minus_half(K4))
+    assert str(caught.value) == "tensor needs one field: degree 3 != 4"
+
+
+def units_over_both_cm_types():
+    """The weight-0 structure with one dimension per unit over d = 5,
+    over the preferred CM-type {1, 2} and over its conjugate {3, 4}:
+    the same table, but not the same half twists."""
+    other = replace(K5, sigma0=frozenset({3, 4}))
+    return [CMHodgeStructure(f, 0, {a: (1,) for a in f.units}) for f in (K5, other)]
+
+
+def test_structures_over_different_cm_types_are_different():
+    left, right = units_over_both_cm_types()
+    assert left.table == right.table
+    assert neg_half_twist(left) != neg_half_twist(right)
+    assert left != right
+    assert len({left, right}) == 2
+    with pytest.raises(ValueError) as caught:
+        require_equal(left, right, "ctx")
+    assert str(caught.value) == "ctx: CM-type [1, 2] != [3, 4]"
+
+
+@pytest.mark.parametrize(
+    "combine, op",
+    [
+        (tensor, "tensor"),
+        (partial(tensor_invariants, rule="sum"), "tensor_invariants"),
+        (partial(tensor_invariants, rule="difference"), "tensor_invariants"),
+        (direct_sum, "direct sum"),
+    ],
+    ids=["tensor", "invariants-sum", "invariants-difference", "direct_sum"],
+)
+def test_operations_reject_operands_over_different_cm_types(combine, op):
+    left, right = units_over_both_cm_types()
+    with pytest.raises(FieldMismatchError) as caught:
+        combine(left, right)
+    assert str(caught.value) == f"{op} needs one field: CM-type [1, 2] != [3, 4]"
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +346,25 @@ def test_invariant_part_slices_total_residue():
     assert T.restrict_residues([0]).rank == 22
 
 
+def test_restricting_to_a_residue_without_its_conjugate_fails():
+    # (a residue whose vector vanishes may go without its conjugate: see
+    # test_invariant_part_of_absent_residue_is_empty)
+    V = primitive_V(CoverSpec(5, 2))
+    assert V.restrict_residues([1, 4]).rank == sum(V.vectors[1]) + sum(V.vectors[4])
+    with pytest.raises(MalformedStructureError, match="conjugation symmetry"):
+        V.restrict_residues([1])
+
+
 def test_require_equal_names_the_first_difference():
     V = primitive_V(CoverSpec(4, 2))
     require_equal(V, V, "same")
+    # one conjugate pair one larger: (2, 1) and (0, 3), which comes first
     bumped = from_table(
-        K4, V.weight, {**V.table, (2, 1): V.entry(2, 1) + 1}, check_symmetry=False
+        K4, V.weight, {**V.table, (2, 1): 2, (0, 3): V.entry(0, 3) + 1}
     )
     with pytest.raises(ValueError) as caught:
         require_equal(V, bumped, "ctx")
-    assert str(caught.value) == "ctx: entry (p=2, residue=1): 1 != 2"
+    assert str(caught.value) == "ctx: entry (p=0, residue=3): 1 != 2"
     with pytest.raises(ValueError, match=r"^ctx: weight 2 != 4$"):
         require_equal(V, tate_twist(V, -1), "ctx")
     with pytest.raises(ValueError, match=r"^ctx: degree 3 != 4$"):
@@ -366,14 +391,14 @@ def test_an_unknown_matching_rule_fails_before_any_work():
 def test_tate_commutations_let_a_defect_propagate(monkeypatch):
     # only TwistRangeError and NoHalfTwistError mark a composite undefined
     V = primitive_V(CoverSpec(4, 2))
-    assert hodge.tate_commutations(V) > 0
+    assert hodge.ladder_commutations(hodge.tate_ladder(V)) > 0
 
     def broken(structure, step):
         raise MalformedStructureError("shift defect")
 
     monkeypatch.setattr(hodge, "_shift_sigma0", broken)
     with pytest.raises(MalformedStructureError, match="shift defect"):
-        hodge.tate_commutations(V)
+        hodge.ladder_commutations(hodge.tate_ladder(V))
 
 
 def test_tate_commutations_twist_the_structure_once(monkeypatch):
@@ -386,7 +411,7 @@ def test_tate_commutations_twist_the_structure_once(monkeypatch):
         return real(structure)
 
     monkeypatch.setattr(hodge, "pos_half_twist", counted)
-    compared = hodge.tate_commutations(V)
+    compared = hodge.ladder_commutations(hodge.tate_ladder(V))
     assert compared > 1
     assert sum(structure is V for structure in seen) == 1
     # one more half twist per m >= 1, of the Tate twist of V; m = 0
@@ -450,18 +475,28 @@ def random_structures(draw):
     return draw_structure(draw, field, st.integers(min_value=0, max_value=field.d - 1))
 
 
+def conjugation_symmetric(structure):
+    """Entry by entry: h^{p,w-p}_a == h^{w-p,p}_{-a}."""
+    w, entry = structure.weight, structure.entry
+    return all(
+        entry(p, a) == entry(w - p, -a)
+        for p in range(w + 1)
+        for a in range(structure.field.d)
+    )
+
+
 @given(random_structures())
 @settings(max_examples=120, deadline=None)
 def test_operations_preserve_conjugation_symmetry(V):
-    assert V.is_conjugation_symmetric()
-    assert tensor(V, V).is_conjugation_symmetric()
-    assert tensor_invariants(V, V, rule="sum").is_conjugation_symmetric()
-    assert tensor(V, V).restrict_residues([0]).is_conjugation_symmetric()
+    assert conjugation_symmetric(V)
+    assert conjugation_symmetric(tensor(V, V))
+    assert conjugation_symmetric(tensor_invariants(V, V, rule="sum"))
+    assert conjugation_symmetric(tensor(V, V).restrict_residues([0]))
     if set(V.vectors) <= set(V.field.units):
-        assert neg_half_twist(V).is_conjugation_symmetric()
+        assert conjugation_symmetric(neg_half_twist(V))
         if has_positive_half_twist(V):
             tw = pos_half_twist(V)
-            assert tw.is_conjugation_symmetric()
+            assert conjugation_symmetric(tw)
             assert neg_half_twist(tw) == V
 
 
@@ -543,9 +578,12 @@ def entrywise_pos_half_twist(structure):
 
 
 def entrywise_restrict_residues(structure, residues):
-    keep = {a % structure.field.d for a in residues}
+    d, w = structure.field.d, structure.weight
+    keep = {a % d for a in residues}
     table = {(p, a): dim for (p, a), dim in structure.table.items() if a in keep}
-    return entrywise(structure.field, structure.weight, table)
+    if any(table.get((w - p, -a % d), 0) != dim for (p, a), dim in table.items()):
+        raise MalformedStructureError("a kept entry lost its conjugate")
+    return entrywise(structure.field, w, table)
 
 
 def entrywise_direct_sum(*structures):

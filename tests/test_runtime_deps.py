@@ -221,7 +221,7 @@ def test_the_sweep_oracle_stays_off_the_production_route():
 
 
 def test_a_structure_is_built_from_its_vectors_only():
-    # one constructor path: (field, weight, vectors, check_symmetry), and
+    # one constructor path: (field, weight, vectors), and
     # the stored rows and residue-0 vector are private to `hodge`
     tree = ast.parse((PACKAGE / "hodge.py").read_text())
     (cls,) = [
@@ -233,7 +233,7 @@ def test_a_structure_is_built_from_its_vectors_only():
     ]
     args = init.args
     assert [a.arg for a in args.posonlyargs + args.args] == [
-        "self", "field", "weight", "vectors", "check_symmetry"
+        "self", "field", "weight", "vectors"
     ]
     assert (args.vararg, args.kwonlyargs, args.kwarg) == (None, [], None)
     readers = {

@@ -152,7 +152,7 @@ def test_every_defaulted_parameter_is_passed_by_some_caller():
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         named.setdefault(name, []).append(call)
     defaulted = [entry for tree in package for entry in defaulted_parameters(tree)]
-    assert ("CMHodgeStructure", "check_symmetry", 3) in defaulted
+    assert ("tensor_invariants", "rule", 2) in defaulted
     never_passed = [
         f"{callee}({parameter})"
         for callee, parameter, position in defaulted
