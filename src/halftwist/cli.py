@@ -37,13 +37,14 @@ from .covers import CoverSpec
 # Each upper limit was set at the largest value at which its slowest
 # command took about 1 s on a slower host, and is kept.  The cost of a
 # cover grows fast with d and k together, and of a sweep with its grid:
-# on a 2-core machine where `python3 -c pass` takes 0.05 s (whole-process
-# medians of 7 interleaved runs) `eigenspaces 160 160` takes 0.56 s,
-# `half-twist 160 160 --tate` 0.32 s and `hodge 160 160` 0.31 s.  At the
-# grid limit, --d-max 50 --k-max 25, sweeps walk each degree's tower of
-# covers and no check stands out: `oracle-equivalence` and `z-checksum`
-# take 0.47 s, `ks-space` 0.42 s, `round-trip` 0.31 s, `w-rank` 0.29 s,
-# `dim-identity` 0.25 s, `cmtype-search` 0.22 s and `monotonicity` 0.20 s.
+# on a 2-core machine where `python3 -c pass` takes 0.026 s
+# (whole-process medians of 11 interleaved runs) `eigenspaces 160 160`
+# takes 0.28 s, `half-twist 160 160 --tate` 0.17 s and `hodge 160 160`
+# 0.15 s.  At the grid limit, --d-max 50 --k-max 25, sweeps walk each
+# degree's tower of covers and no check stands out: `oracle-equivalence`
+# takes 0.24 s, `z-checksum` 0.23 s, `ks-space`, `round-trip`, `w-rank`
+# and `dim-identity` 0.15 s, `cmtype-search` 0.10 s and `monotonicity`
+# 0.09 s.
 MAX_D = MAX_K = 160
 SWEEP_MAX_D, SWEEP_MAX_K = 50, 25
 # The (lowest, highest) value of each numeric argument, per command; None

@@ -29,7 +29,7 @@ built once per spec, on first use, and every predicate and structure
 here reads that one table through `spec.cohomology` and `primitive_V`.
 A spec made by `tower` carries its table's generating series, one step
 along its row from the previous level's, and reads its table off it on
-first use (`jacobian.residue_vectors`: the series reversed with every
+first use (`jacobian.residue_vectors`: the padded series with every
 d-th entry deleted); any other spec builds its table directly.  The
 (q, t) normal form is cached on the spec as well (`qt_decompose` reads
 `spec.normal_form`), so its check against the table runs once per spec
@@ -143,7 +143,8 @@ class CoverSpec:
             raise InvariantError(
                 f"normal form of {self} has t={t} outside [-1, {d - 2}]"
             )
-        highest = max(self.cohomology.hodge_numbers(), default=None)
+        row = self.cohomology.row
+        highest = next((p for p in range(k, -1, -1) if any(row(p))), None)
         if highest != k - q:
             raise InvariantError(
                 f"highest nonzero piece of {self} is p={highest}, "
@@ -284,8 +285,8 @@ def half_twist_any_cmtype(spec: CoverSpec) -> bool:
     tests/test_covers.py: `any_cmtype_exhaustive` tests this containment
     for each CM-type, and `any_cmtype_by_predicate` asks
     `has_positive_half_twist` of V rebuilt over each CM-type."""
-    V = primitive_V(spec)
-    top_support = {a for a in spec.field.units if V.entry(spec.k, a)}
+    top = primitive_V(spec).row(spec.k)
+    top_support = {a for a in spec.field.units if top[a]}
     return all(spec.d - a not in top_support for a in top_support)
 
 

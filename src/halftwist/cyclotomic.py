@@ -74,7 +74,7 @@ class CyclotomicData:
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
-        return f"CyclotomicData(d={self.d})"
+        return f"CyclotomicData(d={self.d}, sigma0={sorted(self.sigma0)})"
 
 
 @cache

@@ -12,21 +12,26 @@ own.  Conjugation, (p, a) -> (w - p, -a), takes the index
 p(d - 1) + a - 1 to (w - p)(d - 1) + (d - a) - 1, and the two add up to
 the last index: conjugation is the reversal of the list, and symmetry
 is `rows == rows[::-1]`.  Every operation is exact and acts on whole
-lists: effectivity is one `min`, a Tate twist slices or pads d - 1
-entries per Hodge index, a half twist moves the columns (one residue's
-vector each) that the field's sigma0 mask picks by one row,
-`tensor_invariants` adds one shifted copy of the left rows per Hodge
-index of the right factor, times that row of coefficients (two copies
-for the weight-one factors of every tensor the covers build: the
-Fermat curve's H^1 and K_{-1/2}), restriction keeps columns, Hodge
-numbers are row sums and a direct sum adds the lists.  Only the
+lists: effectivity is one `min` over the first half of symmetric rows,
+a Tate twist slices or pads d - 1 entries per Hodge index, a half twist
+moves the columns (one residue's vector each) that the field's sigma0
+mask picks by one row (`_moved_columns`), restriction keeps columns,
+Hodge numbers are row sums and a direct sum adds the lists.
+`tensor_invariants` with a weight-one factor whose residue vectors are
+all (0, 0), (1, 0) or (0, 1), such as K_{-1/2}, moves columns the same
+way: each column of the left rows moves up one row, stays or empties.
+With any other factor, such as the Fermat curve's H^1 for d >= 4 (at
+d = 3 it has K_{-1/2}'s table), it adds one shifted copy of the left
+rows per Hodge index of the factor, times that row of coefficients
+(`_masked_copies`, the tier-1 oracle of the column route).  Only the
 general `tensor`, whose residues add, works one residue vector at a
 time.  Every construction goes through the constructor and its one
 validation, given residue vectors or the flat pair, which makes every
 structure effective and conjugation symmetric: no operation guards
 against broken input, and a kernel fault still raises.  The (p, a)
-table view (`table`, `entry`) and the read-only `vectors` view serve
-callers outside the module.  `k_minus_half` is built once per field.
+table view (`table`, `entry`), the one-row read `row` and the
+read-only `vectors` view serve callers outside the module.
+`k_minus_half` is built once per field.
 A structure lives over one field, its degree and CM-type sigma0: over
 two fields structures differ, and combining them is a
 FieldMismatchError naming the degree or CM-type that differs.
@@ -112,15 +117,19 @@ class CMHodgeStructure:
         else:
             rows, zero = _flattened(field.d, weight, vectors)
         self._rows, self._zero = rows, zero if any(zero) else []
-        if (
-            len(rows) != (weight + 1) * (field.d - 1)
-            or min(rows) < 0
-            or self._zero and (len(zero) != weight + 1 or min(zero) < 0)
+        if len(rows) != (weight + 1) * (field.d - 1) or (
+            self._zero and len(zero) != weight + 1
         ):
             raise MalformedStructureError(self._not_effective())
         # (p, a) and its conjugate (w - p, -a) sit at mirrored indices of
-        # the rows; residue 0 is its own conjugate
-        if rows != rows[::-1] or self._zero != self._zero[::-1]:
+        # the rows, so symmetric rows hold every value in their first
+        # half; residue 0 is its own conjugate.  An asymmetric table is
+        # scanned whole, and a negative entry still names it not effective
+        symmetric = rows == rows[::-1] and self._zero == self._zero[::-1]
+        scanned = rows[:(len(rows) + 1) // 2] if symmetric else rows
+        if min(scanned) < 0 or self._zero and min(zero) < 0:
+            raise MalformedStructureError(self._not_effective())
+        if not symmetric:
             raise MalformedStructureError(self._not_symmetric())
 
     def _not_effective(self) -> str:
@@ -185,6 +194,16 @@ class CMHodgeStructure:
             return self._rows[p * (self.field.d - 1) + a - 1]
         return self._zero[p] if self._zero else 0
 
+    def row(self, p: int) -> list[int]:
+        """The entries at Hodge index p by residue, row(p)[a] ==
+        entry(p, a) for a = 0..d-1: one slice of the rows, after
+        residue 0's entry."""
+        width = self.field.d - 1
+        if not 0 <= p <= self.weight:
+            return [0] * (width + 1)
+        zero = self._zero[p] if self._zero else 0
+        return [zero, *self._rows[p * width:(p + 1) * width]]
+
     def hodge_numbers(self) -> dict[int, int]:
         """Residue-blind Hodge numbers p -> h^{p, weight-p}, nonzero only."""
         return {p: dim for p, dim in enumerate(self._columns()) if dim}
@@ -212,8 +231,11 @@ class CMHodgeStructure:
         return hash((self.field, self.weight, rows, zero))
 
     def __repr__(self) -> str:
-        d, w = self.field.d, self.weight
-        return f"CMHodgeStructure(d={d}, weight={w}, rank={self.rank})"
+        field, w = self.field, self.weight
+        return (
+            f"CMHodgeStructure(d={field.d}, sigma0={sorted(field.sigma0)}, "
+            f"weight={w}, rank={self.rank})"
+        )
 
 
 def _flattened(d: int, weight: int, vectors: Mapping[int, Sequence[int]]) -> Flat:
@@ -363,23 +385,34 @@ def _require_unit_support(structure: CMHodgeStructure, op: str) -> None:
         raise MalformedStructureError(f"{op} needs unit residues only: {stray}")
 
 
-def _shift_sigma0(structure: CMHodgeStructure, step: int) -> CMHodgeStructure:
-    # weight and the sigma0 entries move by step rows, the conjugate side
-    # stays: each column of the rows, one residue's vector, is copied
-    # whole, to a place shifted by step rows when the sigma0 mask picks
-    # it; a lowering step drops the bottom row of the sigma0 columns and
-    # the top row of the others, both empty when the top is one-sided.
-    # Unit support is the callers' check, so residue 0 is empty
-    field, rows = structure.field, structure._rows
-    width = field.d - 1
+def _moved_columns(
+    rows: list[int], width: int, step: int, moves: Iterable[int], stays: Sequence[int]
+) -> list[int]:
+    """`rows`, `width` entries per Hodge index, with step Hodge indices
+    more (fewer when step < 0), built column by column: column i, one
+    residue's vector, is copied whole, shifted by step rows when
+    moves[i], else in place when stays[i], else left empty.  A lowering
+    step drops the bottom row of a moved column and the top row of a
+    kept one."""
     out = [0] * (len(rows) + step * width)
     up, down = max(step, 0) * width, max(-step, 0) * width
-    for i, moves in enumerate(field.sigma0_mask):
-        if moves:
+    for i, move in enumerate(moves):
+        if move:
             out[up + i::width] = rows[down + i::width]
-        else:
+        elif stays[i]:
             out[i:len(rows):width] = rows[i:len(out):width]
-    return CMHodgeStructure(field, structure.weight + step, (out, []))
+    return out
+
+
+def _shift_sigma0(structure: CMHodgeStructure, step: int) -> CMHodgeStructure:
+    # weight and the sigma0 columns move by step rows, the conjugate side
+    # stays; a lowering step drops rows that are empty when the top is
+    # one-sided.  Unit support is the callers' check, so residue 0 is empty
+    field = structure.field
+    rows = _moved_columns(
+        structure._rows, field.d - 1, step, field.sigma0_mask, field.other_mask
+    )
+    return CMHodgeStructure(field, structure.weight + step, (rows, []))
 
 
 def neg_half_twist(structure: CMHodgeStructure) -> CMHodgeStructure:
@@ -484,24 +517,42 @@ def tensor_invariants(
     (invariants of the product automorphism), with right[a] for
     rule="difference" (invariants of alpha (x) zeta^{-1}).
 
-    On the rows: each Hodge index p of the right factor adds one copy of
-    the left rows shifted up by p indices, masked entry by entry by the
-    right factor's row p, read backwards for "sum" (residue -a) and
-    forwards for "difference" (residue a).  A weight-one right factor
-    takes two masked, shifted copies.  Residue 0 pairs with residue 0
-    under both rules."""
+    On the rows: when the right factor has weight one and each of its
+    columns, the vectors of residues 1..d-1, is (0, 0), (1, 0) or
+    (0, 1), as K_{-1/2}'s are, each column of the left rows moves up one
+    Hodge row, stays in place or empties, as in a half twist
+    (`_moved_columns`).  Any other right factor, such as the Fermat
+    curve's H^1 for d >= 4, takes `_masked_copies`.  Residue 0 pairs
+    with residue 0 under both rules, outside the rows."""
     field = _common_field("tensor_invariants", left, right)
     if rule not in ("sum", "difference"):
         raise ValueError(f"unknown matching rule {rule!r}")
     x, y, width = left._rows, right._rows, field.d - 1
+    # unit columns: entries of at most 1, and no column (1, 1)
+    if right.weight == 1 and max(y) <= 1 and not any(map(mul, y, y[width:])):
+        # column a matches right's vector at a ("difference") or at -a,
+        # which by conjugation symmetry is the vector at a upside down
+        # ("sum"); its top entry moves the column, its bottom one keeps it
+        low, high = y[:width], y[width:]
+        moves, stays = (low, high) if rule == "sum" else (high, low)
+        rows = _moved_columns(x, width, 1, moves, stays)
+    else:
+        rows = _masked_copies(x, y, width, rule)
+    zero = _convolve(left._zero, right._zero) if left._zero and right._zero else []
+    return CMHodgeStructure(field, left.weight + right.weight, (rows, zero))
+
+
+def _masked_copies(x: list[int], y: list[int], width: int, rule: str) -> list[int]:
+    """The rows of `tensor_invariants` for any right factor: each Hodge
+    index p of the right rows y adds one copy of the left rows x shifted
+    up by p indices, masked entry by entry by y's row p, read backwards
+    for "sum" (residue -a) and forwards for "difference" (residue a)."""
     pad, step = [0] * (len(y) - width), -1 if rule == "sum" else 1
     copies = []
     for start in range(0, len(y), width):
         coefficients = cycle(y[start:start + width][::step])
         copies.append(map(mul, chain(pad[:start], x, pad[start:]), coefficients))
-    rows = list(reduce(partial(map, add), copies))
-    zero = _convolve(left._zero, right._zero) if left._zero and right._zero else []
-    return CMHodgeStructure(field, left.weight + right.weight, (rows, zero))
+    return list(reduce(partial(map, add), copies))
 
 
 def collapse_residues(structure: CMHodgeStructure) -> CMHodgeStructure:
@@ -517,8 +568,9 @@ def direct_sum(*structures: CMHodgeStructure) -> CMHodgeStructure:
     if not structures:
         raise ValueError("direct sum of nothing")
     field, weight = _common_field("direct sum", *structures), structures[0].weight
-    if any(s.weight != weight for s in structures):
-        raise FieldMismatchError("summands must share one weight")
+    for other in structures[1:]:
+        if other.weight != weight:
+            raise ValueError(f"direct sum needs one weight: {weight} != {other.weight}")
     rows = list(map(sum, zip(*(s._rows for s in structures))))
     zero = list(map(sum, zip(*(s._zero for s in structures if s._zero))))
     return CMHodgeStructure(field, weight, (rows, zero))

@@ -9,12 +9,12 @@ fraction-free linear algebra backing the period-map rank computation.
 Two production roads lead to the eigenspace counts, and each is the
 other's oracle.  Both read a whole table off its generating function,
 the polynomial power P^{k+1} with P = 1 + t + ... + t^{d-2}: padded
-with k zeros at either end and reversed, with every d-th entry
-deleted, it is the flat p-major table of all residues' Hodge vectors
-(`residue_vectors`, the one thing the roads share).  The series itself
-comes by one of two roads, chosen by the shape of the request: for one
-cover, `eigenspace_dims` builds it directly in one pass; along a row of
-fixed d, `tower_series` steps from level k to level k + 1 by one
+with k zeros at either end, with every d-th entry deleted, it is the
+flat p-major table of all residues' Hodge vectors (`residue_vectors`,
+the one thing the roads share).  The series itself comes by one of two
+roads, chosen by the shape of the request: for one cover,
+`eigenspace_dims` builds it directly in one pass; along a row of fixed
+d, `tower_series` steps from level k to level k + 1 by one
 multiplication by P, since the covers of one degree form a tower.  The
 `oracle-equivalence` sweep compares the two roads on every cell it
 visits, and tier-1 on every cell of the CLI sweep grid.
@@ -168,11 +168,19 @@ def residue_vectors(series: list[int], d: int, k: int) -> list[int]:
     at either end and read backwards holds entry p of residue i at
     i - 1 + dp: d entries per Hodge index, the last of them (i = d) the
     invariant part of primitive cohomology, which vanishes.  Deleting
-    every d-th entry leaves the flat table."""
+    every d-th entry leaves the flat table.
+
+    The padded series is read forwards, which is the same: P^{k+1} is a
+    palindrome, so the padded series, of (k + 1)d - 1 entries, is one
+    too, and the deleted indices d - 1, 2d - 1, ... are placed
+    symmetrically in it.  A faulty series that is no palindrome gives
+    the reversal of the intended table instead, which breaks
+    conjugation symmetry exactly when the intended one does, so the
+    structure's constructor still rejects it."""
     # the padded series has (k+1)d - 1 entries, coefficient m at index m + k
-    backwards = ([0] * k + series + [0] * k)[::-1]
-    del backwards[d - 1::d]
-    return backwards
+    padded = [0] * k + series + [0] * k
+    del padded[d - 1::d]
+    return padded
 
 
 def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:

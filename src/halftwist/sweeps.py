@@ -80,8 +80,9 @@ def _round_trip(spec: CoverSpec) -> str:
 
 def _monotonicity(spec: CoverSpec) -> str:
     top = covers.qt_decompose(spec).top
+    row = spec.cohomology.row(top)
     for i in range(1, spec.d - 1):
-        if spec.cohomology.entry(top, i) < spec.cohomology.entry(top, i + 1):
+        if row[i] < row[i + 1]:
             raise ValueError(f"extremal eigenspaces grow at i={i}")
     return f"nonincreasing along the extremal row p={top}"
 

@@ -175,22 +175,45 @@ def test_verify_output_is_stable(capsys):
     assert first == second
 
 
-def test_verify_statuses_survive_optimized_mode(capsys):
-    # python -O strips assert statements; no claim may depend on one
-    _, expected, _ = run_cli(capsys, "verify")
+def run_optimized(*args):
+    """`python -O` with the package on the path: assert statements are
+    stripped, so no output may depend on one."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "halftwist.cli", "verify"],
+    return subprocess.run(
+        [sys.executable, "-O", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_verify_statuses_survive_optimized_mode(capsys):
+    _, expected, _ = run_cli(capsys, "verify")
+    proc = run_optimized("-m", "halftwist.cli", "verify")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == (
         "65 claims: 60 pass, 5 known discrepancies, 0 failures"
     )
     assert proc.stdout == expected
+
+
+def test_sweep_outputs_survive_optimized_mode(capsys):
+    # every registered check on one small grid, in one optimized process
+    argvs = [
+        ["sweep", "--check", check, "--d-max", "9", "--k-max", "4"]
+        for check in sorted(CHECKS)
+    ]
+    runs = [run_cli(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in runs] == [0] * len(CHECKS)
+    script = (
+        "import sys\n"
+        "from halftwist import cli\n"
+        f"sys.exit(max(cli.main(argv) for argv in {argvs!r}))\n"
+    )
+    proc = run_optimized("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(out for _, out, _ in runs)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_structure_invariants(d):
 def test_a_field_stores_only_its_degree_and_cm_type():
     fields = tuple(field.name for field in dataclasses.fields(CyclotomicData))
     assert fields == ("d", "sigma0")
-    assert repr(make_cyclotomic(5)) == "CyclotomicData(d=5)"
+    assert repr(make_cyclotomic(5)) == "CyclotomicData(d=5, sigma0=[1, 2])"
 
 
 def test_a_replaced_cm_type_carries_its_own_masks():

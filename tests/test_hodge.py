@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halftwist import hodge
-from halftwist.cyclotomic import make_cyclotomic
+from halftwist import cli, covers, hodge
+from halftwist.cyclotomic import all_cm_types, make_cyclotomic
 from halftwist.hodge import (
     CMHodgeStructure,
     EmptyStructureError,
@@ -69,6 +69,26 @@ def test_the_effectivity_error_names_the_first_negative_entry():
     with pytest.raises(MalformedStructureError) as info:
         CMHodgeStructure(K4, 1, {1: (0, 0, 1), 3: (1, 0, 0)})
     assert str(info.value) == "not effective: (0, 0, 1) at residue 1"
+
+
+@pytest.mark.parametrize(
+    "field, weight, vectors, named",
+    [
+        # symmetric rows: the negative entries mirror each other, one in
+        # the scanned first half; the error names the lower residue's
+        (K5, 1, {2: (0, -3), 3: (-3, 0)}, "(p=1, residue=2) = -3"),
+        # a negative entry alone at the middle of the rows (residue d/2)
+        (K4, 0, {2: (-1,)}, "(p=0, residue=2) = -1"),
+        # asymmetric rows with a negative entry in their second half
+        (K4, 1, {1: (0, 1), 3: (0, -2)}, "(p=1, residue=3) = -2"),
+    ],
+)
+def test_the_effectivity_error_wins_over_the_symmetry_error(
+    field, weight, vectors, named
+):
+    with pytest.raises(MalformedStructureError) as info:
+        CMHodgeStructure(field, weight, vectors)
+    assert str(info.value) == f"not effective: entry {named}"
 
 
 def test_rejects_residue_keys_outside_the_field():
@@ -284,6 +304,14 @@ def test_tensor_rank_is_multiplicative():
     assert tensor(H2, H1).rank == 126
 
 
+def test_direct_sum_of_two_weights_names_both():
+    V = primitive_V(CoverSpec(4, 2))
+    with pytest.raises(ValueError) as caught:
+        direct_sum(V, V, tate_twist(V, -1))
+    assert not isinstance(caught.value, FieldMismatchError)
+    assert str(caught.value) == "direct sum needs one weight: 2 != 4"
+
+
 def test_tensor_field_mismatch():
     with pytest.raises(FieldMismatchError) as caught:
         tensor(k_minus_half(K3), k_minus_half(K4))
@@ -307,6 +335,20 @@ def test_structures_over_different_cm_types_are_different():
     with pytest.raises(ValueError) as caught:
         require_equal(left, right, "ctx")
     assert str(caught.value) == "ctx: CM-type [1, 2] != [3, 4]"
+
+
+def test_structures_over_different_cm_types_print_differently():
+    left, right = units_over_both_cm_types()
+    assert repr(left) == "CMHodgeStructure(d=5, sigma0=[1, 2], weight=0, rank=4)"
+    assert repr(right) == "CMHodgeStructure(d=5, sigma0=[3, 4], weight=0, rank=4)"
+    assert repr(left.field) != repr(right.field)
+
+
+def test_a_row_reads_every_residue_at_one_hodge_index():
+    H = tensor(primitive_V(CoverSpec(4, 2)), curve_h1(4))
+    assert H._zero
+    for p in range(-1, H.weight + 2):
+        assert H.row(p) == [H.entry(p, a) for a in range(4)], p
 
 
 @pytest.mark.parametrize(
@@ -380,6 +422,89 @@ def test_matched_tensor_reproduces_both_twists():
             if has_positive_half_twist(V):
                 direct = tensor_invariants(V, K, rule="sum")
                 assert direct == tate_twist(pos_half_twist(V), -1)
+
+
+# ---------------------------------------------------------------------------
+# the two routes of tensor_invariants: a unit-column weight-one factor
+# moves whole columns, any other factor takes the masked copies
+
+
+def masked_route(left, right, rule):
+    """`tensor_invariants` by the masked copies, whatever the factor."""
+    rows = hodge._masked_copies(left._rows, right._rows, left.field.d - 1, rule)
+    zero = left._zero and right._zero and hodge._convolve(left._zero, right._zero)
+    return CMHodgeStructure(left.field, left.weight + right.weight, (rows, zero))
+
+
+def test_the_ks_tensors_match_the_masked_copies_on_the_sweep_grid():
+    # both K_{-1/2} tensors of `ks_invariant_space`, on every cell a
+    # sweep may ask for: "sum" on V, "difference" on the intermediate
+    for d in range(3, cli.SWEEP_MAX_D + 1):
+        K = k_minus_half(make_cyclotomic(d))
+        for spec in tower(d, cli.SWEEP_MAX_K):
+            inner = tensor_invariants(spec.V, K, rule="sum")
+            require_equal(inner, masked_route(spec.V, K, "sum"), f"{spec} sum")
+            outer = tensor_invariants(inner, K, rule="difference")
+            expected = masked_route(inner, K, "difference")
+            require_equal(outer, expected, f"{spec} difference")
+
+
+@st.composite
+def unit_column_cases(draw):
+    """A field of random degree and random CM-type, a random structure
+    over it, and a weight-one factor whose residue vectors are each
+    (0, 0), (1, 0) or (0, 1), with (1, 1) at residue 0 at times."""
+    base = make_cyclotomic(draw(st.sampled_from(DEGREES)))
+    sigma0 = draw(st.sampled_from(list(all_cm_types(base))))
+    field = replace(base, sigma0=sigma0)
+    left = draw_structure(draw, field, st.integers(min_value=0, max_value=field.d - 1))
+    vectors = {0: (1, 1)} if draw(st.booleans()) else {}
+    for a in range(1, (field.d + 1) // 2):
+        vec = draw(st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+        vectors |= {a: vec, field.d - a: vec[::-1]}
+    return left, CMHodgeStructure(field, 1, vectors)
+
+
+@given(unit_column_cases(), st.sampled_from(["sum", "difference"]))
+@settings(max_examples=150, deadline=None)
+def test_unit_column_factors_match_the_masked_copies(case, rule):
+    left, right = case
+    moved = tensor_invariants(left, right, rule=rule)
+    assert moved == masked_route(left, right, rule)
+    assert (moved.weight, moved.table) == entrywise_tensor_invariants(left, right, rule)
+
+
+@pytest.mark.parametrize(
+    "right",
+    [
+        curve_h1(7),
+        CMHodgeStructure(K4, 1, {1: (1, 1), 3: (1, 1)}),
+        CMHodgeStructure(K4, 1, {1: (2, 0), 3: (0, 2)}),
+    ],
+    ids=["fermat-curve", "column-1-1", "entry-2"],
+)
+def test_other_factors_take_the_masked_copies(right, monkeypatch):
+    def refused(*args):
+        raise AssertionError("column route taken")
+
+    left = primitive_V(CoverSpec(right.field.d, 3))
+    monkeypatch.setattr(hodge, "_moved_columns", refused)
+    for rule in ("sum", "difference"):
+        result = tensor_invariants(left, right, rule=rule)
+        assert result == masked_route(left, right, rule)
+        assert (result.weight, result.table) == entrywise_tensor_invariants(
+            left, right, rule
+        )
+
+
+def test_k_minus_half_takes_the_column_route(monkeypatch):
+    def refused(*args):
+        raise AssertionError("masked copies taken")
+
+    monkeypatch.setattr(hodge, "_masked_copies", refused)
+    for d in range(3, 13):
+        for spec in tower(d, 6):
+            covers.ks_invariant_space(spec)
 
 
 def test_an_unknown_matching_rule_fails_before_any_work():
