@@ -18,7 +18,7 @@ runs and across ``--jobs`` settings.
 Inputs are bounded before any work starts: ``hodge``, ``eigenspaces``
 and ``half-twist`` take 3 <= d <= MAX_D and k <= MAX_K (both 160), with
 k >= 0 (k >= 1 for ``half-twist``), and ``sweep`` takes a nonempty grid,
---d-max <= SWEEP_MAX_D (50) and --k-max <= SWEEP_MAX_K (25), and
+--d-max <= SWEEP_MAX_D (75) and --k-max <= SWEEP_MAX_K (40), and
 --jobs >= 1.  A value outside its bounds raises `UsageError`, the one
 error that exits with code 2; any other error, a defect of the program
 rather than of its input, exits with code 1.  The library functions
@@ -34,19 +34,21 @@ import sys
 from . import claims, covers, hodge, jacobian, sweeps
 from .covers import CoverSpec
 
-# Each upper limit was set at the largest value at which its slowest
-# command took about 1 s on a slower host, and is kept.  The cost of a
-# cover grows fast with d and k together, and of a sweep with its grid:
-# on a 2-core machine where `python3 -c pass` takes 0.026 s
-# (whole-process medians of 11 interleaved runs) `eigenspaces 160 160`
-# takes 0.28 s, `half-twist 160 160 --tate` 0.17 s and `hodge 160 160`
-# 0.15 s.  At the grid limit, --d-max 50 --k-max 25, sweeps walk each
-# degree's tower of covers and no check stands out: `oracle-equivalence`
-# takes 0.24 s, `z-checksum` 0.23 s, `ks-space`, `round-trip`, `w-rank`
-# and `dim-identity` 0.15 s, `cmtype-search` 0.10 s and `monotonicity`
-# 0.09 s.
+# Each upper limit is the largest value at which its slowest command
+# takes about 1 s or less.  The cost of a cover grows fast with d and k
+# together, and of a sweep with its grid.  Whole-process medians of 7
+# interleaved runs on a 2-core machine (Python 3.11, no bytecode cache),
+# where `python3 -c pass` takes 0.027 s and importing the CLI 0.056 s:
+# `hodge 160 160` takes 0.063 s and `half-twist 160 160 --tate` 0.064 s,
+# each reading one series P^n off its recurrence, and `eigenspaces
+# 160 160` 0.12 s.  At the grid limit, --d-max 75 --k-max 40 with
+# --jobs 1, sweeps walk each degree's tower of covers: `z-checksum`
+# takes 1.0 s, most of it the Fermat-curve tensor of W, `w-rank` 0.59 s,
+# `oracle-equivalence` 0.54 s, `dim-identity` 0.51 s, `round-trip`
+# 0.49 s, `ks-space` 0.46 s, `cmtype-search` 0.26 s and `monotonicity`
+# 0.23 s.
 MAX_D = MAX_K = 160
-SWEEP_MAX_D, SWEEP_MAX_K = 50, 25
+SWEEP_MAX_D, SWEEP_MAX_K = 75, 40
 # The (lowest, highest) value of each numeric argument, per command; None
 # is no limit.  A cover needs d >= 3 and k >= 0, the (q, t) normal form
 # of `half-twist` k >= 1, and a sweep a nonempty grid and a worker.
@@ -114,8 +116,9 @@ def _table_hodge(payload) -> list[str]:
 def _cmd_eigenspaces(args) -> tuple[dict, int]:
     d, k = args.d, args.k
     spec = CoverSpec(d, k)
-    # two routes: the table's rows count monomials in k + 1 variables,
-    # the hodge column in k + 2
+    # two series: the table's rows are read off P^{k+1}, the hodge column
+    # off the residue-0 slots of P^{k+2}, and a row's d - 1 entries add
+    # up to one such slot because P^{k+2} is P^{k+1} times P
     hodge_totals = jacobian.primitive_hodge_column(d, k)
     rows = []
     for p in range(k, -1, -1):

@@ -44,10 +44,12 @@ itself, one frozen `CyclotomicData` per degree from `make_cyclotomic`,
 with its unit group and masks derived from (d, sigma0) when it is
 built; the series a `tower` generator holds for its next step; and the
 primitive Hodge numbers of `jacobian.primitive_hodge_column`, k + 1
-ints per (d, k), which the primitive ranks, the Lemma 3.7 terms of
-`dim_identity_terms`, the graded check of `z_decomposition` and
-`quartic_isogeny_report` read.  Every one of these caches fills on
-first use, none at import.
+ints per (d, k), each column the residue-0 slots of one series P^{k+2}
+(the entries that `residue_vectors` deletes from a cover one level up),
+which the primitive ranks, the Lemma 3.7 terms of `dim_identity_terms`,
+the graded check of `z_decomposition` and `quartic_isogeny_report`
+read.  The series is built for the column and dropped; only the column
+is kept.  Every one of these caches fills on first use, none at import.
 """
 
 from __future__ import annotations

@@ -13,21 +13,21 @@ with k zeros at either end, with every d-th entry deleted, it is the
 flat p-major table of all residues' Hodge vectors (`residue_vectors`,
 the one thing the roads share).  The series itself comes by one of two
 roads, chosen by the shape of the request: for one cover,
-`eigenspace_dims` builds it directly in one pass; along a row of fixed
+`eigenspace_dims` builds it with `power_series`, one exact holonomic
+recurrence over the lower half of the palindrome; along a row of fixed
 d, `tower_series` steps from level k to level k + 1 by one
 multiplication by P, since the covers of one degree form a tower.  The
 `oracle-equivalence` sweep compares the two roads on every cell it
 visits, and tier-1 on every cell of the CLI sweep grid.
-Inclusion-exclusion, a closed-form binomial sum, has one evaluator per
-use: one entry at a time (`count_bounded_monomials`) for the Hodge
-numbers of `primitive_hodge_column`, which need only k + 1 entries,
-and one pass for a cover's whole table, the direct road of
-`eigenspace_dims`.  Tier-1 checks the one-pass table entry by entry
-against the per-entry sum, and the slicing against the per-entry
-formula and the tuple oracle.
+The entries that `residue_vectors` deletes are the branch locus: those
+of P^{k+2} are the primitive Hodge numbers of the degree-d k-fold, so
+`primitive_hodge_column` is one read of one `power_series`.
+Inclusion-exclusion, a closed-form binomial sum per entry
+(`count_bounded_monomials`), is the tier-1 oracle of both the tables
+and the column, entry by entry.
 An exact integer convolution over the tuple entries
-(`shioda_tuple_count`) is the tier-1 test oracle, and is itself checked
-against a literal listing of tuples.
+(`shioda_tuple_count`) is a second tier-1 test oracle, and is itself
+checked against a literal listing of tuples.
 
 Every rank that is eliminated is computed by one sparse fraction-free
 eliminator, `sparse_rank`, on rows stored as {column: value} maps;
@@ -72,7 +72,9 @@ def count_bounded_monomials(n_vars: int, d: int, m: int) -> int:
     """N(n, d, m) = #{(b_0..b_{n-1}) : sum b_i = m, 0 <= b_i <= d-2}.
 
     Inclusion-exclusion over the exponent bound; terms whose upper
-    binomial index goes negative contribute nothing.
+    binomial index goes negative contribute nothing.  The coefficient of
+    t^m in `power_series(d, n_vars)`, one entry at a time: the tier-1
+    oracle of the series and of everything read off it.
     """
     if n_vars < 1:
         raise ValueError(f"need at least one variable, got {n_vars}")
@@ -89,21 +91,63 @@ def count_bounded_monomials(n_vars: int, d: int, m: int) -> int:
     return total
 
 
+def power_series(d: int, n: int) -> list[int]:
+    """The coefficients of P^n, P = 1 + t + ... + t^{d-2}, from t^0 to
+    t^{n(d-2)}: the generating function of the Jacobian-ring counts in
+    n variables.
+
+    Put e = d - 1 and f = P^n with P = (1 - t^e) / (1 - t).  Since
+    P'/P = 1/(1 - t) - e t^{e-1}/(1 - t^e), the logarithmic derivative
+    f'/f = n P'/P clears its denominators to
+
+        (1 - t)(1 - t^e) f' = n f [(1 - t^e) - e t^{e-1}(1 - t)],
+
+    and the coefficient of t^m on either side gives the recurrence
+
+        (m+1) f_{m+1} = (m+n) f_m + (m-e+1-ne) f_{m-e+1} + ((e-1)n - m + e) f_{m-e}
+
+    with f_0 = 1 and f_j = 0 for j < 0.  Each step divides exactly,
+    since its left side is (m+1) times the integer f_{m+1}: three small
+    multipliers and one exact division per coefficient.  P is a
+    palindrome, so P^n is one too, and only the lower half is built;
+    the upper half mirrors it.  n = 0 gives [1].
+    """
+    if d < 3 or n < 0:
+        raise ValueError(f"need d >= 3 and n >= 0, got ({d}, {n})")
+    e = d - 1
+    top = n * (e - 1)  # the degree of P^n
+    # f_m sits at f[m + e], after e zeros that stand for f_j, j < 0
+    f = [0] * e + [1]
+    a, b, c = n, 1 - e - n * e, (e - 1) * n + e  # the multipliers at m = 0
+    for m in range(top // 2):
+        f.append((a * f[-1] + b * f[-e] + c * f[-e - 1]) // (m + 1))
+        a, b, c = a + 1, b + 1, c - 1
+    del f[:e]
+    f += reversed(f[:top + 1 - len(f)])
+    return f
+
+
 @cache
 def primitive_hodge_column(d: int, k: int) -> tuple[int, ...]:
     """The primitive Hodge numbers h^{p, k-p}_0 of a smooth degree-d
-    k-fold in projective (k+1)-space, indexed by p = 0..k: entry p is the
-    Jacobian-ring count N(k+2, d, d(k - p + 1) - k - 2), and k = 0 gives
-    the reduced cohomology of d points.  Kept once per (d, k) for the run,
-    since the tower's identities read the columns of neighbouring levels."""
+    k-fold in projective (k+1)-space, indexed by p = 0..k, and k = 0
+    gives the reduced cohomology of d points.
+
+    Entry p is the Jacobian-ring count in k + 2 variables at degree
+    m = d(k - p + 1) - k - 2, the coefficient of t^m in P^{k+2}.  Padded
+    with k + 1 zeros at either end, P^{k+2} holds it at index
+    d(k - p + 1) - 1, so the column is every d-th entry from d - 1: the
+    residue-0 slots that `residue_vectors` deletes from the cover of
+    dimension k + 1 (read from p = k down, the same as from p = 0 up,
+    since the padded series is a palindrome).  Kept once per (d, k) for
+    the run, since the tower's identities read the columns of
+    neighbouring levels."""
     if d < 3:
         raise ValueError(f"need degree >= 3, got {d}")
     if k < 0:
         raise ValueError(f"need dimension >= 0, got {k}")
-    return tuple(
-        count_bounded_monomials(k + 2, d, d * (k - p + 1) - k - 2)
-        for p in range(k + 1)
-    )
+    pad = [0] * (k + 1)
+    return tuple((pad + power_series(d, k + 2) + pad)[d - 1::d])
 
 
 def primitive_middle_rank(d: int, k: int) -> int:
@@ -123,22 +167,14 @@ def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
         (1 + t + ... + t^{d-2})^{k+1} = (1 - t^{d-1})^{k+1} / (1 - t)^{k+1},
 
     or 0 outside the series.  This is the direct route for one cover:
-    the series is built in one pass, the numerator's k + 2 signed
-    binomials at the multiples of d - 1, then one prefix-sum pass for
-    each of the k + 1 factors 1 / (1 - t), and sliced by
-    `residue_vectors`, whose flat table has residue i's vector at every
-    (d - 1)-th entry from i - 1.  k = 0 gives the d - 1 one-dimensional
-    eigenspaces, all at p = 0, of the reduced H^0 of d points.
+    the series is `power_series(d, k + 1)`, sliced by `residue_vectors`,
+    whose flat table has residue i's vector at every (d - 1)-th entry
+    from i - 1.  k = 0 gives the d - 1 one-dimensional eigenspaces, all
+    at p = 0, of the reduced H^0 of d points.
     """
     if d < 3 or k < 0:
         raise ValueError(f"need d >= 3 and k >= 0, got ({d}, {k})")
-    size = (k + 1) * (d - 2) + 1  # the series has degree (k+1)(d-2)
-    series = [0] * size
-    for j, m in enumerate(range(0, size, d - 1)):
-        series[m] = (-1) ** j * comb(k + 1, j)
-    for _ in range(k + 1):
-        series = list(accumulate(series))
-    rows = residue_vectors(series, d, k)
+    rows = residue_vectors(power_series(d, k + 1), d, k)
     return {i: rows[i - 1::d - 1] for i in range(1, d)}
 
 

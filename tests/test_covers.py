@@ -666,22 +666,20 @@ def test_a_round_trip_sweep_builds_no_table_directly(table_builds):
 
 
 def test_a_dim_identity_sweep_computes_each_rank_once(monkeypatch):
-    # a column of (d, k) counts monomials in k + 2 variables, one count
-    # per Hodge number
-    entries = Counter()
-    real = jacobian.count_bounded_monomials
+    # the column of (d, k) is read off one series, P^{k+2}
+    columns = Counter()
+    real = jacobian.power_series
 
-    def counted(n_vars, d, m):
-        entries[(d, n_vars - 2)] += 1
-        return real(n_vars, d, m)
+    def counted(d, n):
+        columns[(d, n - 2)] += 1
+        return real(d, n)
 
-    monkeypatch.setattr(jacobian, "count_bounded_monomials", counted)
+    monkeypatch.setattr(jacobian, "power_series", counted)
     jacobian.primitive_hodge_column.cache_clear()
     cells = sweeps.run_sweep("dim-identity", d_max=8, k_max=6, jobs=1)
     assert all(cell.ok for cell in cells)
     # k = 1 reads h_1 only; k >= 2 reads h_{k-1}, h_k and h_{k+1}
-    assert set(entries) == {(d, j) for d in range(3, 9) for j in range(1, 8)}
-    assert all(count == k + 1 for (_, k), count in entries.items())
+    assert columns == {(d, j): 1 for d in range(3, 9) for j in range(1, 8)}
 
 
 @pytest.mark.parametrize("check", sorted(sweeps.CHECKS))

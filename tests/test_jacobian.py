@@ -19,6 +19,7 @@ from halftwist.jacobian import (
     cover_variables,
     eigenspace_dims,
     exact_rank,
+    power_series,
     primitive_hodge_column,
     reduced_cover_numerator,
     residue_vectors,
@@ -120,6 +121,55 @@ def test_hodge_numbers_cubic_threefold():
 def test_hodge_numbers_points_on_a_line():
     assert primitive_hodge_column(3, 0) == (2,)
     assert primitive_hodge_column(7, 0) == (6,)
+
+
+def times_p(series, d):
+    """`series` times 1 + t + ... + t^{d-2}, by a plain convolution: each
+    coefficient is the sum of the d - 1 coefficients ending at it."""
+    return [
+        sum(series[max(0, m - d + 2):m + 1]) for m in range(len(series) + d - 2)
+    ]
+
+
+def test_power_series_matches_a_plain_convolution():
+    for d in range(3, 41):
+        series = [1]
+        for n in range(31):
+            assert power_series(d, n) == series, (d, n)
+            series = times_p(series, d)
+
+
+def test_power_series_matches_both_other_roads_at_the_cli_limit():
+    below = power_series(160, 160)
+    top = power_series(160, 161)
+    assert top == times_p(below, 160)
+    for tower_top in jacobian.tower_series(160, 160):
+        pass  # the tower ends at k = 160, with P^{k+1}
+    assert top == tower_top
+
+
+def test_power_series_bounds():
+    assert power_series(3, 0) == [1] == power_series(50, 0)
+    assert power_series(4, 1) == [1, 1, 1]
+    assert power_series(3, 4) == [1, 4, 6, 4, 1]
+    with pytest.raises(ValueError):
+        power_series(2, 3)
+    with pytest.raises(ValueError):
+        power_series(5, -1)
+
+
+def test_hodge_column_matches_inclusion_exclusion():
+    # every column a sweep of the CLI grid reads (its identities reach
+    # k + 1), and a few cells up to the CLI limit, entry by entry
+    cells = [
+        (d, k) for d in range(3, cli.SWEEP_MAX_D + 1) for k in range(cli.SWEEP_MAX_K + 2)
+    ] + [(64, 64), (97, 120), (160, 3), (3, 160), (160, 160)]
+    for d, k in cells:
+        sums = tuple(
+            count_bounded_monomials(k + 2, d, d * (k - p + 1) - k - 2)
+            for p in range(k + 1)
+        )
+        assert primitive_hodge_column(d, k) == sums, (d, k)
 
 
 @pytest.mark.parametrize(

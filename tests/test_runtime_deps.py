@@ -181,6 +181,16 @@ def test_a_cover_table_is_read_only_through_its_spec():
     }
 
 
+def test_the_hodge_column_counts_no_monomial_one_at_a_time():
+    # the direct table and the hypersurface column are both read off one
+    # recurrence series; the per-entry sum is the tests' oracle
+    assert package_callers("power_series") == {
+        ("jacobian", "eigenspace_dims"),
+        ("jacobian", "primitive_hodge_column"),
+    }
+    assert package_callers("count_bounded_monomials") == set()
+
+
 def test_the_ledger_runs_sweep_cells_only_through_its_memo():
     # a grid claim takes its cells from the run's memo, so a cell that
     # two claims share runs once
