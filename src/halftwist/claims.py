@@ -5,11 +5,14 @@ Provenance tags: "paper" marks a value read off the source text,
 "derived" a value fixed by an independent computation (enumeration,
 recursion, exact rank), "trivial" a value forced by definitions.
 
-A claim over a grid of (d, k) cells runs the registered sweep check on
-every cell (`sweeps.check_cover`), so the ledger and the sweeps share one
-definition of each property; a claim reads a cell's `ok`, and its text
-only to name the first failing cell.  `euler.matches_griffiths` names
-one part of the `dim-identity` cell, so it calls that part alone,
+A claim that must hold on a grid of (d, k) cells runs through one
+loop, `_holds`.  It refuses an empty grid, on which the claim would
+hold by construction, and fails at the first cell whose check raises a
+ValueError, as `<name> fails at (d=..., k=...): <detail>`.  A
+sweep-backed claim runs a registered sweep check on every cell
+(`sweeps.check_cover`) and is named by it, so the ledger and the sweeps
+share one definition of each property.  `euler.matches_griffiths`
+names one part of the `dim-identity` cell, so it runs that part alone,
 `covers.middle_rank_both_routes`, and a Lemma 3.7 fault cannot fail it.
 
 One ledger run holds one `CoverSpec` per cover and one cell per
@@ -29,8 +32,9 @@ value disagrees with the stated one by design, and they report status
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Optional
+from functools import cache, partial
+from itertools import product
+from typing import Callable, Iterable, Optional
 
 from . import covers, hodge, jacobian, sweeps
 from .covers import CoverSpec
@@ -55,9 +59,10 @@ STATUS_FAIL = "fail"
 STATUS_KNOWN = "discrepancy-known"
 
 # The run's memos: of covers, (d, k) -> its one CoverSpec, and of sweep
-# cells, (check, d, k) -> its one SweepCell (`_cell_memo`).
+# cells, (check, d, k) -> its one SweepCell (`_cell_memo`), whose call
+# raises the detail of a failing cell.
 Specs = Callable[[int, int], CoverSpec]
-Cells = Callable[[str, int, int], sweeps.SweepCell]
+Cells = Callable[[str, int, int], None]
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,10 @@ def _kondo_isogeny(kondo: CoverSpec):
     return [sum(ranks), ranks]
 
 
-def _jz5_dims(spec: Specs):
+def _jz5_dims(cubic4_twist: Callable[[], hodge.AbelianSummary]):
     z5 = covers.euler_recursion_rank(3, 5) // 2
     x3 = jacobian.primitive_middle_rank(3, 3) // 2
-    twist = hodge.abelian_summary(
-        hodge.pos_half_twist(covers.full_level_V(spec(3, 4)))
-    ).dim_abelian
-    return [z5, x3, twist]
+    return [z5, x3, cubic4_twist().dim_abelian]
 
 
 def _sextic_part(spec: Specs, order: int):
@@ -177,7 +179,7 @@ def _quintic_extremal(spec: Specs, k: int):
     cover = spec(5, k)
     top = covers.qt_decompose(cover).top
     full = jacobian.primitive_hodge_column(5, k)[top]
-    return [full, [cover.cohomology.entry(top, 1), cover.cohomology.entry(top, 2)]]
+    return [full, cover.cohomology.row(top)[1:3]]
 
 
 def _direct_pattern(spec: Specs, d: int):
@@ -191,25 +193,19 @@ def _printed_pattern(spec: Specs, d: int):
 def _disagreements(spec: Specs, left, right) -> list[list[int]]:
     """The cells [d, k] of GRID_D x GRID_K where two predicates on a
     CoverSpec differ."""
-    cells = (spec(d, k) for d in GRID_D for k in GRID_K)
+    cells = (spec(d, k) for d, k in product(GRID_D, GRID_K))
     return [[cover.d, cover.k] for cover in cells if left(cover) != right(cover)]
-
-
-def _direct_tate(spec: CoverSpec) -> bool:
-    return covers.half_twist_exists_direct(spec, tate=True)
 
 
 def _no_even_degree(cells: list[list[int]]) -> bool:
     return all(d % 2 for d, _ in cells)
 
 
-def _cubics_W_identity(spec: Specs):
-    for k in range(2, 8):
-        cover = spec(3, k)
-        W = covers.build_W(cover)
-        twisted = hodge.tate_twist(hodge.pos_half_twist(covers.primitive_V(cover)), -1)
-        hodge.require_equal(W, twisted, f"cubic W identity fails for k={k}")
-    return True
+def _cubic_W_identity(spec: Specs, d: int, k: int) -> None:
+    cover = spec(d, k)
+    W = covers.build_W(cover)
+    twisted = hodge.tate_twist(hodge.pos_half_twist(covers.primitive_V(cover)), -1)
+    hodge.require_equal(W, twisted, "W against the twisted V")
 
 
 def _cubics_extremal_dims(spec: Specs):
@@ -220,54 +216,51 @@ def _cubics_extremal_dims(spec: Specs):
     return out
 
 
-def _quartic_splits(spec: Specs):
-    for k in (1, 2, 3):
-        covers.quartic_W_split(spec(4, k))
-    return True
-
-
 def _lemma37_example(d: int, k: int):
     total, lower, same = covers.dim_identity_terms(d, k)
     return [total, [lower, same]]
 
 
-def _euler_matches_griffiths() -> bool:
-    for d, k in _grid(GRID_D, range(0, 8)):
-        try:
-            covers.middle_rank_both_routes(d, k)
-        except ValueError as exc:
-            raise ValueError(f"ranks differ at (d={d}, k={k}): {exc}") from None
-    return True
-
-
 def _cell_memo(spec: Specs) -> Cells:
     """The run's memo of sweep cells, each run once on the cover from
-    `spec`.  A cell is keyed by its check's registered function, not its
-    name, so a check swapped in `sweeps.CHECKS` runs afresh and never
-    hands back a cell of the function it replaced."""
+    `spec`; reading a failing cell raises its detail as a ValueError.  A
+    cell is keyed by its check's registered function, not its name, so a
+    check swapped in `sweeps.CHECKS` runs afresh and never hands back a
+    cell of the function it replaced."""
     memo: dict[tuple, sweeps.SweepCell] = {}
 
-    def cell(check: str, d: int, k: int) -> sweeps.SweepCell:
+    def cell(check: str, d: int, k: int) -> None:
         key = (sweeps.CHECKS.get(check), d, k)
         if key not in memo:
             memo[key] = sweeps.check_cover(check, spec(d, k))
-        return memo[key]
+        if not memo[key].ok:
+            raise ValueError(memo[key].detail)
 
     return cell
 
 
-def _sweep_holds(cell: Cells, check: str, grid) -> bool:
-    """True when the sweep check passes on every (d, k) cell of the grid;
-    a ValueError names the first failing cell and its detail."""
-    for d, k in grid:
-        result = cell(check, d, k)
-        if not result.ok:
-            raise ValueError(f"{check} fails at (d={d}, k={k}): {result.detail}")
+def _holds(
+    name: str, grid: Iterable[tuple[int, int]], check: Callable[[int, int], object]
+) -> bool:
+    """True when check(d, k) raises no ValueError on any (d, k) cell of
+    the grid; else a ValueError `<name> fails at (d=..., k=...):
+    <detail>` for the first failing cell.  An empty grid is a ValueError
+    before any cell runs: a claim over no cells would hold by
+    construction."""
+    cells = list(grid)
+    if not cells:
+        raise ValueError(f"{name} has an empty grid")
+    for d, k in cells:
+        try:
+            check(d, k)
+        except ValueError as exc:
+            raise ValueError(f"{name} fails at (d={d}, k={k}): {exc}") from None
     return True
 
 
-def _grid(ds, ks) -> list[tuple[int, int]]:
-    return [(d, k) for d in ds for k in ks]
+def _sweep_holds(cell: Cells, check: str, grid: Iterable[tuple[int, int]]) -> bool:
+    """`_holds` for a registered sweep check, named by the check."""
+    return _holds(check, grid, partial(cell, check))
 
 
 def _tate_commutes_on_grid(spec: Specs, cell: Cells) -> bool:
@@ -275,7 +268,7 @@ def _tate_commutes_on_grid(spec: Specs, cell: Cells) -> bool:
     # composites are defined; the count includes m = 0, where the two
     # agree by construction, so the claim needs a cell with a second
     # count, a comparison at some m >= 1
-    grid = _grid(GRID_D, GRID_K)
+    grid = list(product(GRID_D, GRID_K))
     _sweep_holds(cell, "round-trip", grid)
     ladders = (hodge.tate_ladder(covers.primitive_V(spec(d, k))) for d, k in grid)
     if not any(hodge.ladder_commutations(ladder) >= 2 for ladder in ladders):
@@ -331,6 +324,12 @@ def all_claims() -> tuple[Claim, ...]:
     K3 = make_cyclotomic(3)
     kondo = spec(4, 2)
     cubic4 = spec(3, 4)
+    direct_tate = partial(covers.half_twist_exists_direct, tate=True)
+    # each twist is taken once per run, however many claims read it
+    kondo_twist = cache(lambda: hodge.abelian_summary(
+        hodge.pos_half_twist(covers.primitive_V(kondo))))
+    cubic4_twist = cache(lambda: hodge.abelian_summary(
+        hodge.pos_half_twist(covers.full_level_V(cubic4))))
 
     claims = [
         # --- quartic surface / genus-3 suite
@@ -341,11 +340,9 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("kondo.half_twist_exists", "4.2", "kondo", "paper", True,
               lambda: covers.half_twist_exists_direct(kondo)),
         Claim("kondo.abelian_dim", "4.2", "kondo", "paper", 7,
-              lambda: hodge.abelian_summary(
-                  hodge.pos_half_twist(covers.primitive_V(kondo))).dim_abelian),
+              lambda: kondo_twist().dim_abelian),
         Claim("kondo.cm_type", "4.2", "kondo", "paper", [1, 6],
-              lambda: list(hodge.abelian_summary(
-                  hodge.pos_half_twist(covers.primitive_V(kondo))).cm_type)),
+              lambda: list(kondo_twist().cm_type)),
         Claim("kondo.h21_quartic_threefold", "4.2", "kondo", "paper", 30,
               lambda: jacobian.primitive_hodge_column(4, 3)[2]),
         Claim("kondo.isogeny_checksum", "4.2", "kondo", "paper",
@@ -366,13 +363,11 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("cubic4.twist_h20", "6.1", "cubic4", "paper", 1,
               lambda: covers.full_level_V(cubic4).hodge_numbers().get(2, 0)),
         Claim("cubic4.abelian_dim", "6.1", "cubic4", "paper", 11,
-              lambda: hodge.abelian_summary(hodge.pos_half_twist(
-                  covers.full_level_V(cubic4))).dim_abelian),
+              lambda: cubic4_twist().dim_abelian),
         Claim("cubic4.signature", "6.2", "cubic4", "paper", [1, 10],
-              lambda: list(hodge.abelian_summary(hodge.pos_half_twist(
-                  covers.full_level_V(cubic4))).cm_type)),
+              lambda: list(cubic4_twist().cm_type)),
         Claim("cubic4.jz5_dims", "6.1", "cubic4", "paper", [21, 5, 11],
-              lambda: _jz5_dims(spec)),
+              lambda: _jz5_dims(cubic4_twist)),
         # --- sextic surface suite
         Claim("sextic.primitive_rank", "4.4", "sextic", "paper", 105,
               lambda: spec(6, 2).cohomology.rank),
@@ -381,8 +376,7 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("sextic.V2", "4.4", "sextic", "paper", [42, [3, 36, 3]],
               lambda: _sextic_part(spec, 3)),
         Claim("sextic.h11_eigenspaces", "4.4", "sextic", "paper", [15, 18],
-              lambda: [spec(6, 2).cohomology.entry(1, 1),
-                       spec(6, 2).cohomology.entry(1, 2)]),
+              lambda: spec(6, 2).cohomology.row(1)[1:3]),
         Claim("sextic.half_twists", "4.4", "sextic", "paper", [True, True],
               lambda: _sextic_half_twists(spec)),
         # --- quintic suite
@@ -392,7 +386,7 @@ def all_claims() -> tuple[Claim, ...]:
               lambda: _quintic_extremal(spec, 7)),
         Claim("quintic.curve_eigenspaces", "4.3", "quintic", "paper",
               [3, 2, 1, 0],
-              lambda: [spec(5, 1).cohomology.entry(1, i) for i in range(1, 5)]),
+              lambda: spec(5, 1).cohomology.row(1)[1:]),
         Claim("quintic.halftwist_pattern", "4.3", "quintic", "paper",
               [False, True, True, False, False, False, True],
               lambda: _direct_pattern(spec, 5)),
@@ -404,15 +398,17 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("cubics.extremal_dim_is_one", "3.8", "cubics", "paper", [1, 1],
               lambda: _cubics_extremal_dims(spec)),
         Claim("cubics.W_equals_half_twist", "3.8", "cubics", "paper", True,
-              lambda: _cubics_W_identity(spec)),
+              lambda: _holds("cubic W identity", product([3], range(2, 8)),
+                             partial(_cubic_W_identity, spec))),
         Claim("cubics.surface_level_zero", "2.5", "cubics", "paper", 0,
               lambda: hodge.level(covers.primitive_V(spec(3, 2)))),
         # --- quartic covers in general
         Claim("quartics.curve_h10_eigenspaces", "3.10", "quartics", "paper",
               [2, 1, 0],
-              lambda: [spec(4, 1).cohomology.entry(1, i) for i in range(1, 4)]),
+              lambda: spec(4, 1).cohomology.row(1)[1:]),
         Claim("quartics.split_table_equality", "3.10", "quartics", "paper",
-              True, lambda: _quartic_splits(spec)),
+              True, lambda: _holds("quartic split", product([4], (1, 2, 3)),
+                                   lambda d, k: covers.quartic_W_split(spec(d, k)))),
         Claim("quartics.halftwist_pattern", "3.9", "quartics", "paper",
               [True, True, False, False, True, True, False],
               lambda: _direct_pattern(spec, 4)),
@@ -429,11 +425,12 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("lemma3.7.cubic4", "3.7", "dims", "paper", [42, [20, 22]],
               lambda: _lemma37_example(3, 4)),
         Claim("lemma3.7.grid", "3.7", "dims", "derived", True,
-              lambda: _sweep_holds(cell, "dim-identity", _grid(GRID_D, range(2, 8)))),
+              lambda: _sweep_holds(cell, "dim-identity", product(GRID_D, range(2, 8)))),
         Claim("prop3.5.checksum_grid", "3.5", "dims", "derived", True,
-              lambda: _sweep_holds(cell, "z-checksum", _grid(GRID_D, GRID_K))),
+              lambda: _sweep_holds(cell, "z-checksum", product(GRID_D, GRID_K))),
         Claim("euler.matches_griffiths", "3.7", "dims", "derived", True,
-              _euler_matches_griffiths),
+              lambda: _holds("middle rank", product(GRID_D, range(0, 8)),
+                             covers.middle_rank_both_routes)),
         # --- Kuga-Satake dimension space
         Claim("ks.cubic4_table", "5.2", "ks", "paper", True,
               lambda: _sweep_holds(cell, "ks-space", [(3, 4)])),
@@ -445,7 +442,7 @@ def all_claims() -> tuple[Claim, ...]:
         # --- twist algebra
         Claim("twists.roundtrip_grid", "7.2", "twists", "paper", True,
               lambda: _sweep_holds(
-                  cell, "round-trip", _grid(range(3, 9), range(1, 9)))),
+                  cell, "round-trip", product(range(3, 9), range(1, 9)))),
         Claim("twists.tate_commutation", "1.4", "twists", "paper", True,
               lambda: _tate_commutes_on_grid(spec, cell)),
         Claim("twists.k_minus_half_d4", "1.4", "twists", "trivial", [2, 1],
@@ -469,29 +466,21 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("thm2.6.printed_formula_transcription", "2.6", "thm2.6",
               "paper", PRINTED_PATTERNS,
               lambda: {str(d): _printed_pattern(spec, d) for d in (3, 5, 7, 9)}),
-        Claim("thm2.6.printed_vs_direct.d3", "2.6", "thm2.6", "paper",
-              PRINTED_PATTERNS["3"], lambda: _direct_pattern(spec, 3),
-              known_discrepancy=True),
-        Claim("thm2.6.printed_vs_direct.d5", "2.6", "thm2.6", "paper",
-              PRINTED_PATTERNS["5"], lambda: _direct_pattern(spec, 5),
-              known_discrepancy=True),
-        Claim("thm2.6.printed_vs_direct.d7", "2.6", "thm2.6", "paper",
-              PRINTED_PATTERNS["7"], lambda: _direct_pattern(spec, 7),
-              known_discrepancy=True),
-        Claim("thm2.6.printed_vs_direct.d9", "2.6", "thm2.6", "paper",
-              PRINTED_PATTERNS["9"], lambda: _direct_pattern(spec, 9),
-              known_discrepancy=True),
+        *(Claim(f"thm2.6.printed_vs_direct.d{d}", "2.6", "thm2.6", "paper",
+                pattern, partial(_direct_pattern, spec, int(d)),
+                known_discrepancy=True)
+          for d, pattern in PRINTED_PATTERNS.items()),
         Claim("thm2.6.even_degree_agreement", "2.6", "thm2.6", "derived",
               True, lambda: _no_even_degree(
                   _disagreements(
-                      spec, covers.half_twist_exists_printed, _direct_tate))),
+                      spec, covers.half_twist_exists_printed, direct_tate))),
         Claim("thm2.6.derived_matches_direct", "2.6", "thm2.6", "derived",
               True, lambda: not _disagreements(
-                  spec, covers.half_twist_exists_derived, _direct_tate)),
+                  spec, covers.half_twist_exists_derived, direct_tate)),
         Claim("thm2.6.disagreement_set", "2.6", "thm2.6", "derived",
               [[3, 3], [3, 6], [5, 1], [5, 6], [7, 2], [9, 3]],
               lambda: _disagreements(
-                  spec, covers.half_twist_exists_printed, _direct_tate)),
+                  spec, covers.half_twist_exists_printed, direct_tate)),
         Claim("cor2.7.surfaces_bound", "4.1", "cor2.7", "paper",
               [True, True, True, True, True, False, False],
               lambda: [covers.half_twist_exists_direct(spec(d, 2)) for d in GRID_D],
@@ -508,6 +497,6 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("cor2.7.no_cmtype_helps_d7k2", "4.5", "cor2.7", "derived",
               False, lambda: covers.half_twist_any_cmtype(spec(7, 2))),
         Claim("cmtype.optimality_grid", "2.1", "cor2.7", "derived", True,
-              lambda: _sweep_holds(cell, "cmtype-search", _grid(GRID_D, GRID_K))),
+              lambda: _sweep_holds(cell, "cmtype-search", product(GRID_D, GRID_K))),
     ]
     return tuple(claims)

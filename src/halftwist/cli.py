@@ -122,7 +122,7 @@ def _cmd_eigenspaces(args) -> tuple[dict, int]:
     hodge_totals = jacobian.primitive_hodge_column(d, k)
     rows = []
     for p in range(k, -1, -1):
-        dims = [spec.cohomology.entry(p, i) for i in range(1, d)]
+        dims = spec.cohomology.row(p)[1:]
         if sum(dims) != hodge_totals[p]:
             raise CheckError(
                 f"row p={p} of the eigenspace table sums to {sum(dims)}, "
@@ -157,10 +157,11 @@ def _table_eigenspaces(payload) -> list[str]:
 def _cmd_half_twist(args) -> tuple[dict, int]:
     spec = CoverSpec(args.d, args.k)
     qt = covers.qt_decompose(spec)
-    direct = covers.half_twist_exists_direct(spec, tate=args.tate)
+    direct = bound_direct = covers.half_twist_exists_direct(spec)
+    if args.tate:
+        direct = covers.half_twist_exists_direct(spec, tate=True)
     printed = covers.half_twist_exists_printed(spec)
     bound_printed = covers.degree_bound_printed(spec)
-    bound_direct = covers.half_twist_exists_direct(spec)
     target = covers.full_level_V(spec) if args.tate else covers.primitive_V(spec)
     twist = abelian = None
     if direct:

@@ -4,10 +4,11 @@ A degree-d cover of projective k-space totally branched along a degree-d
 hypersurface carries an order-d automorphism; this module assembles the
 primitive-eigenvalue structure V, the lower-order pieces, the invariant
 structure W inside the tensor with the degree-d Fermat curve, the (q, t)
-normal form of k, the three half-twist existence predicates (the
-direct eigenspace check, which is authoritative, and the two closed
-forms it is compared against), the stated degree bound for V, and the
-direct-sum decompositions.
+normal form of k (division with remainder of k + 1 by d), the primitive
+middle rank in the closed form of its Euler recursion, the three
+half-twist existence predicates (the direct eigenspace check, which is
+authoritative, and the two closed forms it is compared against), the
+stated degree bound for V, and the direct-sum decompositions.
 
 The extremal index k - q is `qt_decompose(spec).top`, V(q) is
 `full_level_V(spec)`, and the slices of the table by eigenvalue order
@@ -57,7 +58,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cache, cached_property
-from math import ceil, gcd
+from math import gcd
 from typing import Iterator, Optional
 
 from .cyclotomic import CyclotomicData, InvariantError, make_cyclotomic
@@ -139,12 +140,7 @@ class CoverSpec:
         d, k = self.d, self.k
         if k < 1:
             raise ValueError("normal form needs k >= 1")
-        q = ceil((k + 2) / d) - 1
-        t = k - q * d
-        if not -1 <= t <= d - 2:
-            raise InvariantError(
-                f"normal form of {self} has t={t} outside [-1, {d - 2}]"
-            )
+        q, r = divmod(k + 1, d)  # k + 1 = qd + (t + 1), 0 <= t + 1 < d
         row = self.cohomology.row
         highest = next((p for p in range(k, -1, -1) if any(row(p))), None)
         if highest != k - q:
@@ -152,7 +148,7 @@ class CoverSpec:
                 f"highest nonzero piece of {self} is p={highest}, "
                 f"not the extremal p={k - q}"
             )
-        return QTDecomposition(q=q, t=t, top=highest)
+        return QTDecomposition(q=q, t=r - 1, top=highest)
 
 
 def tower(d: int, k_max: int) -> Iterator[CoverSpec]:
@@ -223,9 +219,10 @@ def curve_h1(d: int) -> CMHodgeStructure:
 
 
 def qt_decompose(spec: CoverSpec) -> QTDecomposition:
-    """The unique (q, t) with k = q*d + t, t in [-1, d-2], and `top`,
-    the highest nonzero Hodge index, checked to equal k - q: the spec's
-    `normal_form`, computed and checked once per spec."""
+    """The unique (q, t) with k = q*d + t, t in [-1, d-2], that is
+    q, t + 1 = divmod(k + 1, d), and `top`, the highest nonzero Hodge
+    index, checked to equal k - q: the spec's `normal_form`, computed
+    and checked once per spec."""
     return spec.normal_form
 
 
@@ -297,14 +294,19 @@ def half_twist_any_cmtype(spec: CoverSpec) -> bool:
 
 
 def euler_recursion_rank(d: int, k: int) -> int:
-    """Primitive middle rank via the Euler-characteristic recursion of
-    the tower of covers: (-1)^k h_k = (d-1)(1 - (-1)^(k-1) h_{k-1}),
-    starting from h_0 = d - 1.  Independent of the Jacobian-ring route.
-    """
-    h = d - 1
-    for j in range(1, k + 1):
-        h = (-1) ** j * (d - 1) * (1 - (-1) ** (j - 1) * h)
-    return h
+    """Primitive middle rank h_k, k >= 0, in the closed form of the
+    Euler-characteristic recursion of the tower of covers,
+    (-1)^k h_k = (d-1)(1 - (-1)^(k-1) h_{k-1}) from h_0 = d - 1.
+    Independent of the Jacobian-ring route.
+
+    With g_k = (-1)^k h_k the recursion reads g_k = (d-1)(1 - g_{k-1}),
+    whose fixed point is (d-1)/d, so g_k - (d-1)/d = (1-d)^k (g_0 - (d-1)/d)
+    with g_0 - (d-1)/d = (d-1)^2/d.  Hence
+
+        h_k = ((d-1)^{k+2} + (-1)^k (d-1)) / d,
+
+    and the division is exact, since (d-1)^{k+2} = (-1)^k mod d."""
+    return ((d - 1) ** (k + 2) + (-1) ** k * (d - 1)) // d
 
 
 def middle_rank_both_routes(d: int, k: int) -> int:
@@ -389,7 +391,7 @@ def quartic_W_split(spec: CoverSpec) -> list[int]:
     twisted = tate_twist(pos_half_twist(V), -1)
     third = tensor(v_prime, collapse_residues(k_minus_half(field)))
     recombined = direct_sum(twisted, twisted, third)
-    require_equal(W, recombined, f"quartic split fails at table level for k={spec.k}")
+    require_equal(W, recombined, "W against the recombined table")
     return [2 * twisted.rank, third.rank]
 
 

@@ -28,9 +28,12 @@ general `tensor`, whose residues add, works one residue vector at a
 time.  Every construction goes through the constructor and its one
 validation, given residue vectors or the flat pair, which makes every
 structure effective and conjugation symmetric: no operation guards
-against broken input, and a kernel fault still raises.  The (p, a)
-table view (`table`, `entry`), the one-row read `row` and the
-read-only `vectors` view serve callers outside the module.
+against broken input, and a kernel fault still raises.  `row(p)`,
+the entries at Hodge index p by residue, is the one read of the flat
+rows by index: `entry(p, a)` is `row(p)[a]`, and `top_offenders`,
+`abelian_summary` and callers outside the module read whole rows
+through it.  The (p, a) table view `table` and the read-only
+`vectors` view read columns, one residue's vector each.
 `k_minus_half` is built once per field.
 A structure lives over one field, its degree and CM-type sigma0: over
 two fields structures differ, and combining them is a
@@ -187,17 +190,12 @@ class CMHodgeStructure:
         return sum(self._rows) + sum(self._zero)
 
     def entry(self, p: int, a: int) -> int:
-        a %= self.field.d
-        if not 0 <= p <= self.weight:
-            return 0
-        if a:
-            return self._rows[p * (self.field.d - 1) + a - 1]
-        return self._zero[p] if self._zero else 0
+        return self.row(p)[a % self.field.d]
 
     def row(self, p: int) -> list[int]:
-        """The entries at Hodge index p by residue, row(p)[a] ==
-        entry(p, a) for a = 0..d-1: one slice of the rows, after
-        residue 0's entry."""
+        """The entries at Hodge index p by residue a = 0..d-1, zeros
+        outside 0..weight: one slice of the rows, after residue 0's
+        entry.  The one read of the flat rows by Hodge index."""
         width = self.field.d - 1
         if not 0 <= p <= self.weight:
             return [0] * (width + 1)
@@ -441,13 +439,9 @@ def top_offenders(structure: CMHodgeStructure, p: int) -> list[int]:
     """The residues outside sigma0 that carry dimension at Hodge index p,
     ascending.  The top piece is one-sided when there are none at
     p = weight."""
-    field, zero = structure.field, structure._zero
-    if not 0 <= p <= structure.weight:
-        return []
-    width = field.d - 1
-    row = structure._rows[p * width:(p + 1) * width]
-    outside = compress(range(1, field.d), map(mul, row, field.other_mask))
-    return [0] * bool(zero and zero[p]) + list(outside)
+    field, row = structure.field, structure.row(p)
+    outside = compress(range(1, field.d), map(mul, row[1:], field.other_mask))
+    return [0] * bool(row[0]) + list(outside)
 
 
 # rung m of a Tate ladder: (tate_twist(V, m), its positive half twist or None)
@@ -584,12 +578,8 @@ def abelian_summary(structure: CMHodgeStructure) -> AbelianSummary:
             f"abelian summary needs weight 1, got {structure.weight}"
         )
     _require_unit_support(structure, "abelian summary")
-    field = structure.field
-    dim = structure.rank // 2
-    signature = {
-        a: (structure.entry(1, a), structure.entry(1, field.d - a))
-        for a in sorted(field.sigma0)
-    }
+    row, dim = structure.row(1), structure.rank // 2
+    signature = {a: (row[a], row[-a]) for a in sorted(structure.field.sigma0)}
     if sum(m + mbar for (m, mbar) in signature.values()) != dim:
         raise InvariantError(f"CM signature {signature} does not add up to dim {dim}")
     return AbelianSummary(dim_abelian=dim, signature=signature)

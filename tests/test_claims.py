@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -140,9 +141,11 @@ def test_torelli_rank_claim_fails_when_the_routes_disagree(monkeypatch):
 # Each claim on W, with what it says when W is counted twice.
 W_CLAIMS = [
     ("cubics.W_equals_half_twist",
-     "cubic W identity fails for k=2: entry (p=1, residue=1): 6 != 3"),
+     "cubic W identity fails at (d=3, k=2): W against the twisted V: "
+     "entry (p=1, residue=1): 6 != 3"),
     ("quartics.split_table_equality",
-     "quartic split fails at table level for k=1: entry (p=0, residue=2): 2 != 1"),
+     "quartic split fails at (d=4, k=1): W against the recombined table: "
+     "entry (p=0, residue=2): 2 != 1"),
     ("torelli.quotients_match_W", "W ladder rung p=1: dimension 11 != h^3(W) = 22"),
 ]
 
@@ -198,6 +201,29 @@ def test_sweep_backed_claim_fails_with_one_failing_cell(
     )
 
 
+def test_the_grid_runner_refuses_an_empty_grid():
+    ran = []
+    for grid in ([], product(range(3, 3), range(1, 8))):
+        with pytest.raises(ValueError, match="^middle rank has an empty grid$"):
+            claims._holds("middle rank", grid, lambda d, k: ran.append((d, k)))
+    assert ran == []
+
+
+def test_the_grid_runner_checks_every_cell_in_order():
+    ran = []
+    grid = product((3, 4), (1, 2))
+    assert claims._holds("cells", grid, lambda d, k: ran.append((d, k)))
+    assert ran == [(3, 1), (3, 2), (4, 1), (4, 2)]
+
+    def last_fails(d, k):
+        if (d, k) == (4, 2):
+            raise ValueError("forced failure")
+
+    with pytest.raises(ValueError) as caught:
+        claims._holds("cells", product((3, 4), (1, 2)), last_fails)
+    assert str(caught.value) == "cells fails at (d=4, k=2): forced failure"
+
+
 def test_a_swapped_lemma37_coefficient_fails_the_sweep_and_the_ledger(monkeypatch):
     # the sweep check and the ledger's examples read one definition of
     # the three terms, so one fault in it fails all of them
@@ -232,7 +258,9 @@ def test_an_euler_fault_fails_its_claim_at_the_first_cell(monkeypatch):
     monkeypatch.setattr(covers, "euler_recursion_rank", off_by_one_at_9_0)
     report = claims.evaluate(claim)
     assert report.status == claims.STATUS_FAIL
-    assert report.computed == "error: ranks differ at (d=9, k=0): euler 9 != griffiths 8"
+    assert report.computed == (
+        "error: middle rank fails at (d=9, k=0): euler 9 != griffiths 8"
+    )
 
 
 def test_a_verify_run_evaluates_each_sweep_cell_once(monkeypatch):

@@ -168,7 +168,8 @@ def test_qt_examples(d, k, q, t):
 
 
 def test_qt_uniqueness_on_grid():
-    for d, k in GRID:
+    # the ledger grid, and cells at and near the CLI limits
+    for d, k in [*GRID, (3, 160), (160, 160), (7, 100), (160, 1)]:
         qt = qt_decompose(CoverSpec(d, k))
         assert k == qt.q * d + qt.t
         assert -1 <= qt.t <= d - 2
@@ -368,6 +369,23 @@ def test_euler_recursion_examples():
     assert euler_recursion_rank(4, 2) == 21
     for d in (3, 4, 7):
         assert euler_recursion_rank(d, 0) == d - 1
+
+
+def euler_by_recursion(d, k_max):
+    """h_0, ..., h_{k_max} by the Euler-characteristic recursion of the
+    tower of covers, (-1)^k h_k = (d-1)(1 - (-1)^(k-1) h_{k-1}) from
+    h_0 = d - 1: the oracle of the closed form."""
+    h = d - 1
+    yield h
+    for j in range(1, k_max + 1):
+        h = (-1) ** j * (d - 1) * (1 - (-1) ** (j - 1) * h)
+        yield h
+
+
+def test_euler_closed_form_matches_the_recursion_up_to_the_cli_limits():
+    for d in range(3, cli.MAX_D + 1):
+        for k, h in enumerate(euler_by_recursion(d, cli.MAX_K)):
+            assert euler_recursion_rank(d, k) == h, (d, k)
 
 
 def test_euler_matches_griffiths_on_grid():
