@@ -8,7 +8,8 @@ recursion, exact rank), "trivial" a value forced by definitions.
 A claim that must hold on a grid of (d, k) cells runs through one
 loop, `_holds`.  It refuses an empty grid, on which the claim would
 hold by construction, and fails at the first cell whose check raises a
-ValueError, as `<name> fails at (d=..., k=...): <detail>`.  A
+ValueError, as `<name> fails at (d=..., k=...): <detail>`, or an
+`InvariantError`, whose detail then starts `InvariantError: `.  A
 sweep-backed claim runs a registered sweep check on every cell
 (`sweeps.check_cover`) and is named by it, so the ledger and the sweeps
 share one definition of each property.  `euler.matches_griffiths`
@@ -244,9 +245,10 @@ def _holds(
 ) -> bool:
     """True when check(d, k) raises no ValueError on any (d, k) cell of
     the grid; else a ValueError `<name> fails at (d=..., k=...):
-    <detail>` for the first failing cell.  An empty grid is a ValueError
-    before any cell runs: a claim over no cells would hold by
-    construction."""
+    <detail>` for the first failing cell, where an `InvariantError`
+    inside the check has the detail `InvariantError: <message>`, as in
+    a sweep cell.  An empty grid is a ValueError before any cell runs: a
+    claim over no cells would hold by construction."""
     cells = list(grid)
     if not cells:
         raise ValueError(f"{name} has an empty grid")
@@ -255,6 +257,10 @@ def _holds(
             check(d, k)
         except ValueError as exc:
             raise ValueError(f"{name} fails at (d={d}, k={k}): {exc}") from None
+        except InvariantError as exc:
+            raise ValueError(
+                f"{name} fails at (d={d}, k={k}): InvariantError: {exc}"
+            ) from None
     return True
 
 

@@ -42,13 +42,13 @@ FieldMismatchError naming the degree or CM-type that differs.
 The positive half twist exists exactly when the top Hodge piece is
 one-sided: no residue outside the CM-type sigma0 carries dimension
 there.  `top_offenders` is the one definition of that test; the
-predicate `has_positive_half_twist`, the error of `pos_half_twist` and
-the cover predicates of `covers` all read it.  Likewise
-`ladder_commutations` is the one comparison of the half twist with Tate
-twists: it reads a `tate_ladder`, one walk over the Tate twists V(m),
-m = 0..(lowest Hodge index), that half-twists each rung once, so a
-caller that needs the rungs too (the round-trip sweep check) shares the
-walk instead of twisting again.
+predicate `has_positive_half_twist`, the error of `pos_half_twist`,
+`tate_ladder` and the cover predicates of `covers` all read it.
+Likewise `ladder_commutations` is the one comparison of the half twist
+with Tate twists: it reads a `tate_ladder`, one walk over the Tate
+twists V(m), m = 0..(lowest Hodge index), that half-twists each rung
+with a one-sided top piece once, so a caller that needs the rungs too
+(the round-trip sweep check) shares the walk instead of twisting again.
 """
 
 from __future__ import annotations
@@ -451,16 +451,17 @@ Rung = tuple[CMHodgeStructure, Optional[CMHodgeStructure]]
 def tate_ladder(structure: CMHodgeStructure) -> list[Rung]:
     """The rungs m = 0..(lowest Hodge index of V) of the Tate ladder of V,
     where every Tate twist is defined: rung m is (tate_twist(V, m), its
-    positive half twist), with None for a half twist that NoHalfTwistError
-    marks as undefined; any other error propagates.  Rung 0 is V itself,
-    and each structure on the ladder is half-twisted once."""
+    positive half twist), with None where the half twist is undefined,
+    that is where the rung's top piece has `top_offenders`.  Tate twists
+    keep the support, so unit support is checked once, for V, and its
+    error propagates.  Rung 0 is V itself, and each structure on the
+    ladder is half-twisted at most once."""
+    _require_unit_support(structure, "positive half twist")
     rungs = []
     for m in range(min(structure.hodge_numbers(), default=0) + 1):
         lowered = tate_twist(structure, m) if m else structure
-        try:
-            rungs.append((lowered, pos_half_twist(lowered)))
-        except NoHalfTwistError:
-            rungs.append((lowered, None))
+        one_sided = not top_offenders(lowered, lowered.weight)
+        rungs.append((lowered, pos_half_twist(lowered) if one_sided else None))
     return rungs
 
 

@@ -14,11 +14,16 @@ flat p-major table of all residues' Hodge vectors (`residue_vectors`,
 the one thing the roads share).  The series itself comes by one of two
 roads, chosen by the shape of the request: for one cover,
 `eigenspace_dims` builds it with `power_series`, one exact holonomic
-recurrence over the lower half of the palindrome; along a row of fixed
-d, `tower_series` steps from level k to level k + 1 by one
-multiplication by P, since the covers of one degree form a tower.  The
+recurrence; along a row of fixed d, `tower_series` steps from level k
+to level k + 1 by one multiplication by P, since the covers of one
+degree form a tower.  P^{k+1} is a palindrome, and both roads build
+only its lower half and mirror it, so every table they give is
+conjugation-symmetric by construction and a fault in a lower half
+cannot show as an asymmetry.  Such faults are caught by comparison: the
 `oracle-equivalence` sweep compares the two roads on every cell it
-visits, and tier-1 on every cell of the CLI sweep grid.
+visits, and tier-1 does so on every cell of the CLI sweep grid, checks
+each tower step against a plain windowed sum, and checks
+`power_series` against the closed form below.
 The entries that `residue_vectors` deletes are the branch locus: those
 of P^{k+2} are the primitive Hodge numbers of the degree-d k-fold, so
 `primitive_hodge_column` is one read of one `power_series`.
@@ -52,7 +57,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, islice
 from math import comb, gcd
 from operator import sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -182,16 +187,23 @@ def tower_series(d: int, k_max: int) -> Iterator[list[int]]:
     """The series (1 + t + ... + t^{d-2})^{k+1} of `eigenspace_dims`,
     for k = 1..k_max in turn: the tower route.  Each step multiplies by
     P = (1 - t^{d-1}) / (1 - t) in one pass, the series minus its copy
-    shifted by d - 1, then one prefix sum; the last coefficient of that
-    sum is the zero past the new degree and is dropped."""
+    shifted by d - 1, then one prefix sum.  The product is a palindrome,
+    as in `power_series`, so the pass is cut after the lower half and
+    the upper half mirrors it.  A fault in the lower half therefore
+    shows only against the other road (`oracle-equivalence`) or the
+    windowed sum of tier-1, never as an asymmetry.  The mirror holds the
+    same int objects at conjugate positions, so comparing a table with
+    its reversal is mostly identity checks.  Each step reads the list
+    yielded before it, so a caller must not change a yielded list."""
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
     zeros = [0] * (d - 1)
     series = [1] * (d - 1)  # P itself, the series at k = 0
     for _ in range(k_max):
+        size = len(series) + d - 2
         steps = map(sub, chain(series, zeros), chain(zeros, series))
-        series = list(accumulate(steps))
-        series.pop()
+        series = list(islice(accumulate(steps), (size + 1) // 2))
+        series += reversed(series[:size // 2])
         yield series
 
 
@@ -209,10 +221,14 @@ def residue_vectors(series: list[int], d: int, k: int) -> list[int]:
     The padded series is read forwards, which is the same: P^{k+1} is a
     palindrome, so the padded series, of (k + 1)d - 1 entries, is one
     too, and the deleted indices d - 1, 2d - 1, ... are placed
-    symmetrically in it.  A faulty series that is no palindrome gives
-    the reversal of the intended table instead, which breaks
-    conjugation symmetry exactly when the intended one does, so the
-    structure's constructor still rejects it."""
+    symmetrically in it.  Both roads mirror the lower half of their
+    series, so a fault in that half still gives a palindrome and a
+    symmetric table: the `oracle-equivalence` sweep and tier-1 catch it
+    by comparing the roads and their oracles.  The structure's
+    constructor checks conjugation symmetry, and so rejects a fault
+    here, after the series: a deletion pattern that is not symmetric in
+    the padded series, such as every d-th entry from index d, breaks
+    symmetry on every cover."""
     # the padded series has (k+1)d - 1 entries, coefficient m at index m + k
     padded = [0] * k + series + [0] * k
     del padded[d - 1::d]
@@ -254,14 +270,24 @@ def sparse_rank(rows: Iterable[Mapping[int, int]]) -> int:
     maps.
 
     Each row is divided by its content, then reduced against an
-    echelon of earlier rows keyed by their leading (smallest) column.
-    A reduction step is fraction-free, ``b * row - a * pivot``, and is
-    followed by division by the content, so the integers stay small and
-    nothing is ever rounded.  Zero entries may be present or omitted.
-    Rows whose leading columns are all distinct, as in the W ladder and
-    the Torelli matrix, enter the echelon without a single reduction.
+    echelon of earlier rows keyed by their leading (smallest) column
+    (`_extend_echelon`, from an empty echelon).  A reduction step is
+    fraction-free, ``b * row - a * pivot``, and is followed by division
+    by the content, so the integers stay small and nothing is ever
+    rounded.  Zero entries may be present or omitted.  Rows whose
+    leading columns are all distinct, as in the W ladder and the Torelli
+    matrix, enter the echelon without a single reduction.
     """
-    echelon: dict[int, dict[int, int]] = {}
+    return len(_extend_echelon({}, rows))
+
+
+def _extend_echelon(
+    echelon: dict[int, dict[int, int]], rows: Iterable[Mapping[int, int]]
+) -> dict[int, dict[int, int]]:
+    """`echelon`, extended in place by `rows`: each row is reduced
+    against it and, unless it reduces to zero, enters it under its
+    leading column.  The pivot rows themselves are never changed, so a
+    shallow copy of an echelon can be extended without touching it."""
     for row in rows:
         vec = _primitive({col: x for col, x in row.items() if x})
         while vec:
@@ -271,7 +297,7 @@ def sparse_rank(rows: Iterable[Mapping[int, int]]) -> int:
                 echelon[lead] = vec
                 break
             vec = _eliminate(vec, pivot, lead)
-    return len(echelon)
+    return echelon
 
 
 def _primitive(vec: dict[int, int]) -> dict[int, int]:
@@ -313,8 +339,9 @@ class GradedQuotient:
     `ambient_basis`.  In the ladder every relation row is a unit vector
     (one ambient monomial carrying exactly one cover variable), and
     distinct relations hit distinct monomials; the rank is still
-    computed by elimination, never read off that structure.
-    `relation_rank` is computed once per quotient.
+    computed by elimination, never read off that structure.  The
+    relation rows are eliminated once per quotient, into
+    `relation_echelon`, and `relation_rank` is its size.
 
     `basis` is the candidate basis (monomials in the base variables
     alone, plus the products carrying both cover variables); it is
@@ -327,8 +354,12 @@ class GradedQuotient:
     basis: tuple[tuple[int, ...], ...]
 
     @cached_property
+    def relation_echelon(self) -> dict[int, dict[int, int]]:
+        return _extend_echelon({}, (dict(row) for row in self.relation_rows))
+
+    @property
     def relation_rank(self) -> int:
-        return sparse_rank(dict(row) for row in self.relation_rows)
+        return len(self.relation_echelon)
 
     @property
     def dimension(self) -> int:
@@ -338,15 +369,13 @@ class GradedQuotient:
         return len(self.basis) == self.dimension
 
     def basis_is_independent(self) -> bool:
-        """The reported basis is linearly independent in the quotient."""
-        if not self.basis:
-            return True
+        """The reported basis is linearly independent in the quotient:
+        its unit rows, reduced against a copy of the relation echelon,
+        each add one pivot."""
         index = {mono: j for j, mono in enumerate(self.ambient_basis)}
-        combined = chain(
-            (dict(row) for row in self.relation_rows),
-            ({index[mono]: 1} for mono in self.basis),
-        )
-        return sparse_rank(combined) == self.relation_rank + len(self.basis)
+        units = ({index[mono]: 1} for mono in self.basis)
+        extended = _extend_echelon(dict(self.relation_echelon), units)
+        return len(extended) == self.relation_rank + len(self.basis)
 
 
 def _empty_quotient(m: int) -> GradedQuotient:
@@ -380,9 +409,7 @@ def build_w_quotient(k: int, p: int) -> GradedQuotient:
         for mu in (combinations(base, m - 1) if m >= 1 else ())
         for c in cover
     )
-    basis = tuple(
-        mono for mono in ambient if len(set(mono) & set(cover)) in (0, 2)
-    )
+    basis = tuple(mono for mono in ambient if (k + 1 in mono) == (k + 2 in mono))
     return GradedQuotient(m, ambient, rows, basis)
 
 

@@ -10,12 +10,14 @@ cover's series is one step on from the one below it, and only
 so the grid is embarrassingly parallel; results are sorted by (d, k)
 before rendering, which makes the output independent of the worker
 count.  A check returns its pass text and fails only by raising a
-ValueError, whose message is the failing cell's detail; and every check
-asserts what it reports: `oracle-equivalence` checks the one-pass road
-of `jacobian.eigenspace_dims` against the tower-route table that the
-other checks read, so a fault on either road fails it and the cell
-names the first differing entry, and `cmtype-search` fails a cell with
-an optimality gap, where some CM-type does better than the fixed one.
+ValueError, whose message is the failing cell's detail; a broken
+package invariant (`InvariantError`) fails its cell as well, and the
+rest of the grid still runs.  Every check asserts what it reports:
+`oracle-equivalence` checks the one-pass road of
+`jacobian.eigenspace_dims` against the tower-route table that the other
+checks read, so a fault on either road fails it and the cell names the
+first differing entry, and `cmtype-search` fails a cell with an
+optimality gap, where some CM-type does better than the fixed one.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Optional
 
 from . import covers, hodge, jacobian
 from .covers import CoverSpec
+from .cyclotomic import InvariantError
 
 
 @dataclass(frozen=True)
@@ -127,13 +130,18 @@ def check_cover(check: str, spec: CoverSpec) -> SweepCell:
     """Run one registered check on one cover.  A check returns its pass
     text and fails only by raising a ValueError (a rank, checksum or table
     identity that does not hold): a failing cell with the message as its
-    detail.  An unknown check name is a ValueError of the caller."""
+    detail.  A package invariant that breaks inside the check
+    (`InvariantError`) fails the cell too, its detail marked
+    `InvariantError: `, so the rest of the grid still runs and reports.
+    An unknown check name is a ValueError of the caller."""
     if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
     try:
         ok, detail = True, CHECKS[check](spec)
     except ValueError as exc:
         ok, detail = False, str(exc)
+    except InvariantError as exc:
+        ok, detail = False, f"InvariantError: {exc}"
     return SweepCell(d=spec.d, k=spec.k, check=check, ok=ok, detail=detail)
 
 

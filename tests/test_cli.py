@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from halftwist import cli, covers, jacobian
+from halftwist import claims, cli, covers, jacobian
+from halftwist.cyclotomic import InvariantError
 from halftwist.sweeps import CHECKS, SweepCell, run_sweep, worker_count
 
 
@@ -312,6 +313,40 @@ def test_a_defect_inside_a_command_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err == (
         "error: ValueError: series of 4 coefficients for (3, 1), expected 3\n"
+    )
+
+
+def test_a_broken_invariant_fails_one_cell_and_the_sweep_reports_the_grid(
+    capsys, monkeypatch
+):
+    # a normal form whose extremal-piece check breaks at one cell: that
+    # cell fails, the other cells still run, and the grid claim over the
+    # same check names the cell
+    real = covers.CoverSpec.normal_form.func
+
+    def broken_at_one_cell(spec):
+        if (spec.d, spec.k) == (8, 8):
+            raise InvariantError("forced invariant failure")
+        return real(spec)
+
+    monkeypatch.setattr(covers.CoverSpec, "normal_form", property(broken_at_one_cell))
+    code, out, err = run_cli(
+        capsys, "sweep", "--check", "round-trip", "--d-max", "9", "--k-max", "8"
+    )
+    assert code == 1
+    assert err == ""
+    rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
+    assert len(rows) == 7 * 8
+    assert [row for row in rows if row[2] != "pass"] == [
+        ["8", "8", "FAIL", "InvariantError: forced invariant failure"]
+    ]
+    assert out.splitlines()[-1] == "check round-trip: 55/56 cells pass"
+    (claim,) = [c for c in claims.all_claims() if c.claim_id == "twists.roundtrip_grid"]
+    report = claims.evaluate(claim)
+    assert report.status == claims.STATUS_FAIL
+    assert report.computed == (
+        "error: round-trip fails at (d=8, k=8): "
+        "InvariantError: forced invariant failure"
     )
 
 

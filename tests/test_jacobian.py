@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm
@@ -218,6 +219,17 @@ def test_tower_tables_match_the_direct_route_on_the_sweep_grid():
             rows = residue_vectors(series, d, k)
             vectors = {i: rows[i - 1::d - 1] for i in range(1, d)}
             assert vectors == eigenspace_dims(d, k), (d, k)
+        assert k == cli.SWEEP_MAX_K
+
+
+def test_each_tower_step_is_one_multiplication_by_p_on_the_sweep_grid():
+    # the tower builds the lower half of each series and mirrors it; the
+    # full windowed sum checks every coefficient, the mirrored ones too
+    for d in range(3, cli.SWEEP_MAX_D + 1):
+        below = times_p([1], d)  # P itself, the series at k = 0
+        for k, series in enumerate(jacobian.tower_series(d, cli.SWEEP_MAX_K), start=1):
+            assert series == times_p(below, d), (d, k)
+            below = series
         assert k == cli.SWEEP_MAX_K
 
 
@@ -498,21 +510,44 @@ def test_relation_rows_are_sparse_unit_rows():
 
 
 def test_relation_rank_is_eliminated_once_per_quotient(monkeypatch):
+    # the rows each elimination takes in, call by call
     calls = []
+    real = jacobian._extend_echelon
 
-    def counting_rank(rows):
-        calls.append(None)
-        return sparse_rank(rows)
+    def counting(echelon, rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return real(echelon, rows)
 
-    monkeypatch.setattr(jacobian, "sparse_rank", counting_rank)
+    monkeypatch.setattr(jacobian, "_extend_echelon", counting)
     q = build_w_quotient(7, 3)
+    relations, basis = len(q.relation_rows), len(q.basis)
     assert q.dimension == q.dimension == 112
     assert q.basis_matches_dimension()
-    assert len(calls) == 1
-    assert q.basis_is_independent()  # its own elimination, relations + basis
-    assert len(calls) == 2
-    assert q.relation_rank == len(q.relation_rows)
-    assert len(calls) == 2
+    assert calls == [relations]
+    # the independence test eliminates only the basis rows, against a
+    # copy of the relations' echelon, which it leaves as it was
+    assert q.basis_is_independent()
+    assert q.basis_is_independent()
+    assert calls == [relations, basis, basis]
+    assert q.relation_rank == relations
+
+
+def test_a_dependent_basis_is_rejected():
+    # a monomial with one cover variable is a relation, and a repeated
+    # monomial is its own copy: either makes the basis dependent, so the
+    # shared relation echelon cannot let a wrong basis pass
+    q = build_w_quotient(7, 3)
+    assert q.basis_is_independent()
+    one_cover = next(m for m in q.ambient_basis if (8 in m) != (9 in m))
+    for basis in (
+        q.basis[1:] + (one_cover,),
+        (one_cover,),
+        q.basis + q.basis[:1],
+        q.basis[:1] * 2,
+    ):
+        assert not replace(q, basis=basis).basis_is_independent(), basis
+    assert q.basis_is_independent()
 
 
 def test_ladder_needs_k_at_least_two():
