@@ -17,11 +17,11 @@ names one part of the `dim-identity` cell, so it runs that part alone,
 `covers.middle_rank_both_routes`, and a Lemma 3.7 fault cannot fail it.
 
 One ledger run holds one `CoverSpec` per cover and one cell per
-(check, d, k): `all_claims` makes a memo of specs and, over it, a memo
-of cells.  Every claim, helper and grid check takes its covers from the
-first, so each cover's eigenspace table is built once per run and read
-only through its spec, and every grid claim takes its cells from the
-second, so two claims over overlapping grids run each shared cell once.
+(check, d, k): `all_claims` keys its covers by (d, k) off the towers
+that the sweeps walk (`_tower_rows`), each walked once, on first read,
+and makes a memo of cells over them.  So a fault on the tower route
+fails the claims that read it, and two claims over overlapping grids
+run each shared cell once.
 
 Two claim families are pre-registered as known discrepancies: the
 stated closed form of the existence criterion for odd degree, and the
@@ -43,6 +43,7 @@ from .cyclotomic import InvariantError, make_cyclotomic
 
 GRID_D = range(3, 10)
 GRID_K = range(1, 8)
+ROUND_TRIP_D, ROUND_TRIP_K = range(3, 9), range(1, 9)  # one level above GRID_K
 
 # The stated existence criterion for V(q), evaluated over k = 1..7: for
 # odd d the real-number bound t > (d-4)/2 admits one more t than the
@@ -59,9 +60,8 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_KNOWN = "discrepancy-known"
 
-# The run's memos: of covers, (d, k) -> its one CoverSpec, and of sweep
-# cells, (check, d, k) -> its one SweepCell (`_cell_memo`), whose call
-# raises the detail of a failing cell.
+# The run's covers, (d, k) -> CoverSpec (`_tower_rows`), and its sweep cells,
+# (check, d, k), whose call raises a failing cell's detail (`_cell_memo`).
 Specs = Callable[[int, int], CoverSpec]
 Cells = Callable[[str, int, int], None]
 
@@ -98,9 +98,7 @@ class VerificationReport:
 
 def _canonical(value):
     """Tuples become lists so equality matches the JSON renderings."""
-    if isinstance(value, tuple):
-        return [_canonical(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_canonical(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in sorted(value.items())}
@@ -123,12 +121,7 @@ def evaluate(claim: Claim) -> VerificationReport:
         else:
             status = STATUS_FAIL
     return VerificationReport(
-        claim_id=claim.claim_id,
-        location=claim.location,
-        provenance=claim.provenance,
-        expected=expected,
-        computed=computed,
-        status=status,
+        claim.claim_id, claim.location, claim.provenance, expected, computed, status
     )
 
 
@@ -164,8 +157,7 @@ def _jz5_dims(cubic4_twist: Callable[[], hodge.AbelianSummary]):
 
 
 def _sextic_part(spec: Specs, order: int):
-    parts = dict(covers.secondary_parts(spec(6, 2)))
-    part = parts[order]
+    part = dict(covers.secondary_parts(spec(6, 2)))[order]
     hn = part.hodge_numbers()
     return [part.rank, [hn.get(2, 0), hn.get(1, 0), hn.get(0, 0)]]
 
@@ -179,16 +171,11 @@ def _sextic_half_twists(spec: Specs):
 def _quintic_extremal(spec: Specs, k: int):
     cover = spec(5, k)
     top = covers.qt_decompose(cover).top
-    full = jacobian.primitive_hodge_column(5, k)[top]
-    return [full, cover.cohomology.row(top)[1:3]]
+    return [jacobian.primitive_hodge_column(5, k)[top], cover.cohomology.row(top)[1:3]]
 
 
-def _direct_pattern(spec: Specs, d: int):
-    return [covers.half_twist_exists_direct(spec(d, k), tate=True) for k in GRID_K]
-
-
-def _printed_pattern(spec: Specs, d: int):
-    return [covers.half_twist_exists_printed(spec(d, k)) for k in GRID_K]
+def _pattern(spec: Specs, predicate: Callable[[CoverSpec], bool], d: int):
+    return [predicate(spec(d, k)) for k in GRID_K]
 
 
 def _disagreements(spec: Specs, left, right) -> list[list[int]]:
@@ -210,16 +197,26 @@ def _cubic_W_identity(spec: Specs, d: int, k: int) -> None:
 
 
 def _cubics_extremal_dims(spec: Specs):
-    out = []
-    for k in (4, 7):
-        top = covers.qt_decompose(spec(3, k)).top
-        out.append(jacobian.primitive_hodge_column(3, k)[top])
-    return out
+    tops = {k: covers.qt_decompose(spec(3, k)).top for k in (4, 7)}
+    return [jacobian.primitive_hodge_column(3, k)[top] for k, top in tops.items()]
 
 
 def _lemma37_example(d: int, k: int):
     total, lower, same = covers.dim_identity_terms(d, k)
     return [total, [lower, same]]
+
+
+def _tower_rows(degrees: range, height: int) -> Specs:
+    """(d, k) -> its CoverSpec off `covers.tower`, a degree's tower walked
+    to `height` on its first read; outside the rows, a KeyError."""
+    rows: dict[tuple[int, int], CoverSpec] = {}
+
+    def spec(d: int, k: int) -> CoverSpec:
+        if d in degrees and (d, 1) not in rows:
+            rows.update({(d, cover.k): cover for cover in covers.tower(d, height)})
+        return rows[d, k]
+
+    return spec
 
 
 def _cell_memo(spec: Specs) -> Cells:
@@ -324,27 +321,27 @@ def _covermap_mutations():
 
 
 def all_claims() -> tuple[Claim, ...]:
-    spec = cache(CoverSpec)
+    spec = _tower_rows(GRID_D, max(GRID_K[-1], ROUND_TRIP_K[-1]))
     cell = _cell_memo(spec)
     K4 = make_cyclotomic(4)
     K3 = make_cyclotomic(3)
-    kondo = spec(4, 2)
-    cubic4 = spec(3, 4)
+    kondo = partial(spec, 4, 2)
+    cubic4 = partial(spec, 3, 4)
     direct_tate = partial(covers.half_twist_exists_direct, tate=True)
     # each twist is taken once per run, however many claims read it
     kondo_twist = cache(lambda: hodge.abelian_summary(
-        hodge.pos_half_twist(covers.primitive_V(kondo))))
+        hodge.pos_half_twist(covers.primitive_V(kondo()))))
     cubic4_twist = cache(lambda: hodge.abelian_summary(
-        hodge.pos_half_twist(covers.full_level_V(cubic4))))
+        hodge.pos_half_twist(covers.full_level_V(cubic4()))))
 
     claims = [
         # --- quartic surface / genus-3 suite
         Claim("kondo.dim_V", "4.2", "kondo", "paper", 14,
-              lambda: covers.primitive_V(kondo).rank),
+              lambda: covers.primitive_V(kondo()).rank),
         Claim("kondo.dim_NS0", "4.2", "kondo", "paper", 7,
-              lambda: dict(covers.secondary_parts(kondo))[2].rank),
+              lambda: dict(covers.secondary_parts(kondo()))[2].rank),
         Claim("kondo.half_twist_exists", "4.2", "kondo", "paper", True,
-              lambda: covers.half_twist_exists_direct(kondo)),
+              lambda: covers.half_twist_exists_direct(kondo())),
         Claim("kondo.abelian_dim", "4.2", "kondo", "paper", 7,
               lambda: kondo_twist().dim_abelian),
         Claim("kondo.cm_type", "4.2", "kondo", "paper", [1, 6],
@@ -352,7 +349,7 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("kondo.h21_quartic_threefold", "4.2", "kondo", "paper", 30,
               lambda: jacobian.primitive_hodge_column(4, 3)[2]),
         Claim("kondo.isogeny_checksum", "4.2", "kondo", "paper",
-              [30, [9, 14, 7]], lambda: _kondo_isogeny(kondo)),
+              [30, [9, 14, 7]], lambda: _kondo_isogeny(kondo())),
         Claim("kondo.genus", "4.2", "kondo", "paper", 3,
               lambda: covers.curve_h1(4).rank // 2),
         # --- cubic fourfold suite
@@ -363,11 +360,11 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("cubic4.h40", "6.1", "cubic4", "paper", 0,
               lambda: jacobian.primitive_hodge_column(3, 4)[4]),
         Claim("cubic4.rank_V", "6.1", "cubic4", "derived", 22,
-              lambda: covers.primitive_V(cubic4).rank),
+              lambda: covers.primitive_V(cubic4()).rank),
         Claim("cubic4.twist_level", "6.1", "cubic4", "paper", 2,
-              lambda: hodge.level(covers.full_level_V(cubic4))),
+              lambda: hodge.level(covers.full_level_V(cubic4()))),
         Claim("cubic4.twist_h20", "6.1", "cubic4", "paper", 1,
-              lambda: covers.full_level_V(cubic4).hodge_numbers().get(2, 0)),
+              lambda: covers.full_level_V(cubic4()).hodge_numbers().get(2, 0)),
         Claim("cubic4.abelian_dim", "6.1", "cubic4", "paper", 11,
               lambda: cubic4_twist().dim_abelian),
         Claim("cubic4.signature", "6.2", "cubic4", "paper", [1, 10],
@@ -395,7 +392,7 @@ def all_claims() -> tuple[Claim, ...]:
               lambda: spec(5, 1).cohomology.row(1)[1:]),
         Claim("quintic.halftwist_pattern", "4.3", "quintic", "paper",
               [False, True, True, False, False, False, True],
-              lambda: _direct_pattern(spec, 5)),
+              lambda: _pattern(spec, direct_tate, 5)),
         # --- cubic covers in general
         Claim("cubics.halftwist_pattern", "3.8", "cubics", "paper",
               [False, False, True, False, False, True],
@@ -417,7 +414,7 @@ def all_claims() -> tuple[Claim, ...]:
                                    lambda d, k: covers.quartic_W_split(spec(d, k)))),
         Claim("quartics.halftwist_pattern", "3.9", "quartics", "paper",
               [True, True, False, False, True, True, False],
-              lambda: _direct_pattern(spec, 4)),
+              lambda: _pattern(spec, direct_tate, 4)),
         # --- the Fermat curve lemma
         Claim("gamma.invariant_h1_dims", "3.2", "fermat-curve", "paper",
               [2, 2, 4, 4, 6, 6, 8],
@@ -448,7 +445,7 @@ def all_claims() -> tuple[Claim, ...]:
         # --- twist algebra
         Claim("twists.roundtrip_grid", "7.2", "twists", "paper", True,
               lambda: _sweep_holds(
-                  cell, "round-trip", product(range(3, 9), range(1, 9)))),
+                  cell, "round-trip", product(ROUND_TRIP_D, ROUND_TRIP_K))),
         Claim("twists.tate_commutation", "1.4", "twists", "paper", True,
               lambda: _tate_commutes_on_grid(spec, cell)),
         Claim("twists.k_minus_half_d4", "1.4", "twists", "trivial", [2, 1],
@@ -471,9 +468,10 @@ def all_claims() -> tuple[Claim, ...]:
         # --- known discrepancies: stated closed forms vs direct computation
         Claim("thm2.6.printed_formula_transcription", "2.6", "thm2.6",
               "paper", PRINTED_PATTERNS,
-              lambda: {str(d): _printed_pattern(spec, d) for d in (3, 5, 7, 9)}),
+              lambda: {str(d): _pattern(spec, covers.half_twist_exists_printed, d)
+                       for d in (3, 5, 7, 9)}),
         *(Claim(f"thm2.6.printed_vs_direct.d{d}", "2.6", "thm2.6", "paper",
-                pattern, partial(_direct_pattern, spec, int(d)),
+                pattern, partial(_pattern, spec, direct_tate, int(d)),
                 known_discrepancy=True)
           for d, pattern in PRINTED_PATTERNS.items()),
         Claim("thm2.6.even_degree_agreement", "2.6", "thm2.6", "derived",

@@ -28,13 +28,12 @@ A `CoverSpec` owns its Hodge data: the eigenspace table, one flat
 p-major list over the residues 1..d-1 (`hodge.CMHodgeStructure`), is
 built once per spec, on first use, and every predicate and structure
 here reads that one table through `spec.cohomology` and `primitive_V`.
-A spec made by `tower` carries its table's generating series, one step
-along its row from the previous level's, and reads its table off it on
-first use (`jacobian.residue_vectors`: the padded series with every
-d-th entry deleted); any other spec builds its table directly.  The
-(q, t) normal form is cached on the spec as well (`qt_decompose` reads
-`spec.normal_form`), so its check against the table runs once per spec
-however many predicates ask for it.
+A row of covers (a sweep, the ledger, `curve_h1`) comes off `tower`,
+whose specs carry their series, each one step on from the one below,
+and read the table off it (`jacobian.residue_vectors`); a single cover
+builds its table directly.  The (q, t) normal form is cached on the
+spec as well (`qt_decompose` reads `spec.normal_form`), so its check
+against the table runs once per spec however many predicates ask for it.
 There is no cache of tables across specs, so a table and its normal
 form are freed with their spec.  The exceptions are small: `curve_h1`,
 the Fermat-curve table that `build_W` tensors with, of 2(d - 1)
@@ -95,7 +94,7 @@ class CoverSpec:
     them.  The cache lives and dies with the spec.  `series`,
     when given, is the table's generating series (1 + ... + t^{d-2})^{k+1},
     of length (k+1)(d-2) + 1, as `tower` hands it on; it takes no part
-    in equality, hashing or repr."""
+    in equality, hashing or repr.  Without it the table is built in one pass."""
 
     d: int
     k: int
@@ -154,7 +153,7 @@ class CoverSpec:
 def tower(d: int, k_max: int) -> Iterator[CoverSpec]:
     """The specs (d, k) for k = 1..k_max, the covers of one degree in
     the order of their tower, each carrying its series one step on
-    from the one before."""
+    from the one before: the one road for a row of covers."""
     for k, series in enumerate(tower_series(d, k_max), start=1):
         yield CoverSpec(d, k, series)
 
@@ -209,9 +208,9 @@ def order_part_as_substructure(spec: CoverSpec, e: int) -> CMHodgeStructure:
 
 @cache
 def curve_h1(d: int) -> CMHodgeStructure:
-    """H^1 of the degree-d Fermat curve, from the same eigenspace table
-    with k = 1 (no hard-coded values); built once per degree."""
-    return CoverSpec(d, 1).cohomology
+    """H^1 of the degree-d Fermat curve, the first storey of its tower
+    (no hard-coded values); built once per degree."""
+    return next(tower(d, 1)).cohomology
 
 
 # ---------------------------------------------------------------------------

@@ -190,11 +190,12 @@ def tower_series(d: int, k_max: int) -> Iterator[list[int]]:
     shifted by d - 1, then one prefix sum.  The product is a palindrome,
     as in `power_series`, so the pass is cut after the lower half and
     the upper half mirrors it.  A fault in the lower half therefore
-    shows only against the other road (`oracle-equivalence`) or the
-    windowed sum of tier-1, never as an asymmetry.  The mirror holds the
-    same int objects at conjugate positions, so comparing a table with
-    its reversal is mostly identity checks.  Each step reads the list
-    yielded before it, so a caller must not change a yielded list."""
+    shows only against the other road (`oracle-equivalence`), in the
+    values `verify` recomputes, or against tier-1's windowed sum, never
+    as an asymmetry.  The mirror holds the same int objects at conjugate
+    positions, so comparing a table with its reversal is mostly identity
+    checks.  Each step reads the list yielded before it, so a caller
+    must not change a yielded list."""
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
     zeros = [0] * (d - 1)

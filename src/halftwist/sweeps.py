@@ -7,9 +7,9 @@ unit of a sweep's work is a row, one degree d with k = 1..k_max: the
 worker walks the row's tower of covers (`covers.tower`), so each
 cover's series is one step on from the one below it, and only
 (check, d, k_max) crosses a process boundary.  Rows are independent,
-so the grid is embarrassingly parallel; results are sorted by (d, k)
-before rendering, which makes the output independent of the worker
-count.  A check returns its pass text and fails only by raising a
+so the grid is embarrassingly parallel; `map` and `Pool.map` keep
+the rows in order (ascending d, each row by ascending k), whatever the
+worker count.  A check returns its pass text and fails only by raising a
 ValueError, whose message is the failing cell's detail; a broken
 package invariant (`InvariantError`) fails its cell as well, and the
 rest of the grid still runs.  Every check asserts what it reports:
@@ -185,5 +185,4 @@ def run_sweep(check: str, d_max: int, k_max: int, jobs: int) -> list[SweepCell]:
             results = pool.map(_run_row, rows, chunksize=1)
     else:
         results = map(_run_row, rows)
-    cells = [cell for row in results for cell in row]
-    return sorted(cells, key=lambda cell: (cell.d, cell.k))
+    return [cell for row in results for cell in row]

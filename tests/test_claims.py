@@ -1,11 +1,12 @@
 import json
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import accumulate, chain, islice, product
+from operator import sub
 
 import pytest
 
-from halftwist import claims, covers, hodge, jacobian, sweeps
+from halftwist import claims, cli, covers, hodge, jacobian, sweeps
 from halftwist.cyclotomic import InvariantError
 
 
@@ -315,3 +316,100 @@ def test_even_degree_claims_fail_on_an_even_disagreement(monkeypatch):
     monkeypatch.setattr(covers, "half_twist_exists_printed", flipped_at_d4_k1)
     for claim_id in ("thm2.6.even_degree_agreement", "thm2.6.disagreement_set"):
         assert claims.evaluate(claim_named(claim_id)).status == claims.STATUS_FAIL
+
+
+def tower_series_with(bump, mirror):
+    """`jacobian.tower_series` with two faults to set: `bump` is added to
+    the fourth coefficient of every lower half that has one, after the
+    cut, and the mirror reads `mirror` entries past the lower half."""
+
+    def tower_series(d, k_max):
+        zeros = [0] * (d - 1)
+        series = [1] * (d - 1)
+        for _ in range(k_max):
+            size = len(series) + d - 2
+            steps = map(sub, chain(series, zeros), chain(zeros, series))
+            series = list(islice(accumulate(steps), (size + 1) // 2))
+            if len(series) > 3:
+                series[3] += bump
+            series += reversed(series[:size // 2 + mirror])
+            yield series
+
+    return tower_series
+
+
+def test_the_fault_free_tower_copy_is_the_tower():
+    copy = tower_series_with(bump=0, mirror=0)
+    for d in claims.GRID_D:
+        assert list(copy(d, 8)) == list(jacobian.tower_series(d, 8)), d
+
+
+# (a) a lower-half coefficient one too large, so every table stays
+# symmetric; (b) an off-by-one in the mirror slice, so every series has
+# one coefficient too many
+TOWER_FAULTS = {"lower-half": (1, 0), "mirror": (0, 1)}
+
+
+@pytest.mark.parametrize("bump, mirror", TOWER_FAULTS.values(), ids=list(TOWER_FAULTS))
+def test_a_tower_fault_fails_verify_claim_by_claim(monkeypatch, capsys, bump, mirror):
+    # the ledger reads its covers off the towers the sweeps walk, so a
+    # fault there fails the claims that read it; every claim still
+    # reports, and the whole table is printed
+    monkeypatch.setattr(covers, "tower_series", tower_series_with(bump, mirror))
+    covers.curve_h1.cache_clear()
+    try:
+        reports = claims.run_verification()
+        code = cli.main(["verify"])
+    finally:
+        covers.curve_h1.cache_clear()
+    assert len(reports) == 65
+    assert claims.exit_code(reports) == 1
+    failures = sum(r.status == claims.STATUS_FAIL for r in reports)
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(out) == 1 + 65 + 1
+    assert out[-1].startswith("65 claims: ")
+    assert out[-1].endswith(f", {failures} failures")
+
+
+def test_a_cover_outside_the_rows_fails_its_claim(monkeypatch):
+    # the rows hold d in the given degrees and k up to the height; any
+    # other read is a KeyError, never a wrapped index or a direct build
+    walks = []
+    real = covers.tower
+
+    def counted(d, k_max):
+        walks.append((d, k_max))
+        return real(d, k_max)
+
+    monkeypatch.setattr(covers, "tower", counted)
+    spec = claims._tower_rows(range(3, 5), 2)
+    assert walks == []
+    assert spec(4, 2) == covers.CoverSpec(4, 2)
+    assert spec(4, 1) is spec(4, 1)
+    assert walks == [(4, 2)]
+    for d, k in ((4, 3), (4, 0), (5, 1), (2, 1)):
+        with pytest.raises(KeyError):
+            spec(d, k)
+    assert walks == [(4, 2)]
+    claim = claims.Claim("x.outside", "0.0", "x", "derived", 1, lambda: spec(4, 3).k)
+    assert claims.evaluate(claim).status == claims.STATUS_FAIL
+
+
+def test_listing_the_claims_makes_no_cover(monkeypatch):
+    # no cover is made, so no tower is walked, until a claim that reads
+    # one is evaluated; then its degree's whole row is made
+    made = []
+    post_init = covers.CoverSpec.__post_init__
+
+    def counted(self):
+        made.append((self.d, self.k))
+        post_init(self)
+
+    monkeypatch.setattr(covers.CoverSpec, "__post_init__", counted)
+    listed = claims.all_claims()
+    assert len(listed) == 65
+    assert made == []
+    (claim,) = [c for c in listed if c.claim_id == "kondo.dim_V"]
+    assert claims.evaluate(claim).status == claims.STATUS_PASS
+    assert made == [(4, k) for k in range(1, 9)]

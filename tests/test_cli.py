@@ -516,10 +516,14 @@ def test_sweep_unknown_check_is_usage_error(capsys):
 
 
 def test_sweep_output_identical_across_jobs():
-    # dim-identity reads no table; round-trip slices every row's series
+    # dim-identity reads no table; round-trip slices every row's series;
+    # the workers' rows come back in (d, k) order with no sort
     for check in ("dim-identity", "round-trip"):
         serial = run_sweep(check, d_max=6, k_max=4, jobs=1)
         parallel = run_sweep(check, d_max=6, k_max=4, jobs=2)
+        assert [(c.d, c.k) for c in parallel] == [
+            (d, k) for d in range(3, 7) for k in range(1, 5)
+        ], check
         assert serial == parallel, check
 
 

@@ -153,6 +153,24 @@ def test_curve_h1_is_not_hard_coded():
     assert H1.table == {(1, 1): 2, (1, 2): 1, (0, 2): 1, (0, 3): 2}
 
 
+def test_curve_h1_matches_its_closed_form_up_to_the_cli_limit():
+    """H^1 of the degree-d Fermat curve has h^{1,0}_i = d - 1 - i and
+    h^{0,1}_i = i - 1 for i = 1..d-1, and residue 0 is empty.
+
+    Entry p of residue i of the k = 1 table is the coefficient of t^m in
+    P^2, P = 1 + t + ... + t^{d-2}, at m = d(2 - p) - 2 - i.  P^2 has
+    coefficient m + 1 for 0 <= m <= d - 2, 2d - 3 - m for
+    d - 2 <= m <= 2d - 4, and 0 elsewhere.  At p = 1, m = d - 2 - i runs
+    over -1..d - 3, which gives d - 1 - i (0 at i = d - 1, where m = -1).
+    At p = 0, m = 2d - 2 - i runs over d - 1..2d - 3, which gives
+    i - 1 (0 at i = 1, where m = 2d - 3)."""
+    for d in range(3, cli.MAX_D + 1):
+        H1 = curve_h1(d)
+        assert H1.weight == 1
+        assert H1.row(1) == [0] + [d - 1 - i for i in range(1, d)], d
+        assert H1.row(0) == [0] + [i - 1 for i in range(1, d)], d
+
+
 # ---------------------------------------------------------------------------
 # the (q, t) normal form
 
@@ -676,7 +694,8 @@ def test_half_twist_command_builds_one_table(table_builds, capsys):
 
 
 def test_a_round_trip_sweep_builds_no_table_directly(table_builds):
-    # every row walks its tower; only single covers take the direct route
+    # every row of covers, on a sweep as in the ledger, walks its tower;
+    # only single covers take the direct route
     cells = sweeps.run_sweep("round-trip", d_max=8, k_max=5, jobs=1)
     assert len(cells) == 6 * 5
     assert all(cell.ok for cell in cells)
@@ -739,9 +758,39 @@ def test_a_ks_space_sweep_builds_k_once_per_degree(monkeypatch):
     assert builds == {d: 1 for d in range(3, 10)}
 
 
-def test_verify_builds_one_table_per_cover(table_builds, capsys):
-    # 55 covers, plus the curve tables of d = 3..9 that build_W tensors with
+def test_verify_builds_one_table_per_cover(table_builds, monkeypatch, capsys):
+    # 55 covers, plus the curve tables of d = 3..9 that build_W tensors
+    # with, each read off its tower series and none built directly: one
+    # walk to k = 8 per degree of the ledger, and one first storey per
+    # degree for its curve
+    walks, read_off = Counter(), Counter()
+    tower, residue_vectors = covers.tower, covers.residue_vectors
+
+    def walked(d, k_max):
+        walks[(d, k_max)] += 1
+        return tower(d, k_max)
+
+    def counted(series, d, k):
+        read_off[(d, k)] += 1
+        return residue_vectors(series, d, k)
+
+    monkeypatch.setattr(covers, "tower", walked)
+    monkeypatch.setattr(covers, "residue_vectors", counted)
     curve_h1.cache_clear()
     assert cli.main(["verify"]) == 0
     capsys.readouterr()
-    assert sum(table_builds.values()) <= 62
+    assert table_builds == {}
+    assert sum(read_off.values()) == 62
+    assert walks == {(d, k_max): 1 for d in range(3, 10) for k_max in (1, 8)}
+
+
+@pytest.mark.parametrize("check", sorted(sweeps.CHECKS))
+def test_a_sweep_of_any_check_builds_no_table_directly(table_builds, check):
+    # the curve tables of w-rank and z-checksum come off towers too; the
+    # oracle's one-pass table is built by `jacobian.eigenspace_dims`, not
+    # through a spec
+    curve_h1.cache_clear()
+    cells = sweeps.run_sweep(check, d_max=14, k_max=6, jobs=1)
+    assert len(cells) == 12 * 6
+    assert all(cell.ok for cell in cells)
+    assert table_builds == {}

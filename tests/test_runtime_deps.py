@@ -165,11 +165,17 @@ def package_callers(name):
 
 
 def test_a_cover_table_is_read_only_through_its_spec():
-    # the ledger takes every cover from its one memo of specs, and no
-    # module reads a table around a spec; a tower's series reaches
-    # production only inside the specs that `covers.tower` makes, and the
-    # sweep oracle builds the one-pass table of the cover it checks
+    # every row of covers, the ledger's as well as a sweep's and the
+    # Fermat curve's, comes off `covers.tower`, and no module reads a
+    # table around a spec; a tower's series reaches production only
+    # inside the specs that `covers.tower` makes, and the sweep oracle
+    # builds the one-pass table of the cover it checks
     assert callers(PACKAGE / "claims.py", "CoverSpec") == set()
+    assert package_callers("tower") == {
+        ("claims", "_tower_rows.spec"),
+        ("covers", "curve_h1"),
+        ("sweeps", "_run_row"),
+    }
     assert package_callers("eigenspace_dims") == {
         ("covers", "CoverSpec.cohomology"),
         ("sweeps", "_oracle_equivalence"),
