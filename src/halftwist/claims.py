@@ -201,8 +201,8 @@ def _cubics_extremal_dims(spec: Specs):
     return [jacobian.primitive_hodge_column(3, k)[top] for k, top in tops.items()]
 
 
-def _lemma37_example(d: int, k: int):
-    total, lower, same = covers.dim_identity_terms(d, k)
+def _lemma37_example(spec: Specs, d: int, k: int):
+    total, lower, same = covers.dim_identity_terms(spec(d, k))
     return [total, [lower, same]]
 
 
@@ -424,9 +424,9 @@ def all_claims() -> tuple[Claim, ...]:
               _gamma_exponents_are_cmtype),
         # --- dimension identities
         Claim("lemma3.7.kondo", "3.7", "dims", "paper", [60, [18, 42]],
-              lambda: _lemma37_example(4, 2)),
+              lambda: _lemma37_example(spec, 4, 2)),
         Claim("lemma3.7.cubic4", "3.7", "dims", "paper", [42, [20, 22]],
-              lambda: _lemma37_example(3, 4)),
+              lambda: _lemma37_example(spec, 3, 4)),
         Claim("lemma3.7.grid", "3.7", "dims", "derived", True,
               lambda: _sweep_holds(cell, "dim-identity", product(GRID_D, range(2, 8)))),
         Claim("prop3.5.checksum_grid", "3.5", "dims", "derived", True,

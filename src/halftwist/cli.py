@@ -38,18 +38,14 @@ from .covers import CoverSpec
 # takes about 1 s or less.  The cost of a cover grows fast with d and k
 # together, and of a sweep with its grid.  Whole-process medians of 7
 # interleaved runs on a 2-core machine (Python 3.11, no bytecode cache),
-# where `python3 -c pass` takes 0.020 s and importing the CLI 0.041 s:
-# `hodge 160 160` takes 0.049 s and `half-twist 160 160 --tate` 0.049 s,
+# where `python3 -c pass` takes 0.054 s and importing the CLI 0.10 s:
+# `hodge 160 160` takes 0.13 s and `half-twist 160 160 --tate` 0.12 s,
 # each reading one series P^n off its recurrence, and `eigenspaces
-# 160 160` 0.092 s.  At the grid limit, --d-max 75 --k-max 40 with
+# 160 160` 0.19 s.  At the grid limit, --d-max 75 --k-max 40 with
 # --jobs 1, sweeps walk each degree's tower of covers: `z-checksum`
-# takes 0.75 s, `w-rank` 0.41 s, `oracle-equivalence` 0.40 s,
-# `dim-identity` 0.36 s, `round-trip` 0.32 s, `ks-space` 0.30 s,
-# `cmtype-search` 0.16 s and `monotonicity` 0.13 s.  In a profile of
-# `z-checksum`, the largest part is the Hodge columns of the levels
-# k - 1 and k + 1, `power_series` under `primitive_hodge_column` (0.44 s
-# of 0.95 s), ahead of the Fermat-curve tensor of W (`_masked_copies`,
-# 0.19 s).
+# takes 1.17 s, `oracle-equivalence` 1.09 s, `w-rank` 1.04 s,
+# `dim-identity` 0.89 s, `ks-space` 0.80 s, `round-trip` 0.74 s,
+# `cmtype-search` 0.42 s and `monotonicity` 0.37 s.
 MAX_D = MAX_K = 160
 SWEEP_MAX_D, SWEEP_MAX_K = 75, 40
 # The (lowest, highest) value of each numeric argument, per command; None

@@ -24,32 +24,25 @@ of the next cover as well, against the Jacobian-ring counts; the
 quartic split checks the full residue-graded tables, which fixes the
 ranks too.
 
-A `CoverSpec` owns its Hodge data: the eigenspace table, one flat
-p-major list over the residues 1..d-1 (`hodge.CMHodgeStructure`), is
-built once per spec, on first use, and every predicate and structure
-here reads that one table through `spec.cohomology` and `primitive_V`.
-A row of covers (a sweep, the ledger, `curve_h1`) comes off `tower`,
-whose specs carry their series, each one step on from the one below,
-and read the table off it (`jacobian.residue_vectors`); a single cover
-builds its table directly.  The (q, t) normal form is cached on the
-spec as well (`qt_decompose` reads `spec.normal_form`), so its check
-against the table runs once per spec however many predicates ask for it.
-There is no cache of tables across specs, so a table and its normal
-form are freed with their spec.  The exceptions are small: `curve_h1`,
-the Fermat-curve table that `build_W` tensors with, of 2(d - 1)
-entries, cached per degree; K_{-1/2}, the weight-one structure that
-`ks_invariant_space` and `quartic_W_split` tensor with, also of
-2(d - 1) entries, cached per field by `hodge.k_minus_half`; the field
-itself, one frozen `CyclotomicData` per degree from `make_cyclotomic`,
-with its unit group and masks derived from (d, sigma0) when it is
-built; the series a `tower` generator holds for its next step; and the
-primitive Hodge numbers of `jacobian.primitive_hodge_column`, k + 1
-ints per (d, k), each column the residue-0 slots of one series P^{k+2}
-(the entries that `residue_vectors` deletes from a cover one level up),
-which the primitive ranks, the Lemma 3.7 terms of `dim_identity_terms`,
-the graded check of `z_decomposition` and `quartic_isogeny_report`
-read.  The series is built for the column and dropped; only the column
-is kept.  Every one of these caches fills on first use, none at import.
+A `CoverSpec` owns its Hodge data, all read off its one series, on
+first use and at most once: the eigenspace table (`spec.cohomology`,
+one flat p-major list over the residues 1..d-1, which every predicate
+and structure here reads, `primitive_V` too), the branch column
+(`spec.branch_column`, the primitive Hodge numbers of the branch locus,
+which `dim_identity_terms` and `z_decomposition` read) and the next
+storey (`spec.up`).  A row of covers (a sweep, the ledger, `curve_h1`)
+comes off `tower`, which walks `up`, so the identities that link
+neighbouring storeys read their columns off the walk that gives their
+tables; a single cover builds its series by `jacobian.power_series`.
+The (q, t) normal form is cached on the spec too (`qt_decompose` reads
+`spec.normal_form`), so its check runs once per spec.  These caches
+live and die with their spec, and `up` points only upward, so no
+storey keeps the one below it alive.  Three caches outlive a spec, all
+small and filled on first use, none at import: `curve_h1`, the
+Fermat-curve table that `build_W` tensors with, per degree; K_{-1/2}
+(`hodge.k_minus_half`), which `ks_invariant_space` and
+`quartic_W_split` tensor with, per field; and the field itself, one
+frozen `CyclotomicData` per degree from `make_cyclotomic`.
 """
 
 from __future__ import annotations
@@ -76,11 +69,12 @@ from .hodge import (
 )
 from .jacobian import (
     UnsupportedCaseError,
-    eigenspace_dims,
+    power_series,
     primitive_hodge_column,
     primitive_middle_rank,
     residue_vectors,
-    tower_series,
+    residue_zero_column,
+    tower_step,
 )
 
 
@@ -88,13 +82,11 @@ from .jacobian import (
 class CoverSpec:
     """Degree d >= 3 cover of projective k-space, k >= 0.
 
-    The field, the eigenspace table, V and the (q, t) normal form are
-    cached on the spec: a spec builds its table and checks its normal
-    form at most once, and every predicate given the same spec shares
-    them.  The cache lives and dies with the spec.  `series`,
-    when given, is the table's generating series (1 + ... + t^{d-2})^{k+1},
-    of length (k+1)(d-2) + 1, as `tower` hands it on; it takes no part
-    in equality, hashing or repr.  Without it the table is built in one pass."""
+    `series`, the table's generating series (1 + ... + t^{d-2})^{k+1} of
+    (k+1)(d-2) + 1 coefficients, is the one `up` hands on, or else
+    `power_series(d, k + 1)`; it takes no part in equality, hashing or
+    repr.  All else on the spec is cached, read off the series at most
+    once, shared by every predicate given the spec, and freed with it."""
 
     d: int
     k: int
@@ -107,8 +99,10 @@ class CoverSpec:
             raise ValueError(f"degree must be >= 3, got {self.d}")
         if self.k < 0:
             raise ValueError(f"dimension must be >= 0, got {self.k}")
+        if self.series is None:
+            object.__setattr__(self, "series", power_series(self.d, self.k + 1))
         size = (self.k + 1) * (self.d - 2) + 1
-        if self.series is not None and len(self.series) != size:
+        if len(self.series) != size:
             raise ValueError(
                 f"series of {len(self.series)} coefficients for ({self.d}, {self.k}), "
                 f"expected {size}"
@@ -120,12 +114,18 @@ class CoverSpec:
 
     @cached_property
     def cohomology(self) -> CMHodgeStructure:
-        d, k = self.d, self.k
-        if self.series is None:
-            vectors = eigenspace_dims(d, k)
-        else:
-            vectors = residue_vectors(self.series, d, k), []
-        return CMHodgeStructure(self.field, k, vectors)
+        rows = residue_vectors(self.series, self.d, self.k)
+        return CMHodgeStructure(self.field, self.k, (rows, []))
+
+    @cached_property
+    def branch_column(self) -> tuple[int, ...]:
+        """`jacobian.primitive_hodge_column(d, k - 1)`, off the series."""
+        return residue_zero_column(self.series, self.d, self.k)
+
+    @cached_property
+    def up(self) -> CoverSpec:
+        """The next storey of the tower, (d, k + 1)."""
+        return CoverSpec(self.d, self.k + 1, tower_step(self.series, self.d))
 
     @cached_property
     def V(self) -> CMHodgeStructure:
@@ -152,10 +152,12 @@ class CoverSpec:
 
 def tower(d: int, k_max: int) -> Iterator[CoverSpec]:
     """The specs (d, k) for k = 1..k_max, the covers of one degree in
-    the order of their tower, each carrying its series one step on
-    from the one before: the one road for a row of covers."""
-    for k, series in enumerate(tower_series(d, k_max), start=1):
-        yield CoverSpec(d, k, series)
+    the order of their tower, each the `up` of the one before: the one
+    road for a row of covers.  The walk holds only the storey it is at."""
+    spec = None
+    for _ in range(k_max):
+        spec = CoverSpec(d, 1) if spec is None else spec.up
+        yield spec
 
 
 @dataclass(frozen=True)
@@ -320,14 +322,16 @@ def middle_rank_both_routes(d: int, k: int) -> int:
     return euler
 
 
-def dim_identity_terms(d: int, k: int) -> tuple[int, int, int]:
+def dim_identity_terms(spec: CoverSpec) -> tuple[int, int, int]:
     """The terms (h_{k+1}, (d-1) h_{k-1}, (d-2) h_k) of Lemma 3.7,
-    h_{k+1} = (d-1) h_{k-1} + (d-2) h_k, from the Jacobian-ring counts:
-    the one definition that the sweep check and the ledger's examples read."""
-    if k < 2:
+    h_{k+1} = (d-1) h_{k-1} + (d-2) h_k, for the cover `spec` of
+    dimension k: the sums of the branch columns of `spec` and the two
+    storeys above it.  The one definition that the sweep check and the
+    ledger's examples read."""
+    if spec.k < 2:
         raise ValueError("identity needs k >= 2")
-    h = {j: primitive_middle_rank(d, j) for j in (k - 1, k, k + 1)}
-    return h[k + 1], (d - 1) * h[k - 1], (d - 2) * h[k]
+    h = [sum(cover.branch_column) for cover in (spec, spec.up, spec.up.up)]
+    return h[2], (spec.d - 1) * h[0], (spec.d - 2) * h[1]
 
 
 def build_W(spec: CoverSpec) -> CMHodgeStructure:
@@ -353,19 +357,17 @@ def z_decomposition(spec: CoverSpec) -> list[int]:
     """Middle primitive cohomology of the next cover in the tower:
     d-1 Tate-twisted copies of the branch locus middle cohomology, then
     W, checked against the Euler-recursion rank one level up, and then
-    Hodge number by Hodge number against the Jacobian-ring counts of
-    both covers: h^p(Z_{k+1}) = (d-1) h^{p-1}(Z_{k-1}) + h^p(W) for
-    p = 0..k+1.  A failure names the first p."""
+    Hodge number by Hodge number against the branch columns of `spec`
+    and of the storey two up: h^p(Z_{k+1}) = (d-1) h^{p-1}(Z_{k-1}) +
+    h^p(W) for p = 0..k+1.  A failure names the first p."""
     d, k = spec.d, spec.k
     label = f"H^{k + 1}_0(Z_{k + 1}) for d={d}"
     W = build_W(spec)
+    lower, in_W = spec.branch_column, W.hodge_numbers()
     ranks = _checked_ranks(
-        label,
-        [(d - 1) * primitive_middle_rank(d, k - 1), W.rank],
-        euler_recursion_rank(d, k + 1),
+        label, [(d - 1) * sum(lower), W.rank], euler_recursion_rank(d, k + 1)
     )
-    lower, in_W = primitive_hodge_column(d, k - 1), W.hodge_numbers()
-    for p, total in enumerate(primitive_hodge_column(d, k + 1)):
+    for p, total in enumerate(spec.up.up.branch_column):
         twisted = (d - 1) * lower[p - 1] if 1 <= p <= k else 0
         if total != twisted + in_W.get(p, 0):
             raise ValueError(

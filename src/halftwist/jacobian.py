@@ -12,21 +12,22 @@ the polynomial power P^{k+1} with P = 1 + t + ... + t^{d-2}: padded
 with k zeros at either end, with every d-th entry deleted, it is the
 flat p-major table of all residues' Hodge vectors (`residue_vectors`,
 the one thing the roads share).  The series itself comes by one of two
-roads, chosen by the shape of the request: for one cover,
-`eigenspace_dims` builds it with `power_series`, one exact holonomic
-recurrence; along a row of fixed d, `tower_series` steps from level k
-to level k + 1 by one multiplication by P, since the covers of one
-degree form a tower.  P^{k+1} is a palindrome, and both roads build
-only its lower half and mirror it, so every table they give is
-conjugation-symmetric by construction and a fault in a lower half
-cannot show as an asymmetry.  Such faults are caught by comparison: the
-`oracle-equivalence` sweep compares the two roads on every cell it
-visits, and tier-1 does so on every cell of the CLI sweep grid, checks
-each tower step against a plain windowed sum, and checks
-`power_series` against the closed form below.
-The entries that `residue_vectors` deletes are the branch locus: those
-of P^{k+2} are the primitive Hodge numbers of the degree-d k-fold, so
-`primitive_hodge_column` is one read of one `power_series`.
+roads, chosen by the shape of the request: for one cover, it is
+`power_series`, one exact holonomic recurrence; along a row of fixed d,
+`tower_step` takes level k to level k + 1 by one multiplication by P,
+since the covers of one degree form a tower (`covers.CoverSpec.up`).
+P^{k+1} is a palindrome, and both roads build only its lower half and
+mirror it, so every table they give is conjugation-symmetric by
+construction and a fault in a lower half cannot show as an asymmetry.
+Such faults are caught by comparison: the `oracle-equivalence` sweep
+compares the tower's table with the one-pass table of
+`eigenspace_dims` on every cell it visits, and tier-1 does so on every
+cell of the CLI sweep grid, checks each tower step against a plain
+windowed sum, and checks `power_series` against the closed form below.
+The entries that `residue_vectors` deletes, `residue_zero_column`, are
+the branch locus: those of P^{k+1} are the primitive Hodge numbers of
+the degree-d (k - 1)-fold, the column a storey of the tower reads off
+its own series and `primitive_hodge_column` off one `power_series`.
 Inclusion-exclusion, a closed-form binomial sum per entry
 (`count_bounded_monomials`), is the tier-1 oracle of both the tables
 and the column, entry by entry.
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, chain, combinations, islice
 from math import comb, gcd
 from operator import sub
@@ -132,32 +133,26 @@ def power_series(d: int, n: int) -> list[int]:
     return f
 
 
-@cache
 def primitive_hodge_column(d: int, k: int) -> tuple[int, ...]:
     """The primitive Hodge numbers h^{p, k-p}_0 of a smooth degree-d
     k-fold in projective (k+1)-space, indexed by p = 0..k, and k = 0
     gives the reduced cohomology of d points.
 
     Entry p is the Jacobian-ring count in k + 2 variables at degree
-    m = d(k - p + 1) - k - 2, the coefficient of t^m in P^{k+2}.  Padded
-    with k + 1 zeros at either end, P^{k+2} holds it at index
-    d(k - p + 1) - 1, so the column is every d-th entry from d - 1: the
-    residue-0 slots that `residue_vectors` deletes from the cover of
-    dimension k + 1 (read from p = k down, the same as from p = 0 up,
-    since the padded series is a palindrome).  Kept once per (d, k) for
-    the run, since the tower's identities read the columns of
-    neighbouring levels."""
+    m = d(k - p + 1) - k - 2, the coefficient of t^m in P^{k+2}: the
+    residue-0 slots of the cover of dimension k + 1
+    (`residue_zero_column`), here read off one `power_series`.  Along a
+    row of covers the same column is `CoverSpec.branch_column` one
+    storey up, read off the tower's series instead."""
     if d < 3:
         raise ValueError(f"need degree >= 3, got {d}")
     if k < 0:
         raise ValueError(f"need dimension >= 0, got {k}")
-    pad = [0] * (k + 1)
-    return tuple((pad + power_series(d, k + 2) + pad)[d - 1::d])
+    return residue_zero_column(power_series(d, k + 2), d, k + 1)
 
 
 def primitive_middle_rank(d: int, k: int) -> int:
-    """The sum of the primitive Hodge numbers, read off the memoized
-    column."""
+    """The sum of the primitive Hodge numbers of `primitive_hodge_column`."""
     return sum(primitive_hodge_column(d, k))
 
 
@@ -171,8 +166,9 @@ def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
 
         (1 + t + ... + t^{d-2})^{k+1} = (1 - t^{d-1})^{k+1} / (1 - t)^{k+1},
 
-    or 0 outside the series.  This is the direct route for one cover:
-    the series is `power_series(d, k + 1)`, sliced by `residue_vectors`,
+    or 0 outside the series.  This is the one-pass table of one cover,
+    the reference that `oracle-equivalence` holds a spec's table to: the
+    series is `power_series(d, k + 1)`, sliced by `residue_vectors`,
     whose flat table has residue i's vector at every (d - 1)-th entry
     from i - 1.  k = 0 gives the d - 1 one-dimensional eigenspaces, all
     at p = 0, of the reduced H^0 of d points.
@@ -183,10 +179,10 @@ def eigenspace_dims(d: int, k: int) -> dict[int, list[int]]:
     return {i: rows[i - 1::d - 1] for i in range(1, d)}
 
 
-def tower_series(d: int, k_max: int) -> Iterator[list[int]]:
-    """The series (1 + t + ... + t^{d-2})^{k+1} of `eigenspace_dims`,
-    for k = 1..k_max in turn: the tower route.  Each step multiplies by
-    P = (1 - t^{d-1}) / (1 - t) in one pass, the series minus its copy
+def tower_step(series: list[int], d: int) -> list[int]:
+    """The series of the next storey of a degree-d tower: `series`, the
+    power (1 + t + ... + t^{d-2})^{k+1} of one storey, times
+    P = (1 - t^{d-1}) / (1 - t), in one pass: the series minus its copy
     shifted by d - 1, then one prefix sum.  The product is a palindrome,
     as in `power_series`, so the pass is cut after the lower half and
     the upper half mirrors it.  A fault in the lower half therefore
@@ -194,18 +190,13 @@ def tower_series(d: int, k_max: int) -> Iterator[list[int]]:
     values `verify` recomputes, or against tier-1's windowed sum, never
     as an asymmetry.  The mirror holds the same int objects at conjugate
     positions, so comparing a table with its reversal is mostly identity
-    checks.  Each step reads the list yielded before it, so a caller
-    must not change a yielded list."""
-    if d < 3:
-        raise ValueError(f"need d >= 3, got {d}")
+    checks.  `series` is only read, and the product is a new list."""
     zeros = [0] * (d - 1)
-    series = [1] * (d - 1)  # P itself, the series at k = 0
-    for _ in range(k_max):
-        size = len(series) + d - 2
-        steps = map(sub, chain(series, zeros), chain(zeros, series))
-        series = list(islice(accumulate(steps), (size + 1) // 2))
-        series += reversed(series[:size // 2])
-        yield series
+    size = len(series) + d - 2
+    steps = map(sub, chain(series, zeros), chain(zeros, series))
+    product = list(islice(accumulate(steps), (size + 1) // 2))
+    product += reversed(product[:size // 2])
+    return product
 
 
 def residue_vectors(series: list[int], d: int, k: int) -> list[int]:
@@ -217,7 +208,7 @@ def residue_vectors(series: list[int], d: int, k: int) -> list[int]:
     at either end and read backwards holds entry p of residue i at
     i - 1 + dp: d entries per Hodge index, the last of them (i = d) the
     invariant part of primitive cohomology, which vanishes.  Deleting
-    every d-th entry leaves the flat table.
+    every d-th entry, `residue_zero_column`, leaves the flat table.
 
     The padded series is read forwards, which is the same: P^{k+1} is a
     palindrome, so the padded series, of (k + 1)d - 1 entries, is one
@@ -234,6 +225,15 @@ def residue_vectors(series: list[int], d: int, k: int) -> list[int]:
     padded = [0] * k + series + [0] * k
     del padded[d - 1::d]
     return padded
+
+
+def residue_zero_column(series: list[int], d: int, k: int) -> tuple[int, ...]:
+    """The entries of the padded series that `residue_vectors` deletes,
+    every d-th from index d - 1.  Index d(k - p) - 1 holds the count in
+    k + 1 variables at m = d(k - p) - k - 1: entry p of the primitive
+    Hodge column of the branch locus, a degree-d (k - 1)-fold, read
+    from p = k - 1 down, which the palindrome makes the same as up."""
+    return tuple(([0] * k + series + [0] * k)[d - 1::d])
 
 
 def _tuple_sum_counts(d: int, k: int) -> dict[int, int]:

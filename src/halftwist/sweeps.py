@@ -55,7 +55,7 @@ def _dim_identity(spec: CoverSpec) -> str:
     covers.middle_rank_both_routes(spec.d, spec.k)
     if spec.k < 2:
         return "euler=griffiths (identity needs k>=2)"
-    total, lower, same = covers.dim_identity_terms(spec.d, spec.k)
+    total, lower, same = covers.dim_identity_terms(spec)
     if total != lower + same:
         raise ValueError(
             f"h_{{k+1}} != (d-1) h_{{k-1}} + (d-2) h_k: {total} != {lower} + {same}"

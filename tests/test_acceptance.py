@@ -137,7 +137,7 @@ def test_c06_dimension_identity_and_checksums():
             spec = CoverSpec(d, k)
             assert euler_recursion_rank(d, k) == primitive_middle_rank(d, k)
             if k >= 2:
-                total, lower, same = dim_identity_terms(d, k)
+                total, lower, same = dim_identity_terms(spec)
                 assert total == lower + same, (d, k)
             ranks = z_decomposition(spec)
             assert sum(ranks) == euler_recursion_rank(d, k + 1)

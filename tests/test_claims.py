@@ -230,9 +230,9 @@ def test_a_swapped_lemma37_coefficient_fails_the_sweep_and_the_ledger(monkeypatc
     # the three terms, so one fault in it fails all of them
     real = covers.dim_identity_terms
 
-    def swapped(d, k):
-        total, _, same = real(d, k)
-        return total, (d - 2) * jacobian.primitive_middle_rank(d, k - 1), same
+    def swapped(spec):
+        total, _, same = real(spec)
+        return total, (spec.d - 2) * sum(spec.branch_column), same
 
     monkeypatch.setattr(covers, "dim_identity_terms", swapped)
     cells = sweeps.run_sweep("dim-identity", d_max=6, k_max=4, jobs=1)
@@ -318,30 +318,29 @@ def test_even_degree_claims_fail_on_an_even_disagreement(monkeypatch):
         assert claims.evaluate(claim_named(claim_id)).status == claims.STATUS_FAIL
 
 
-def tower_series_with(bump, mirror):
-    """`jacobian.tower_series` with two faults to set: `bump` is added to
+def tower_step_with(bump, mirror):
+    """`jacobian.tower_step` with two faults to set: `bump` is added to
     the fourth coefficient of every lower half that has one, after the
     cut, and the mirror reads `mirror` entries past the lower half."""
 
-    def tower_series(d, k_max):
+    def tower_step(series, d):
         zeros = [0] * (d - 1)
-        series = [1] * (d - 1)
-        for _ in range(k_max):
-            size = len(series) + d - 2
-            steps = map(sub, chain(series, zeros), chain(zeros, series))
-            series = list(islice(accumulate(steps), (size + 1) // 2))
-            if len(series) > 3:
-                series[3] += bump
-            series += reversed(series[:size // 2 + mirror])
-            yield series
+        size = len(series) + d - 2
+        steps = map(sub, chain(series, zeros), chain(zeros, series))
+        product = list(islice(accumulate(steps), (size + 1) // 2))
+        if len(product) > 3:
+            product[3] += bump
+        product += reversed(product[:size // 2 + mirror])
+        return product
 
-    return tower_series
+    return tower_step
 
 
 def test_the_fault_free_tower_copy_is_the_tower():
-    copy = tower_series_with(bump=0, mirror=0)
+    copy = tower_step_with(bump=0, mirror=0)
     for d in claims.GRID_D:
-        assert list(copy(d, 8)) == list(jacobian.tower_series(d, 8)), d
+        for spec in covers.tower(d, 8):
+            assert copy(spec.series, d) == spec.up.series, (d, spec.k)
 
 
 # (a) a lower-half coefficient one too large, so every table stays
@@ -355,13 +354,9 @@ def test_a_tower_fault_fails_verify_claim_by_claim(monkeypatch, capsys, bump, mi
     # the ledger reads its covers off the towers the sweeps walk, so a
     # fault there fails the claims that read it; every claim still
     # reports, and the whole table is printed
-    monkeypatch.setattr(covers, "tower_series", tower_series_with(bump, mirror))
-    covers.curve_h1.cache_clear()
-    try:
-        reports = claims.run_verification()
-        code = cli.main(["verify"])
-    finally:
-        covers.curve_h1.cache_clear()
+    monkeypatch.setattr(covers, "tower_step", tower_step_with(bump, mirror))
+    reports = claims.run_verification()
+    code = cli.main(["verify"])
     assert len(reports) == 65
     assert claims.exit_code(reports) == 1
     failures = sum(r.status == claims.STATUS_FAIL for r in reports)
@@ -370,6 +365,63 @@ def test_a_tower_fault_fails_verify_claim_by_claim(monkeypatch, capsys, bump, mi
     assert len(out) == 1 + 65 + 1
     assert out[-1].startswith("65 claims: ")
     assert out[-1].endswith(f", {failures} failures")
+    if bump:
+        # the identities that link storeys read their columns off the
+        # tower, so a fault in its steps fails them too
+        failing = {r.claim_id for r in reports if r.status == claims.STATUS_FAIL}
+        assert {"lemma3.7.grid", "prop3.5.checksum_grid"} <= failing
+
+
+def power_series_with_coefficient(b0):
+    """`jacobian.power_series` with the recurrence's middle multiplier at
+    m = 0 set to `b0` - e - n e, where the true value has b0 = 1."""
+
+    def power_series(d, n):
+        e = d - 1
+        top = n * (e - 1)
+        f = [0] * e + [1]
+        a, b, c = n, b0 - e - n * e, (e - 1) * n + e
+        for m in range(top // 2):
+            f.append((a * f[-1] + b * f[-e] + c * f[-e - 1]) // (m + 1))
+            a, b, c = a + 1, b + 1, c - 1
+        del f[:e]
+        f += reversed(f[:top + 1 - len(f)])
+        return f
+
+    return power_series
+
+
+def test_the_fault_free_recurrence_copy_is_the_recurrence():
+    copy = power_series_with_coefficient(1)
+    for d in claims.GRID_D:
+        for n in range(10):
+            assert copy(d, n) == jacobian.power_series(d, n), (d, n)
+
+
+def test_a_recurrence_fault_fails_verify_and_the_oracle_sweep(monkeypatch, capsys):
+    # the recurrence builds the first storey of every tower, every single
+    # cover's series, the hypersurface columns and the one-pass oracle:
+    # a wrong multiplier fails the literature values it reads and the
+    # Euler-vs-Griffiths comparison, and the oracle sweep sees the tower
+    # step away from the one-pass table above the first storey
+    faulty = power_series_with_coefficient(2)
+    monkeypatch.setattr(jacobian, "power_series", faulty)
+    monkeypatch.setattr(covers, "power_series", faulty)
+    covers.curve_h1.cache_clear()
+    try:
+        reports = claims.run_verification()
+        code = cli.main(["sweep", "--check", "oracle-equivalence",
+                         "--d-max", "6", "--k-max", "3"])
+    finally:
+        covers.curve_h1.cache_clear()
+    assert len(reports) == 65
+    assert claims.exit_code(reports) == 1
+    failing = {r.claim_id for r in reports if r.status == claims.STATUS_FAIL}
+    assert {"euler.matches_griffiths", "cubic4.h22_0"} <= failing
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("check oracle-equivalence: ")
+    assert not out[-1].endswith("12/12 cells pass")
 
 
 def test_a_cover_outside_the_rows_fails_its_claim(monkeypatch):

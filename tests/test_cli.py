@@ -258,8 +258,8 @@ def _no_work_may_start(*_args, **_kwargs):
     [
         (["hodge", "3", "3000"], "jacobian.primitive_hodge_column"),
         (["hodge", str(cli.MAX_D + 1), "2"], "jacobian.primitive_hodge_column"),
-        (["eigenspaces", "3", str(cli.MAX_K + 1)], "covers.eigenspace_dims"),
-        (["eigenspaces", str(cli.MAX_D + 1), "2"], "covers.eigenspace_dims"),
+        (["eigenspaces", "3", str(cli.MAX_K + 1)], "covers.power_series"),
+        (["eigenspaces", str(cli.MAX_D + 1), "2"], "covers.power_series"),
         (["half-twist", "3", "3000"], "covers.qt_decompose"),
         (["half-twist", str(cli.MAX_D + 1), "2", "--tate"], "covers.qt_decompose"),
         (["sweep", "--check", "w-rank", "--d-max", str(cli.SWEEP_MAX_D + 1)],
@@ -299,20 +299,19 @@ def test_inputs_at_the_limits_are_accepted(capsys, monkeypatch):
 def test_a_defect_inside_a_command_exits_1(capsys, monkeypatch):
     # a series one coefficient too long, as from a tower step that kept
     # its trailing zero: a ValueError of the program, not of the input
-    real = jacobian.tower_series
+    real = jacobian.tower_step
 
-    def padded(d, k_max):
-        for series in real(d, k_max):
-            yield series + [0]
+    def padded(series, d):
+        return real(series, d) + [0]
 
-    monkeypatch.setattr(covers, "tower_series", padded)
+    monkeypatch.setattr(covers, "tower_step", padded)
     code, out, err = run_cli(
         capsys, "sweep", "--check", "round-trip", "--d-max", "6", "--k-max", "3"
     )
     assert code == 1
     assert out == ""
     assert err == (
-        "error: ValueError: series of 4 coefficients for (3, 1), expected 3\n"
+        "error: ValueError: series of 5 coefficients for (3, 2), expected 4\n"
     )
 
 
@@ -362,21 +361,20 @@ def test_worker_count_is_clamped():
 
 
 def test_oracle_sweep_fails_on_one_changed_entry(capsys, monkeypatch):
-    # the fault sits on the tower route, the table every sweep reads: a
-    # copy of the (5, 2) series with one conjugate pair of coefficients
-    # one larger, so that the levels above it, stepped from the
-    # generator's own list, stay exact
-    real = covers.tower_series
+    # the fault sits on the tower route, the table every sweep reads: the
+    # step to the (5, 2) series with one conjugate pair of coefficients
+    # one larger; (5, 3) is stepped from the faulty series, so the fault
+    # carries up the row, and every other row stays exact
+    real = covers.tower_step
 
-    def one_pair_off(d, k_max):
-        for k, series in enumerate(real(d, k_max), start=1):
-            if (d, k) == (5, 2):
-                series = series[:]
-                series[4] += 1  # p = 1, residue 3
-                series[5] += 1  # its conjugate: p = 1, residue 2
-            yield series
+    def one_pair_off(series, d):
+        product = real(series, d)
+        if (d, len(product)) == (5, 10):  # the series of (5, 2)
+            product[4] += 1  # p = 1, residue 3
+            product[5] += 1  # its conjugate: p = 1, residue 2
+        return product
 
-    monkeypatch.setattr(covers, "tower_series", one_pair_off)
+    monkeypatch.setattr(covers, "tower_step", one_pair_off)
     code, out, _ = run_cli(
         capsys, "sweep", "--check", "oracle-equivalence", "--d-max", "6", "--k-max", "3"
     )
@@ -384,9 +382,11 @@ def test_oracle_sweep_fails_on_one_changed_entry(capsys, monkeypatch):
     rows = [line.split(None, 3) for line in out.splitlines()[1:-1]]
     assert [row for row in rows if row[2] != "pass"] == [
         ["5", "2", "FAIL",
-         "one-pass table differs: entry (p=1, residue=2): 13 != 12"]
+         "one-pass table differs: entry (p=1, residue=2): 13 != 12"],
+        ["5", "3", "FAIL",
+         "one-pass table differs: entry (p=1, residue=3): 32 != 31"],
     ]
-    assert out.splitlines()[-1] == "check oracle-equivalence: 11/12 cells pass"
+    assert out.splitlines()[-1] == "check oracle-equivalence: 10/12 cells pass"
 
 
 def test_oracle_sweep_fails_on_one_changed_entry_of_the_one_pass_table(

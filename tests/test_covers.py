@@ -1,4 +1,5 @@
 import sys
+import weakref
 from collections import Counter
 from itertools import combinations
 
@@ -213,8 +214,10 @@ def test_qt_owns_the_extremal_index_and_full_level_V():
 )
 def test_qt_rejects_a_table_without_a_top_extremal_piece(monkeypatch, table):
     # d = 3, k = 4 has q = 1, so the highest nonzero piece must be p = 3;
-    # the table is given as residue vectors over p = 0..4
-    monkeypatch.setattr(covers, "eigenspace_dims", lambda d, k: table)
+    # the table is given as residue vectors over p = 0..4, and the spec
+    # reads it as its flat p-major rows
+    rows = [table.get(i, (0,) * 5)[p] for p in range(5) for i in (1, 2)]
+    monkeypatch.setattr(covers, "residue_vectors", lambda series, d, k: rows)
     with pytest.raises(InvariantError, match="extremal p=3"):
         qt_decompose(CoverSpec(3, 4))
 
@@ -413,17 +416,17 @@ def test_euler_matches_griffiths_on_grid():
 
 
 def identity_holds(d, k):
-    total, lower, same = dim_identity_terms(d, k)
+    total, lower, same = dim_identity_terms(CoverSpec(d, k))
     return total == lower + same
 
 
 def test_dim_identity_examples():
     assert primitive_middle_rank(4, 3) == 60
     assert 60 == 3 * 6 + 2 * 21
-    assert dim_identity_terms(4, 2) == (60, 18, 42)
+    assert dim_identity_terms(CoverSpec(4, 2)) == (60, 18, 42)
     assert primitive_middle_rank(3, 5) == 42
     assert 42 == 2 * 10 + 1 * 22
-    assert dim_identity_terms(3, 4) == (42, 20, 22)
+    assert dim_identity_terms(CoverSpec(3, 4)) == (42, 20, 22)
     assert identity_holds(6, 3)
 
 
@@ -636,15 +639,17 @@ def test_ks_invariant_space_rank_preserved_on_grid():
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Counts the eigenspace tables built, by (d, k)."""
+    """Counts the series that specs build by the recurrence, by (d, k):
+    a single cover's, or the first storey of a tower.  Every other spec
+    is a storey that `up` stepped from the one below it."""
     builds = Counter()
-    build = covers.eigenspace_dims
+    build = covers.power_series
 
-    def counted(d, k):
-        builds[(d, k)] += 1
-        return build(d, k)
+    def counted(d, n):
+        builds[(d, n - 1)] += 1
+        return build(d, n)
 
-    monkeypatch.setattr(covers, "eigenspace_dims", counted)
+    monkeypatch.setattr(covers, "power_series", counted)
     return builds
 
 
@@ -694,16 +699,20 @@ def test_half_twist_command_builds_one_table(table_builds, capsys):
 
 
 def test_a_round_trip_sweep_builds_no_table_directly(table_builds):
-    # every row of covers, on a sweep as in the ledger, walks its tower;
-    # only single covers take the direct route
+    # every row of covers, on a sweep as in the ledger, walks its tower:
+    # only its first storey builds its series, as a single cover does,
+    # and every storey above steps from the one below
     cells = sweeps.run_sweep("round-trip", d_max=8, k_max=5, jobs=1)
     assert len(cells) == 6 * 5
     assert all(cell.ok for cell in cells)
-    assert table_builds == {}
+    assert table_builds == {(d, 1): 1 for d in range(3, 9)}
 
 
-def test_a_dim_identity_sweep_computes_each_rank_once(monkeypatch):
-    # the column of (d, k) is read off one series, P^{k+2}
+def test_a_sweep_reads_its_hodge_columns_off_the_tower(monkeypatch):
+    # the Lemma 3.7 terms and the graded checksum read the columns of
+    # levels k - 1, k and k + 1 off the storeys k, k + 1 and k + 2; only
+    # the Euler-vs-Griffiths comparison of dim-identity reads a column
+    # off the recurrence, P^{k+2}, once per cell
     columns = Counter()
     real = jacobian.power_series
 
@@ -712,11 +721,50 @@ def test_a_dim_identity_sweep_computes_each_rank_once(monkeypatch):
         return real(d, n)
 
     monkeypatch.setattr(jacobian, "power_series", counted)
-    jacobian.primitive_hodge_column.cache_clear()
+    cells = sweeps.run_sweep("z-checksum", d_max=8, k_max=6, jobs=1)
+    assert all(cell.ok for cell in cells)
+    assert columns == {}
     cells = sweeps.run_sweep("dim-identity", d_max=8, k_max=6, jobs=1)
     assert all(cell.ok for cell in cells)
-    # k = 1 reads h_1 only; k >= 2 reads h_{k-1}, h_k and h_{k+1}
-    assert columns == {(d, j): 1 for d in range(3, 9) for j in range(1, 8)}
+    assert columns == {(d, k): 1 for d in range(3, 9) for k in range(1, 7)}
+
+
+def test_each_storey_reads_its_branch_column_on_the_sweep_grid():
+    # the two routes to a hypersurface's primitive Hodge numbers, on
+    # every storey of the CLI grid up to the highest one z-checksum
+    # reads: the residue-0 slots of the storey's series, one level below
+    # it, and the same slots of P^{k+1} off the recurrence
+    for d in range(3, cli.SWEEP_MAX_D + 1):
+        for spec in covers.tower(d, cli.SWEEP_MAX_K + 2):
+            column = jacobian.primitive_hodge_column(d, spec.k - 1)
+            assert spec.branch_column == column, (d, spec.k)
+        assert spec.k == cli.SWEEP_MAX_K + 2
+
+
+def test_a_sweep_holds_at_most_three_storeys_of_a_row(monkeypatch):
+    # `up` points only upward, so a storey that the walk has left is
+    # freed: after each z-checksum cell only the cell's storey and the
+    # two above it, which its checksum read, are alive
+    made = []
+    post_init = CoverSpec.__post_init__
+
+    def tracked(self):
+        post_init(self)
+        made.append(weakref.ref(self))
+
+    alive = []
+    check_cover = sweeps.check_cover
+
+    def counted(check, spec):
+        cell = check_cover(check, spec)
+        alive.append(sorted(ref().k for ref in made if ref() is not None))
+        return cell
+
+    monkeypatch.setattr(CoverSpec, "__post_init__", tracked)
+    monkeypatch.setattr(sweeps, "check_cover", counted)
+    cells = sweeps.run_sweep("z-checksum", d_max=6, k_max=5, jobs=1)
+    assert all(cell.ok for cell in cells)
+    assert alive == [[k, k + 1, k + 2] for d in range(3, 7) for k in range(1, 6)]
 
 
 @pytest.mark.parametrize("check", sorted(sweeps.CHECKS))
@@ -760,9 +808,9 @@ def test_a_ks_space_sweep_builds_k_once_per_degree(monkeypatch):
 
 def test_verify_builds_one_table_per_cover(table_builds, monkeypatch, capsys):
     # 55 covers, plus the curve tables of d = 3..9 that build_W tensors
-    # with, each read off its tower series and none built directly: one
-    # walk to k = 8 per degree of the ledger, and one first storey per
-    # degree for its curve
+    # with, each read off its tower series and only the first storeys
+    # built by the recurrence: one walk to k = 8 per degree of the
+    # ledger, and one first storey per degree for its curve
     walks, read_off = Counter(), Counter()
     tower, residue_vectors = covers.tower, covers.residue_vectors
 
@@ -779,18 +827,21 @@ def test_verify_builds_one_table_per_cover(table_builds, monkeypatch, capsys):
     curve_h1.cache_clear()
     assert cli.main(["verify"]) == 0
     capsys.readouterr()
-    assert table_builds == {}
+    # the first storeys, of each degree's row and of its curve
+    assert table_builds == {(d, 1): 2 for d in range(3, 10)}
     assert sum(read_off.values()) == 62
     assert walks == {(d, k_max): 1 for d in range(3, 10) for k_max in (1, 8)}
 
 
 @pytest.mark.parametrize("check", sorted(sweeps.CHECKS))
 def test_a_sweep_of_any_check_builds_no_table_directly(table_builds, check):
-    # the curve tables of w-rank and z-checksum come off towers too; the
-    # oracle's one-pass table is built by `jacobian.eigenspace_dims`, not
-    # through a spec
+    # each row builds the series of its first storey and steps the rest;
+    # the curve tables of w-rank and z-checksum are the first storeys of
+    # towers too, and the oracle's one-pass table is built by
+    # `jacobian.eigenspace_dims`, not through a spec
     curve_h1.cache_clear()
     cells = sweeps.run_sweep(check, d_max=14, k_max=6, jobs=1)
     assert len(cells) == 12 * 6
     assert all(cell.ok for cell in cells)
-    assert table_builds == {}
+    curves = check in ("w-rank", "z-checksum")
+    assert table_builds == {(d, 1): 1 + curves for d in range(3, 15)}

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halftwist import cli, jacobian
+from halftwist import cli, covers, jacobian
 from halftwist.cyclotomic import InvariantError
 from halftwist.jacobian import (
     COVER_VARIABLES,
@@ -144,9 +144,8 @@ def test_power_series_matches_both_other_roads_at_the_cli_limit():
     below = power_series(160, 160)
     top = power_series(160, 161)
     assert top == times_p(below, 160)
-    for tower_top in jacobian.tower_series(160, 160):
-        pass  # the tower ends at k = 160, with P^{k+1}
-    assert top == tower_top
+    *_, tower_top = covers.tower(160, 160)  # k = 160, with P^{k+1}
+    assert top == tower_top.series
 
 
 def test_power_series_bounds():
@@ -213,10 +212,9 @@ def test_one_pass_table_matches_inclusion_exclusion():
 def test_tower_tables_match_the_direct_route_on_the_sweep_grid():
     # the two roads to a table's series, on every cell a sweep may ask for
     for d in range(3, cli.SWEEP_MAX_D + 1):
-        steps = jacobian.tower_series(d, cli.SWEEP_MAX_K)
-        for k, series in enumerate(steps, start=1):
-            assert len(series) == (k + 1) * (d - 2) + 1, (d, k)
-            rows = residue_vectors(series, d, k)
+        for k, spec in enumerate(covers.tower(d, cli.SWEEP_MAX_K), start=1):
+            assert len(spec.series) == (k + 1) * (d - 2) + 1, (d, k)
+            rows = residue_vectors(spec.series, d, k)
             vectors = {i: rows[i - 1::d - 1] for i in range(1, d)}
             assert vectors == eigenspace_dims(d, k), (d, k)
         assert k == cli.SWEEP_MAX_K
@@ -227,10 +225,10 @@ def test_each_tower_step_is_one_multiplication_by_p_on_the_sweep_grid():
     # full windowed sum checks every coefficient, the mirrored ones too
     for d in range(3, cli.SWEEP_MAX_D + 1):
         below = times_p([1], d)  # P itself, the series at k = 0
-        for k, series in enumerate(jacobian.tower_series(d, cli.SWEEP_MAX_K), start=1):
+        for k in range(1, cli.SWEEP_MAX_K + 1):
+            series = jacobian.tower_step(below, d)
             assert series == times_p(below, d), (d, k)
             below = series
-        assert k == cli.SWEEP_MAX_K
 
 
 def test_eigenspace_conjugation_symmetry():

@@ -59,13 +59,15 @@ def test_importing_the_cli_fills_no_cache():
     script = (
         "import halftwist.cli\n"
         "from halftwist import covers, cyclotomic, hodge, jacobian\n"
-        "caches = (cyclotomic.make_cyclotomic, covers.curve_h1,\n"
-        "          hodge.k_minus_half, jacobian.primitive_hodge_column)\n"
+        "caches = (cyclotomic.make_cyclotomic, covers.curve_h1, hodge.k_minus_half)\n"
         "print(*(f.cache_info().currsize for f in caches))\n"
+        "print(hasattr(jacobian.primitive_hodge_column, 'cache_info'))\n"
     )
     proc = run_script(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0", "0", "0"]
+    # the hypersurface columns are not cached: a row of covers reads
+    # them off its tower, and a single hypersurface's is read once
+    assert proc.stdout.split() == ["0", "0", "0", "False"]
 
 
 def imported_top_level_names(path):
@@ -167,30 +169,42 @@ def package_callers(name):
 def test_a_cover_table_is_read_only_through_its_spec():
     # every row of covers, the ledger's as well as a sweep's and the
     # Fermat curve's, comes off `covers.tower`, and no module reads a
-    # table around a spec; a tower's series reaches production only
-    # inside the specs that `covers.tower` makes, and the sweep oracle
-    # builds the one-pass table of the cover it checks
+    # table or a branch column around a spec; a tower step is taken only
+    # by a spec making the storey above it, and the sweep oracle builds
+    # the one-pass table of the cover it checks
     assert callers(PACKAGE / "claims.py", "CoverSpec") == set()
     assert package_callers("tower") == {
         ("claims", "_tower_rows.spec"),
         ("covers", "curve_h1"),
         ("sweeps", "_run_row"),
     }
-    assert package_callers("eigenspace_dims") == {
-        ("covers", "CoverSpec.cohomology"),
-        ("sweeps", "_oracle_equivalence"),
-    }
-    assert package_callers("tower_series") == {("covers", "tower")}
+    assert package_callers("eigenspace_dims") == {("sweeps", "_oracle_equivalence")}
+    assert package_callers("tower_step") == {("covers", "CoverSpec.up")}
     assert package_callers("residue_vectors") == {
         ("covers", "CoverSpec.cohomology"),
         ("jacobian", "eigenspace_dims"),
     }
+    assert package_callers("residue_zero_column") == {
+        ("covers", "CoverSpec.branch_column"),
+        ("jacobian", "primitive_hodge_column"),
+    }
+
+
+def test_the_tower_identities_read_their_columns_off_the_tower():
+    # Lemma 3.7 and the graded checksum read the branch columns of the
+    # storeys they link, never a column off the recurrence
+    for function in ("z_decomposition", "dim_identity_terms"):
+        calls = calls_in(PACKAGE / "covers.py", function)
+        for name in ("power_series", "primitive_hodge_column", "primitive_middle_rank"):
+            assert calls[name] == 0, (function, name)
 
 
 def test_the_hodge_column_counts_no_monomial_one_at_a_time():
-    # the direct table and the hypersurface column are both read off one
-    # recurrence series; the per-entry sum is the tests' oracle
+    # a single cover's series, the one-pass table and the hypersurface
+    # column are each read off one recurrence series; the per-entry sum
+    # is the tests' oracle
     assert package_callers("power_series") == {
+        ("covers", "CoverSpec.__post_init__"),
         ("jacobian", "eigenspace_dims"),
         ("jacobian", "primitive_hodge_column"),
     }
@@ -229,7 +243,7 @@ def test_the_sweep_oracle_stays_off_the_production_route():
     oracle = calls_in(PACKAGE / "sweeps.py", "_oracle_equivalence")
     assert oracle["eigenspace_dims"] == 1
     assert oracle["require_equal"] == 1
-    for name in ("tower_series", "residue_vectors", "accumulate"):
+    for name in ("tower_step", "residue_vectors", "accumulate"):
         assert oracle[name] == 0, name
     node = function_node(PACKAGE / "sweeps.py", "_oracle_equivalence")
     attributes = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
