@@ -13,8 +13,8 @@ ValueError, as `<name> fails at (d=..., k=...): <detail>`, or an
 sweep-backed claim runs a registered sweep check on every cell
 (`sweeps.check_cover`) and is named by it, so the ledger and the sweeps
 share one definition of each property.  `euler.matches_griffiths`
-names one part of the `dim-identity` cell, so it runs that part alone,
-`covers.middle_rank_both_routes`, and a Lemma 3.7 fault cannot fail it.
+runs one part of the `dim-identity` cell, `covers.middle_rank_both_routes`,
+alone and on the recurrence's rank, where the cell reads the tower's.
 
 One ledger run holds one `CoverSpec` per cover and one cell per
 (check, d, k): `all_claims` keys its covers by (d, k) off the towers
@@ -433,7 +433,8 @@ def all_claims() -> tuple[Claim, ...]:
               lambda: _sweep_holds(cell, "z-checksum", product(GRID_D, GRID_K))),
         Claim("euler.matches_griffiths", "3.7", "dims", "derived", True,
               lambda: _holds("middle rank", product(GRID_D, range(0, 8)),
-                             covers.middle_rank_both_routes)),
+                             lambda d, k: covers.middle_rank_both_routes(
+                                 d, k, jacobian.primitive_middle_rank(d, k)))),
         # --- Kuga-Satake dimension space
         Claim("ks.cubic4_table", "5.2", "ks", "paper", True,
               lambda: _sweep_holds(cell, "ks-space", [(3, 4)])),

@@ -38,14 +38,14 @@ from .covers import CoverSpec
 # takes about 1 s or less.  The cost of a cover grows fast with d and k
 # together, and of a sweep with its grid.  Whole-process medians of 7
 # interleaved runs on a 2-core machine (Python 3.11, no bytecode cache),
-# where `python3 -c pass` takes 0.054 s and importing the CLI 0.10 s:
-# `hodge 160 160` takes 0.13 s and `half-twist 160 160 --tate` 0.12 s,
+# where `python3 -c pass` takes 0.038 s and importing the CLI 0.079 s:
+# `hodge 160 160` takes 0.093 s and `half-twist 160 160 --tate` 0.095 s,
 # each reading one series P^n off its recurrence, and `eigenspaces
-# 160 160` 0.19 s.  At the grid limit, --d-max 75 --k-max 40 with
+# 160 160` 0.16 s.  At the grid limit, --d-max 75 --k-max 40 with
 # --jobs 1, sweeps walk each degree's tower of covers: `z-checksum`
-# takes 1.17 s, `oracle-equivalence` 1.09 s, `w-rank` 1.04 s,
-# `dim-identity` 0.89 s, `ks-space` 0.80 s, `round-trip` 0.74 s,
-# `cmtype-search` 0.42 s and `monotonicity` 0.37 s.
+# takes 0.96 s, `oracle-equivalence` 0.84 s, `w-rank` 0.83 s,
+# `round-trip` 0.64 s, `ks-space` 0.59 s, `cmtype-search` 0.32 s,
+# `monotonicity` 0.28 s and `dim-identity` 0.25 s.
 MAX_D = MAX_K = 160
 SWEEP_MAX_D, SWEEP_MAX_K = 75, 40
 # The (lowest, highest) value of each numeric argument, per command; None

@@ -29,11 +29,11 @@ first use and at most once: the eigenspace table (`spec.cohomology`,
 one flat p-major list over the residues 1..d-1, which every predicate
 and structure here reads, `primitive_V` too), the branch column
 (`spec.branch_column`, the primitive Hodge numbers of the branch locus,
-which `dim_identity_terms` and `z_decomposition` read) and the next
+which the identities that link neighbouring storeys read) and the next
 storey (`spec.up`).  A row of covers (a sweep, the ledger, `curve_h1`)
-comes off `tower`, which walks `up`, so the identities that link
-neighbouring storeys read their columns off the walk that gives their
-tables; a single cover builds its series by `jacobian.power_series`.
+comes off `tower`, which steps up from P and walks `up`, so its tables
+and columns never read the recurrence that a single cover's series,
+`jacobian.power_series`, comes from: each road checks the other.
 The (q, t) normal form is cached on the spec too (`qt_decompose` reads
 `spec.normal_form`), so its check runs once per spec.  These caches
 live and die with their spec, and `up` points only upward, so no
@@ -69,9 +69,9 @@ from .hodge import (
 )
 from .jacobian import (
     UnsupportedCaseError,
+    eigenspace_dims,
     power_series,
     primitive_hodge_column,
-    primitive_middle_rank,
     residue_vectors,
     residue_zero_column,
     tower_step,
@@ -152,11 +152,13 @@ class CoverSpec:
 
 def tower(d: int, k_max: int) -> Iterator[CoverSpec]:
     """The specs (d, k) for k = 1..k_max, the covers of one degree in
-    the order of their tower, each the `up` of the one before: the one
-    road for a row of covers.  The walk holds only the storey it is at."""
-    spec = None
-    for _ in range(k_max):
-        spec = CoverSpec(d, 1) if spec is None else spec.up
+    the order of their tower: the one road for a row of covers.  The
+    first is one step up from P, the series at k = 0, and each other the
+    `up` of the one before, so no storey reads `power_series`.  The walk
+    keeps the storey it is at, and with it any storey above that was
+    read; no storey keeps the one below it."""
+    for k in range(k_max):
+        spec = spec.up if k else CoverSpec(d, 1, tower_step([1] * (d - 1), d))
         yield spec
 
 
@@ -213,6 +215,12 @@ def curve_h1(d: int) -> CMHodgeStructure:
     """H^1 of the degree-d Fermat curve, the first storey of its tower
     (no hard-coded values); built once per degree."""
     return next(tower(d, 1)).cohomology
+
+
+def one_pass_cohomology(spec: CoverSpec) -> CMHodgeStructure:
+    """The table of `spec` in one pass by `jacobian.eigenspace_dims`,
+    apart from its series: what `oracle-equivalence` holds it to."""
+    return CMHodgeStructure(spec.field, spec.k, eigenspace_dims(spec.d, spec.k))
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +318,12 @@ def euler_recursion_rank(d: int, k: int) -> int:
     return ((d - 1) ** (k + 2) + (-1) ** k * (d - 1)) // d
 
 
-def middle_rank_both_routes(d: int, k: int) -> int:
-    """The primitive middle rank h_k, once by the Euler recursion and once
-    from the Jacobian-ring counts: the one comparison of the two routes,
-    which the dim-identity sweep check and the ledger both read.  A
-    ValueError names both ranks when they differ."""
+def middle_rank_both_routes(d: int, k: int, griffiths: int) -> int:
+    """The primitive middle rank h_k by the Euler recursion, checked
+    against `griffiths`, the rank from the Jacobian-ring counts: off the
+    tower in the dim-identity check, off the recurrence in the ledger's
+    `euler.matches_griffiths`.  A ValueError names both when they differ."""
     euler = euler_recursion_rank(d, k)
-    griffiths = primitive_middle_rank(d, k)
     if euler != griffiths:
         raise ValueError(f"euler {euler} != griffiths {griffiths}")
     return euler

@@ -185,10 +185,7 @@ def tower_step(series: list[int], d: int) -> list[int]:
     P = (1 - t^{d-1}) / (1 - t), in one pass: the series minus its copy
     shifted by d - 1, then one prefix sum.  The product is a palindrome,
     as in `power_series`, so the pass is cut after the lower half and
-    the upper half mirrors it.  A fault in the lower half therefore
-    shows only against the other road (`oracle-equivalence`), in the
-    values `verify` recomputes, or against tier-1's windowed sum, never
-    as an asymmetry.  The mirror holds the same int objects at conjugate
+    the upper half mirrors it, holding the same int objects at conjugate
     positions, so comparing a table with its reversal is mostly identity
     checks.  `series` is only read, and the product is a new list."""
     zeros = [0] * (d - 1)
@@ -213,14 +210,10 @@ def residue_vectors(series: list[int], d: int, k: int) -> list[int]:
     The padded series is read forwards, which is the same: P^{k+1} is a
     palindrome, so the padded series, of (k + 1)d - 1 entries, is one
     too, and the deleted indices d - 1, 2d - 1, ... are placed
-    symmetrically in it.  Both roads mirror the lower half of their
-    series, so a fault in that half still gives a palindrome and a
-    symmetric table: the `oracle-equivalence` sweep and tier-1 catch it
-    by comparing the roads and their oracles.  The structure's
-    constructor checks conjugation symmetry, and so rejects a fault
-    here, after the series: a deletion pattern that is not symmetric in
-    the padded series, such as every d-th entry from index d, breaks
-    symmetry on every cover."""
+    symmetrically in it.  The structure's constructor checks
+    conjugation symmetry, and so rejects a fault here, after the series:
+    a deletion pattern that is not symmetric in the padded series, such
+    as every d-th entry from index d, breaks symmetry on every cover."""
     # the padded series has (k+1)d - 1 entries, coefficient m at index m + k
     padded = [0] * k + series + [0] * k
     del padded[d - 1::d]

@@ -14,7 +14,7 @@ ValueError, whose message is the failing cell's detail; a broken
 package invariant (`InvariantError`) fails its cell as well, and the
 rest of the grid still runs.  Every check asserts what it reports:
 `oracle-equivalence` checks the one-pass road of
-`jacobian.eigenspace_dims` against the tower-route table that the other
+`covers.one_pass_cohomology` against the tower-route table that the other
 checks read, so a fault on either road fails it and the cell names the
 first differing entry, and `cmtype-search` fails a cell with an
 optimality gap, where some CM-type does better than the fixed one.
@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from . import covers, hodge, jacobian
+from . import covers, hodge
 from .covers import CoverSpec
 from .cyclotomic import InvariantError
 
@@ -45,14 +45,14 @@ def _oracle_equivalence(spec: CoverSpec) -> str:
     # against the one-pass table of the same cover: a faulty one-pass
     # table fails its constructor at its first negative or asymmetric
     # entry, and any other difference shows as the first differing entry
-    d, k = spec.d, spec.k
-    oracle = hodge.CMHodgeStructure(spec.field, k, jacobian.eigenspace_dims(d, k))
+    oracle = covers.one_pass_cohomology(spec)
     hodge.require_equal(spec.cohomology, oracle, "one-pass table differs")
-    return f"{(k + 1) * (d - 1)} entries agree"
+    return f"{(spec.k + 1) * (spec.d - 1)} entries agree"
 
 
 def _dim_identity(spec: CoverSpec) -> str:
-    covers.middle_rank_both_routes(spec.d, spec.k)
+    # h_k by the Euler recursion against the branch column one storey up
+    covers.middle_rank_both_routes(spec.d, spec.k, sum(spec.up.branch_column))
     if spec.k < 2:
         return "euler=griffiths (identity needs k>=2)"
     total, lower, same = covers.dim_identity_terms(spec)

@@ -355,8 +355,12 @@ def test_a_tower_fault_fails_verify_claim_by_claim(monkeypatch, capsys, bump, mi
     # fault there fails the claims that read it; every claim still
     # reports, and the whole table is printed
     monkeypatch.setattr(covers, "tower_step", tower_step_with(bump, mirror))
-    reports = claims.run_verification()
-    code = cli.main(["verify"])
+    covers.curve_h1.cache_clear()
+    try:
+        reports = claims.run_verification()
+        code = cli.main(["verify"])
+    finally:
+        covers.curve_h1.cache_clear()
     assert len(reports) == 65
     assert claims.exit_code(reports) == 1
     failures = sum(r.status == claims.STATUS_FAIL for r in reports)
@@ -399,21 +403,17 @@ def test_the_fault_free_recurrence_copy_is_the_recurrence():
 
 
 def test_a_recurrence_fault_fails_verify_and_the_oracle_sweep(monkeypatch, capsys):
-    # the recurrence builds the first storey of every tower, every single
-    # cover's series, the hypersurface columns and the one-pass oracle:
-    # a wrong multiplier fails the literature values it reads and the
+    # the recurrence builds every single cover's series, the hypersurface
+    # columns and the one-pass oracle, and no storey of a tower: a wrong
+    # multiplier fails the literature values it reads and the
     # Euler-vs-Griffiths comparison, and the oracle sweep sees the tower
-    # step away from the one-pass table above the first storey
+    # away from the one-pass table
     faulty = power_series_with_coefficient(2)
     monkeypatch.setattr(jacobian, "power_series", faulty)
     monkeypatch.setattr(covers, "power_series", faulty)
-    covers.curve_h1.cache_clear()
-    try:
-        reports = claims.run_verification()
-        code = cli.main(["sweep", "--check", "oracle-equivalence",
-                         "--d-max", "6", "--k-max", "3"])
-    finally:
-        covers.curve_h1.cache_clear()
+    reports = claims.run_verification()
+    code = cli.main(["sweep", "--check", "oracle-equivalence",
+                     "--d-max", "6", "--k-max", "3"])
     assert len(reports) == 65
     assert claims.exit_code(reports) == 1
     failing = {r.claim_id for r in reports if r.status == claims.STATUS_FAIL}

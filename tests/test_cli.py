@@ -311,7 +311,7 @@ def test_a_defect_inside_a_command_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == (
-        "error: ValueError: series of 5 coefficients for (3, 2), expected 4\n"
+        "error: ValueError: series of 4 coefficients for (3, 1), expected 3\n"
     )
 
 
@@ -404,7 +404,7 @@ def test_oracle_sweep_fails_on_one_changed_entry_of_the_one_pass_table(
             vectors[3][1] += 1  # its conjugate: p = 1, residue 3
         return vectors
 
-    monkeypatch.setattr(jacobian, "eigenspace_dims", one_pair_off)
+    monkeypatch.setattr(covers, "eigenspace_dims", one_pair_off)
     code, out, _ = run_cli(
         capsys, "sweep", "--check", "oracle-equivalence", "--d-max", "6", "--k-max", "3"
     )
@@ -431,7 +431,7 @@ def test_oracle_sweep_fails_on_one_changed_entry_without_its_conjugate(
             vectors[2][1] += 1  # p = 1, residue 2
         return vectors
 
-    monkeypatch.setattr(jacobian, "eigenspace_dims", one_entry_off)
+    monkeypatch.setattr(covers, "eigenspace_dims", one_entry_off)
     code, out, _ = run_cli(
         capsys, "sweep", "--check", "oracle-equivalence", "--d-max", "6", "--k-max", "3"
     )
@@ -460,7 +460,7 @@ def test_a_negative_oracle_count_names_its_entry(monkeypatch):
         rows = jacobian.residue_vectors(series, d, k)
         return {i: rows[i - 1::d - 1] for i in range(1, d)}
 
-    monkeypatch.setattr(jacobian, "eigenspace_dims", flipped)
+    monkeypatch.setattr(covers, "eigenspace_dims", flipped)
     cells = run_sweep("oracle-equivalence", 12, 8, jobs=1)
     failing = [cell.detail for cell in cells if not cell.ok]
     assert failing

@@ -640,8 +640,8 @@ def test_ks_invariant_space_rank_preserved_on_grid():
 @pytest.fixture
 def table_builds(monkeypatch):
     """Counts the series that specs build by the recurrence, by (d, k):
-    a single cover's, or the first storey of a tower.  Every other spec
-    is a storey that `up` stepped from the one below it."""
+    a single cover's.  A storey of a tower is stepped from the one below
+    it, the first from P."""
     builds = Counter()
     build = covers.power_series
 
@@ -699,20 +699,18 @@ def test_half_twist_command_builds_one_table(table_builds, capsys):
 
 
 def test_a_round_trip_sweep_builds_no_table_directly(table_builds):
-    # every row of covers, on a sweep as in the ledger, walks its tower:
-    # only its first storey builds its series, as a single cover does,
-    # and every storey above steps from the one below
+    # every row of covers, on a sweep as in the ledger, walks its tower;
+    # only single covers take the direct route
     cells = sweeps.run_sweep("round-trip", d_max=8, k_max=5, jobs=1)
     assert len(cells) == 6 * 5
     assert all(cell.ok for cell in cells)
-    assert table_builds == {(d, 1): 1 for d in range(3, 9)}
+    assert table_builds == {}
 
 
 def test_a_sweep_reads_its_hodge_columns_off_the_tower(monkeypatch):
-    # the Lemma 3.7 terms and the graded checksum read the columns of
-    # levels k - 1, k and k + 1 off the storeys k, k + 1 and k + 2; only
-    # the Euler-vs-Griffiths comparison of dim-identity reads a column
-    # off the recurrence, P^{k+2}, once per cell
+    # the Lemma 3.7 terms, the Euler-vs-Griffiths comparison and the
+    # graded checksum read the columns of levels k - 1, k and k + 1 off
+    # the storeys k, k + 1 and k + 2, and no column off the recurrence
     columns = Counter()
     real = jacobian.power_series
 
@@ -726,7 +724,7 @@ def test_a_sweep_reads_its_hodge_columns_off_the_tower(monkeypatch):
     assert columns == {}
     cells = sweeps.run_sweep("dim-identity", d_max=8, k_max=6, jobs=1)
     assert all(cell.ok for cell in cells)
-    assert columns == {(d, k): 1 for d in range(3, 9) for k in range(1, 7)}
+    assert columns == {}
 
 
 def test_each_storey_reads_its_branch_column_on_the_sweep_grid():
@@ -808,9 +806,9 @@ def test_a_ks_space_sweep_builds_k_once_per_degree(monkeypatch):
 
 def test_verify_builds_one_table_per_cover(table_builds, monkeypatch, capsys):
     # 55 covers, plus the curve tables of d = 3..9 that build_W tensors
-    # with, each read off its tower series and only the first storeys
-    # built by the recurrence: one walk to k = 8 per degree of the
-    # ledger, and one first storey per degree for its curve
+    # with, each read off its tower series and none built directly: one
+    # walk to k = 8 per degree of the ledger, and one first storey per
+    # degree for its curve
     walks, read_off = Counter(), Counter()
     tower, residue_vectors = covers.tower, covers.residue_vectors
 
@@ -827,21 +825,18 @@ def test_verify_builds_one_table_per_cover(table_builds, monkeypatch, capsys):
     curve_h1.cache_clear()
     assert cli.main(["verify"]) == 0
     capsys.readouterr()
-    # the first storeys, of each degree's row and of its curve
-    assert table_builds == {(d, 1): 2 for d in range(3, 10)}
+    assert table_builds == {}
     assert sum(read_off.values()) == 62
     assert walks == {(d, k_max): 1 for d in range(3, 10) for k_max in (1, 8)}
 
 
 @pytest.mark.parametrize("check", sorted(sweeps.CHECKS))
 def test_a_sweep_of_any_check_builds_no_table_directly(table_builds, check):
-    # each row builds the series of its first storey and steps the rest;
-    # the curve tables of w-rank and z-checksum are the first storeys of
-    # towers too, and the oracle's one-pass table is built by
-    # `jacobian.eigenspace_dims`, not through a spec
+    # the curve tables of w-rank and z-checksum come off towers too; the
+    # oracle's one-pass table is built by `jacobian.eigenspace_dims`, not
+    # through a spec
     curve_h1.cache_clear()
     cells = sweeps.run_sweep(check, d_max=14, k_max=6, jobs=1)
     assert len(cells) == 12 * 6
     assert all(cell.ok for cell in cells)
-    curves = check in ("w-rank", "z-checksum")
-    assert table_builds == {(d, 1): 1 + curves for d in range(3, 15)}
+    assert table_builds == {}

@@ -170,16 +170,21 @@ def test_a_cover_table_is_read_only_through_its_spec():
     # every row of covers, the ledger's as well as a sweep's and the
     # Fermat curve's, comes off `covers.tower`, and no module reads a
     # table or a branch column around a spec; a tower step is taken only
-    # by a spec making the storey above it, and the sweep oracle builds
-    # the one-pass table of the cover it checks
+    # by a spec making the storey above it or by a walk making its first
+    # storey, and the sweep oracle builds the one-pass table of the cover
+    # it checks
     assert callers(PACKAGE / "claims.py", "CoverSpec") == set()
     assert package_callers("tower") == {
         ("claims", "_tower_rows.spec"),
         ("covers", "curve_h1"),
         ("sweeps", "_run_row"),
     }
-    assert package_callers("eigenspace_dims") == {("sweeps", "_oracle_equivalence")}
-    assert package_callers("tower_step") == {("covers", "CoverSpec.up")}
+    assert package_callers("eigenspace_dims") == {("covers", "one_pass_cohomology")}
+    assert package_callers("one_pass_cohomology") == {("sweeps", "_oracle_equivalence")}
+    assert package_callers("tower_step") == {
+        ("covers", "CoverSpec.up"),
+        ("covers", "tower"),
+    }
     assert package_callers("residue_vectors") == {
         ("covers", "CoverSpec.cohomology"),
         ("jacobian", "eigenspace_dims"),
@@ -241,13 +246,17 @@ def test_the_sweep_oracle_stays_off_the_production_route():
     # oracle builds the same cover's table by the one-pass road and
     # compares the two, touching neither the series nor the tower step
     oracle = calls_in(PACKAGE / "sweeps.py", "_oracle_equivalence")
-    assert oracle["eigenspace_dims"] == 1
+    assert oracle["one_pass_cohomology"] == 1
     assert oracle["require_equal"] == 1
+    table = calls_in(PACKAGE / "covers.py", "one_pass_cohomology")
+    assert table["eigenspace_dims"] == 1
     for name in ("tower_step", "residue_vectors", "accumulate"):
-        assert oracle[name] == 0, name
-    node = function_node(PACKAGE / "sweeps.py", "_oracle_equivalence")
-    attributes = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-    assert "series" not in attributes
+        assert oracle[name] == table[name] == 0, name
+    for path, function in (("sweeps.py", "_oracle_equivalence"),
+                           ("covers.py", "one_pass_cohomology")):
+        node = function_node(PACKAGE / path, function)
+        attributes = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert "series" not in attributes, function
 
 
 def test_a_structure_is_built_from_its_vectors_only():
