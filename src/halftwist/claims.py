@@ -16,12 +16,12 @@ share one definition of each property.  `euler.matches_griffiths`
 runs one part of the `dim-identity` cell, `covers.middle_rank_both_routes`,
 alone and on the recurrence's rank, where the cell reads the tower's.
 
-One ledger run holds one `CoverSpec` per cover and one cell per
-(check, d, k): `all_claims` keys its covers by (d, k) off the towers
-that the sweeps walk (`_tower_rows`), each walked once, on first read,
-and makes a memo of cells over them.  So a fault on the tower route
-fails the claims that read it, and two claims over overlapping grids
-run each shared cell once.
+One ledger run holds one `CoverSpec` per cover, its one memo:
+`all_claims` keys its covers by (d, k) off the towers that the sweeps
+walk (`_tower_rows`), each walked once, on first read.  So a fault on
+the tower route fails the claims that read it, and what a cover caches,
+its Tate ladder too, is computed once per run.  No two grid claims
+share a cell, so no claim-level memo of cells is needed.
 
 Two claim families are pre-registered as known discrepancies: the
 stated closed form of the existence criterion for odd degree, and the
@@ -60,10 +60,8 @@ STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_KNOWN = "discrepancy-known"
 
-# The run's covers, (d, k) -> CoverSpec (`_tower_rows`), and its sweep cells,
-# (check, d, k), whose call raises a failing cell's detail (`_cell_memo`).
+# The run's covers, (d, k) -> CoverSpec (`_tower_rows`).
 Specs = Callable[[int, int], CoverSpec]
-Cells = Callable[[str, int, int], None]
 
 
 @dataclass(frozen=True)
@@ -219,24 +217,6 @@ def _tower_rows(degrees: range, height: int) -> Specs:
     return spec
 
 
-def _cell_memo(spec: Specs) -> Cells:
-    """The run's memo of sweep cells, each run once on the cover from
-    `spec`; reading a failing cell raises its detail as a ValueError.  A
-    cell is keyed by its check's registered function, not its name, so a
-    check swapped in `sweeps.CHECKS` runs afresh and never hands back a
-    cell of the function it replaced."""
-    memo: dict[tuple, sweeps.SweepCell] = {}
-
-    def cell(check: str, d: int, k: int) -> None:
-        key = (sweeps.CHECKS.get(check), d, k)
-        if key not in memo:
-            memo[key] = sweeps.check_cover(check, spec(d, k))
-        if not memo[key].ok:
-            raise ValueError(memo[key].detail)
-
-    return cell
-
-
 def _holds(
     name: str, grid: Iterable[tuple[int, int]], check: Callable[[int, int], object]
 ) -> bool:
@@ -261,20 +241,27 @@ def _holds(
     return True
 
 
-def _sweep_holds(cell: Cells, check: str, grid: Iterable[tuple[int, int]]) -> bool:
-    """`_holds` for a registered sweep check, named by the check."""
-    return _holds(check, grid, partial(cell, check))
+def _sweep_holds(spec: Specs, check: str, grid: Iterable[tuple[int, int]]) -> bool:
+    """`_holds` for a registered sweep check on the run's covers, named
+    by the check: a failing cell raises its detail."""
+
+    def cell(d: int, k: int) -> None:
+        ran = sweeps.check_cover(check, spec(d, k))
+        if not ran.ok:
+            raise ValueError(ran.detail)
+
+    return _holds(check, grid, cell)
 
 
-def _tate_commutes_on_grid(spec: Specs, cell: Cells) -> bool:
-    # the round-trip check compares twist and Tate twist wherever both
-    # composites are defined; the count includes m = 0, where the two
-    # agree by construction, so the claim needs a cell with a second
-    # count, a comparison at some m >= 1
-    grid = list(product(GRID_D, GRID_K))
-    _sweep_holds(cell, "round-trip", grid)
-    ladders = (hodge.tate_ladder(covers.primitive_V(spec(d, k))) for d, k in grid)
-    if not any(hodge.ladder_commutations(ladder) >= 2 for ladder in ladders):
+def _tate_commutes_on_grid(spec: Specs) -> bool:
+    # on each cover's ladder, the count a round-trip cell reports compares
+    # twist and Tate twist wherever both composites are defined; it
+    # includes m = 0, where the two agree by construction, so the claim
+    # needs a cell with a second count, a comparison at some m >= 1
+    counts = []
+    _holds("tate commutation", product(GRID_D, GRID_K),
+           lambda d, k: counts.append(hodge.ladder_commutations(spec(d, k).ladder)))
+    if max(counts) < 2:
         raise ValueError("no cell of the grid compares a Tate commutation at m >= 1")
     return True
 
@@ -322,7 +309,6 @@ def _covermap_mutations():
 
 def all_claims() -> tuple[Claim, ...]:
     spec = _tower_rows(GRID_D, max(GRID_K[-1], ROUND_TRIP_K[-1]))
-    cell = _cell_memo(spec)
     K4 = make_cyclotomic(4)
     K3 = make_cyclotomic(3)
     kondo = partial(spec, 4, 2)
@@ -428,27 +414,27 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("lemma3.7.cubic4", "3.7", "dims", "paper", [42, [20, 22]],
               lambda: _lemma37_example(spec, 3, 4)),
         Claim("lemma3.7.grid", "3.7", "dims", "derived", True,
-              lambda: _sweep_holds(cell, "dim-identity", product(GRID_D, range(2, 8)))),
+              lambda: _sweep_holds(spec, "dim-identity", product(GRID_D, range(2, 8)))),
         Claim("prop3.5.checksum_grid", "3.5", "dims", "derived", True,
-              lambda: _sweep_holds(cell, "z-checksum", product(GRID_D, GRID_K))),
+              lambda: _sweep_holds(spec, "z-checksum", product(GRID_D, GRID_K))),
         Claim("euler.matches_griffiths", "3.7", "dims", "derived", True,
               lambda: _holds("middle rank", product(GRID_D, range(0, 8)),
                              lambda d, k: covers.middle_rank_both_routes(
                                  d, k, jacobian.primitive_middle_rank(d, k)))),
         # --- Kuga-Satake dimension space
         Claim("ks.cubic4_table", "5.2", "ks", "paper", True,
-              lambda: _sweep_holds(cell, "ks-space", [(3, 4)])),
+              lambda: _sweep_holds(spec, "ks-space", [(3, 4)])),
         Claim("ks.kondo_table", "5.2", "ks", "paper", True,
-              lambda: _sweep_holds(cell, "ks-space", [(4, 2)])),
+              lambda: _sweep_holds(spec, "ks-space", [(4, 2)])),
         Claim("ks.elliptic_curve_d3", "5.2", "ks", "paper", [2, 1],
               lambda: [hodge.k_minus_half(K3).rank,
                        hodge.abelian_summary(hodge.k_minus_half(K3)).dim_abelian]),
         # --- twist algebra
         Claim("twists.roundtrip_grid", "7.2", "twists", "paper", True,
               lambda: _sweep_holds(
-                  cell, "round-trip", product(ROUND_TRIP_D, ROUND_TRIP_K))),
+                  spec, "round-trip", product(ROUND_TRIP_D, ROUND_TRIP_K))),
         Claim("twists.tate_commutation", "1.4", "twists", "paper", True,
-              lambda: _tate_commutes_on_grid(spec, cell)),
+              lambda: _tate_commutes_on_grid(spec)),
         Claim("twists.k_minus_half_d4", "1.4", "twists", "trivial", [2, 1],
               lambda: [hodge.k_minus_half(K4).rank,
                        hodge.k_minus_half(K4).entry(1, 1)]),
@@ -502,6 +488,6 @@ def all_claims() -> tuple[Claim, ...]:
         Claim("cor2.7.no_cmtype_helps_d7k2", "4.5", "cor2.7", "derived",
               False, lambda: covers.half_twist_any_cmtype(spec(7, 2))),
         Claim("cmtype.optimality_grid", "2.1", "cor2.7", "derived", True,
-              lambda: _sweep_holds(cell, "cmtype-search", product(GRID_D, GRID_K))),
+              lambda: _sweep_holds(spec, "cmtype-search", product(GRID_D, GRID_K))),
     ]
     return tuple(claims)

@@ -27,15 +27,16 @@ ranks too.
 A `CoverSpec` owns its Hodge data, all read off its one series, on
 first use and at most once: the eigenspace table (`spec.cohomology`,
 one flat p-major list over the residues 1..d-1, which every predicate
-and structure here reads, `primitive_V` too), the branch column
-(`spec.branch_column`, the primitive Hodge numbers of the branch locus,
-which the identities that link neighbouring storeys read) and the next
-storey (`spec.up`).  A row of covers (a sweep, the ledger, `curve_h1`)
-comes off `tower`, which steps up from P and walks `up`, so its tables
-and columns never read the recurrence that a single cover's series,
-`jacobian.power_series`, comes from: each road checks the other.
-The (q, t) normal form is cached on the spec too (`qt_decompose` reads
-`spec.normal_form`), so its check runs once per spec.  These caches
+and structure here reads, `primitive_V` too), V's Tate ladder
+(`spec.ladder`, which the round-trip check and the commutation claim
+read), the branch column (`spec.branch_column`, the primitive Hodge
+numbers of the branch locus, which the identities that link
+neighbouring storeys read) and the next storey (`spec.up`).  A row of
+covers (a sweep, the ledger, `curve_h1`) comes off `tower`, which steps
+up from P and walks `up`, so its tables and columns never read the
+recurrence that a single cover's series, `jacobian.power_series`, comes
+from: each road checks the other.  The (q, t) normal form is cached on
+the spec too (`qt_decompose` reads `spec.normal_form`).  These caches
 live and die with their spec, and `up` points only upward, so no
 storey keeps the one below it alive.  Three caches outlive a spec, all
 small and filled on first use, none at import: `curve_h1`, the
@@ -56,12 +57,14 @@ from typing import Iterator, Optional
 from .cyclotomic import CyclotomicData, InvariantError, make_cyclotomic
 from .hodge import (
     CMHodgeStructure,
+    Rung,
     abelian_summary,
     collapse_residues,
     direct_sum,
     k_minus_half,
     pos_half_twist,
     require_equal,
+    tate_ladder,
     tate_twist,
     tensor,
     tensor_invariants,
@@ -85,8 +88,9 @@ class CoverSpec:
     `series`, the table's generating series (1 + ... + t^{d-2})^{k+1} of
     (k+1)(d-2) + 1 coefficients, is the one `up` hands on, or else
     `power_series(d, k + 1)`; it takes no part in equality, hashing or
-    repr.  All else on the spec is cached, read off the series at most
-    once, shared by every predicate given the spec, and freed with it."""
+    repr.  All else on the spec, V's Tate ladder too, is cached, read off
+    the series at most once, shared by every predicate given the spec,
+    and freed with it."""
 
     d: int
     k: int
@@ -133,6 +137,10 @@ class CoverSpec:
         if len(units) == self.d - 1:  # prime d: every residue is a unit
             return self.cohomology
         return self.cohomology.restrict_residues(units)
+
+    @cached_property
+    def ladder(self) -> list[Rung]:
+        return tate_ladder(self.V)
 
     @cached_property
     def normal_form(self) -> QTDecomposition:

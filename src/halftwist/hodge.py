@@ -46,9 +46,10 @@ predicate `has_positive_half_twist`, the error of `pos_half_twist`,
 `tate_ladder` and the cover predicates of `covers` all read it.
 Likewise `ladder_commutations` is the one comparison of the half twist
 with Tate twists: it reads a `tate_ladder`, one walk over the Tate
-twists V(m), m = 0..(lowest Hodge index), that half-twists each rung
-with a one-sided top piece once, so a caller that needs the rungs too
-(the round-trip sweep check) shares the walk instead of twisting again.
+twists V(m), m = 0..(lowest Hodge index), that checks unit support once
+and lowers each rung with a one-sided top piece once.  A cover holds its
+ladder (`CoverSpec.ladder`), so the round-trip check and the ledger's
+commutation claim read one walk instead of twisting again.
 """
 
 from __future__ import annotations
@@ -454,14 +455,14 @@ def tate_ladder(structure: CMHodgeStructure) -> list[Rung]:
     positive half twist), with None where the half twist is undefined,
     that is where the rung's top piece has `top_offenders`.  Tate twists
     keep the support, so unit support is checked once, for V, and its
-    error propagates.  Rung 0 is V itself, and each structure on the
-    ladder is half-twisted at most once."""
+    error propagates; each rung's top piece is read once, and a
+    one-sided rung is lowered once.  Rung 0 is V itself."""
     _require_unit_support(structure, "positive half twist")
     rungs = []
     for m in range(min(structure.hodge_numbers(), default=0) + 1):
-        lowered = tate_twist(structure, m) if m else structure
-        one_sided = not top_offenders(lowered, lowered.weight)
-        rungs.append((lowered, pos_half_twist(lowered) if one_sided else None))
+        rung = tate_twist(structure, m) if m else structure
+        one_sided = not top_offenders(rung, rung.weight)
+        rungs.append((rung, _shift_sigma0(rung, -1) if one_sided else None))
     return rungs
 
 
@@ -470,9 +471,10 @@ def ladder_commutations(rungs: list[Rung]) -> int:
     composites pos_half_twist(tate_twist(V, m)) and
     tate_twist(pos_half_twist(V), m) defined; ValueError at the first such
     m where they differ.  The second composite Tate-twists rung 0's half
-    twist, and only a TwistRangeError marks it undefined.  Without a half
-    twist of V no m has both composites; with one, m = 0 counts without a
-    comparison, since tate_twist(X, 0) is X itself."""
+    twist, and is defined wherever the first is: a twist at rung m leaves
+    V, by conjugation symmetry, no sigma0 entry at index m or below.
+    Without a half twist of V no m has both composites; with one, m = 0
+    counts without a comparison, since tate_twist(X, 0) is X itself."""
     twisted = rungs[0][1]
     if twisted is None:
         return 0
@@ -480,11 +482,7 @@ def ladder_commutations(rungs: list[Rung]) -> int:
     for m, (_, lhs) in enumerate(rungs[1:], start=1):
         if lhs is None:
             continue
-        try:
-            rhs = tate_twist(twisted, m)
-        except TwistRangeError:
-            continue
-        if lhs != rhs:
+        if lhs != tate_twist(twisted, m):
             raise ValueError(f"twist/Tate commutation fails at m={m}")
         compared += 1
     return compared

@@ -64,18 +64,17 @@ def _dim_identity(spec: CoverSpec) -> str:
 
 
 def _round_trip(spec: CoverSpec) -> str:
-    # one Tate ladder of V: rung 0 holds V and its half twist, rung q
-    # holds V(q) and its half twist, and the commutation count reads the
-    # same rungs
-    ladder = hodge.tate_ladder(covers.primitive_V(spec))
+    # the cover's Tate ladder of V, which the ledger's commutation claim
+    # reads too: rung 0 holds V and its half twist, rung q holds V(q) and
+    # its half twist, and the commutation count reads the same rungs
     done = []
     for name, tate in (("V", False), ("V(q)", True)):
         if covers.half_twist_exists_direct(spec, tate=tate):
-            rung, twisted = ladder[covers.qt_decompose(spec).q if tate else 0]
+            rung, twisted = spec.ladder[covers.qt_decompose(spec).q if tate else 0]
             if twisted is None or hodge.neg_half_twist(twisted) != rung:
                 raise ValueError(f"round trip fails on {name}")
             done.append(name)
-    compared = hodge.ladder_commutations(ladder)
+    compared = hodge.ladder_commutations(spec.ladder)
     if not done and not compared:
         return "no twist exists here"
     return f"round trips: {','.join(done) or 'none'}; commutations: {compared}"

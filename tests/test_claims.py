@@ -166,12 +166,13 @@ def test_a_failing_W_claim_names_what_differs(monkeypatch, claim_id, message):
     assert report.computed == f"error: {message}"
 
 
-# Each grid claim runs a sweep check; (claim, check, a cell of its grid).
+# Each grid claim runs a sweep check, or for the commutation claim a
+# cover's Tate ladder; (claim, check, a cell of its grid).
 SWEEP_BACKED = [
     ("lemma3.7.grid", "dim-identity", (9, 7)),
     ("prop3.5.checksum_grid", "z-checksum", (9, 7)),
     ("twists.roundtrip_grid", "round-trip", (8, 8)),
-    ("twists.tate_commutation", "round-trip", (9, 7)),
+    ("twists.tate_commutation", "tate commutation", (9, 7)),
     ("ks.cubic4_table", "ks-space", (3, 4)),
     ("ks.kondo_table", "ks-space", (4, 2)),
     ("cmtype.optimality_grid", "cmtype-search", (9, 7)),
@@ -186,14 +187,26 @@ def test_sweep_backed_claim_fails_with_one_failing_cell(
 ):
     claim = claim_named(claim_id)
     assert claims.evaluate(claim).status == claims.STATUS_PASS
-    real = sweeps.CHECKS[check]
+    if check == "tate commutation":
+        # the commutation count of the cover's ladder, told by rung 0, V
+        real_count = hodge.ladder_commutations
 
-    def one_cell_fails(spec):
-        if (spec.d, spec.k) == cell:
-            raise ValueError("forced failure")
-        return real(spec)
+        def one_count_fails(rungs):
+            V = rungs[0][0]
+            if (V.field.d, V.weight) == cell:
+                raise ValueError("forced failure")
+            return real_count(rungs)
 
-    monkeypatch.setitem(sweeps.CHECKS, check, one_cell_fails)
+        monkeypatch.setattr(hodge, "ladder_commutations", one_count_fails)
+    else:
+        real = sweeps.CHECKS[check]
+
+        def one_cell_fails(spec):
+            if (spec.d, spec.k) == cell:
+                raise ValueError("forced failure")
+            return real(spec)
+
+        monkeypatch.setitem(sweeps.CHECKS, check, one_cell_fails)
     report = claims.evaluate(claim)
     assert report.status == claims.STATUS_FAIL
     d, k = cell
@@ -265,8 +278,7 @@ def test_an_euler_fault_fails_its_claim_at_the_first_cell(monkeypatch):
 
 
 def test_a_verify_run_evaluates_each_sweep_cell_once(monkeypatch):
-    # two grid claims overlap (round trips on d <= 8, k <= 8 and on
-    # d <= 9, k <= 7); each shared cell runs once
+    # no two grid claims share a cell, and no claim runs a cell twice
     runs = Counter()
     real = sweeps.check_cover
 
@@ -281,6 +293,26 @@ def test_a_verify_run_evaluates_each_sweep_cell_once(monkeypatch):
     assert Counter(r.status for r in reports) == {
         claims.STATUS_PASS: 60, claims.STATUS_KNOWN: 5
     }
+
+
+def test_a_verify_run_walks_each_ladder_once(monkeypatch):
+    # the round-trip cells and the commutation claim read the ladder that
+    # the run's cover holds, so no ladder is walked twice; the claim walks
+    # every cell of its grid
+    walks = Counter()
+    real = hodge.tate_ladder
+
+    def counted(structure):
+        walks[(structure.field.d, structure.weight)] += 1
+        return real(structure)
+
+    monkeypatch.setattr(hodge, "tate_ladder", counted)
+    monkeypatch.setattr(covers, "tate_ladder", counted)
+    claims.run_verification()
+    assert set(walks.values()) == {1}
+    grid = set(product(claims.GRID_D, claims.GRID_K))
+    assert len(grid) == 49
+    assert grid <= set(walks)
 
 
 NO_COMMUTATION = (

@@ -457,6 +457,22 @@ def test_W_is_the_matched_tensor():
     assert W.rank == 22
 
 
+def test_W_is_two_shifted_copies_of_the_table_on_the_sweep_grid():
+    # h^p_a(W) = (d - 1 - a) h^p_a + (a - 1) h^{p-1}_a, the factors being
+    # the Fermat curve's h^{0,1} and h^{1,0} at residue -a; for d >= 4
+    # some factor exceeds 1, so W's table is no move of whole columns
+    for d in range(3, 26):
+        for spec in covers.tower(d, 15):
+            h, k = spec.cohomology, spec.k
+            vectors = {
+                a: [(d - 1 - a) * h.entry(p, a) + (a - 1) * h.entry(p - 1, a)
+                    for p in range(k + 2)]
+                for a in range(1, d)
+            }
+            expected = CMHodgeStructure(spec.field, k + 1, vectors)
+            hodge.require_equal(build_W(spec), expected, f"W of {spec}")
+
+
 def test_cubic_W_equals_twisted_half_twist():
     for k in range(2, 8):
         spec = CoverSpec(3, k)
@@ -661,16 +677,16 @@ def test_round_trip_cell_builds_one_table(table_builds, d, k):
 
 def test_round_trip_cell_half_twists_each_rung_once(monkeypatch):
     # (3, 7) has q = 2 and runs both round trips: V, V(1) and V(2) are
-    # each half-twisted once, for the round trips and the commutations
+    # each lowered once, for the round trips and the commutations
     seen = []
-    real = hodge.pos_half_twist
+    real = hodge._shift_sigma0
 
-    def counted(structure):
-        seen.append(structure)
-        return real(structure)
+    def counted(structure, step):
+        if step < 0:
+            seen.append(structure)
+        return real(structure, step)
 
-    monkeypatch.setattr(hodge, "pos_half_twist", counted)
-    monkeypatch.setattr(covers, "pos_half_twist", counted)
+    monkeypatch.setattr(hodge, "_shift_sigma0", counted)
     spec = CoverSpec(3, 7)
     cell = sweeps.check_cover("round-trip", spec)
     assert cell.ok

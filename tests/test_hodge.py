@@ -514,7 +514,7 @@ def test_an_unknown_matching_rule_fails_before_any_work():
 
 
 def test_tate_commutations_let_a_defect_propagate(monkeypatch):
-    # only TwistRangeError and NoHalfTwistError mark a composite undefined
+    # only a rung without a twist marks a composite undefined
     V = primitive_V(CoverSpec(4, 2))
     assert hodge.ladder_commutations(hodge.tate_ladder(V)) > 0
 
@@ -528,20 +528,39 @@ def test_tate_commutations_let_a_defect_propagate(monkeypatch):
 
 def test_tate_commutations_twist_the_structure_once(monkeypatch):
     V = primitive_V(CoverSpec(3, 7))
-    real = hodge.pos_half_twist
+    real = hodge._shift_sigma0
     seen = []
 
-    def counted(structure):
-        seen.append(structure)
-        return real(structure)
+    def counted(structure, step):
+        if step < 0:
+            seen.append(structure)
+        return real(structure, step)
 
-    monkeypatch.setattr(hodge, "pos_half_twist", counted)
+    monkeypatch.setattr(hodge, "_shift_sigma0", counted)
     compared = hodge.ladder_commutations(hodge.tate_ladder(V))
     assert compared > 1
     assert sum(structure is V for structure in seen) == 1
-    # one more half twist per m >= 1, of the Tate twist of V; m = 0
+    # one more lowering per m >= 1, of the Tate twist of V; m = 0
     # counts as the identity and rebuilds nothing
     assert len(seen) == compared
+
+
+def test_a_failing_twist_of_the_half_twist_fails_the_commutations(monkeypatch):
+    # wherever a rung has a twist, the Tate twist of V's half twist is
+    # defined, so a TwistRangeError there is a fault and not a composite
+    # left out of the count
+    V = primitive_V(CoverSpec(3, 7))
+    assert hodge.ladder_commutations(hodge.tate_ladder(V)) == 3
+    real = hodge.tate_twist
+
+    def refused(structure, m):
+        if structure.weight == V.weight - 1 and m >= 1:
+            raise TwistRangeError("forced range fault")
+        return real(structure, m)
+
+    monkeypatch.setattr(hodge, "tate_twist", refused)
+    with pytest.raises(TwistRangeError, match="forced range fault"):
+        hodge.ladder_commutations(hodge.tate_ladder(V))
 
 
 # ---------------------------------------------------------------------------

@@ -216,10 +216,12 @@ def test_the_hodge_column_counts_no_monomial_one_at_a_time():
     assert package_callers("count_bounded_monomials") == set()
 
 
-def test_the_ledger_runs_sweep_cells_only_through_its_memo():
-    # a grid claim takes its cells from the run's memo, so a cell that
-    # two claims share runs once
-    assert callers(PACKAGE / "claims.py", "check_cover") == {"_cell_memo.cell"}
+def test_the_ledger_runs_cells_and_ladders_only_on_its_covers():
+    # a grid claim runs its sweep cells on the run's covers, and a Tate
+    # ladder is walked only by the cover that holds it, so the round-trip
+    # cells and the commutation claim read one walk per cover
+    assert callers(PACKAGE / "claims.py", "check_cover") == {"_sweep_holds.cell"}
+    assert package_callers("tate_ladder") == {("covers", "CoverSpec.ladder")}
 
 
 def function_node(path, function):

@@ -9,9 +9,10 @@ top-level function or class of the package, public or private, that no
 module of the package refers to is dead code, unless the tracer times
 it.  The same scan finds dead class members: a method or property,
 dunders aside, whose name no attribute access in the package or in
-bench/*.py reads only serves the tests.  A second scan finds unused
-options: a defaulted parameter that no call in the package or in
-bench/*.py ever passes only serves the tests."""
+bench/*.py reads only serves the tests, and so does a module-level
+name, a constant or a type alias, that no package code reads.  A
+second scan finds unused options: a defaulted parameter that no call in
+the package or in bench/*.py ever passes only serves the tests."""
 
 import ast
 import importlib
@@ -46,13 +47,18 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_every_definition_is_referenced_or_traced():
-    # __init__.py only re-exports, so its imports are not references
-    trees = [
+def package_trees():
+    """The package's modules, parsed; __init__.py only re-exports, so
+    its imports are not references."""
+    return [
         ast.parse(path.read_text())
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     ]
+
+
+def test_every_definition_is_referenced_or_traced():
+    trees = package_trees()
     assert trees
     defined = {
         node.name
@@ -88,6 +94,29 @@ def test_every_definition_is_referenced_or_traced():
         if isinstance(node, ast.Attribute)
     }
     assert {(cls, name) for cls, name in members if name not in read} == set()
+
+
+def test_every_module_level_name_is_read():
+    # a constant or type alias is read by a load, bare or as an attribute;
+    # the assignment that defines it stores, and counts for nothing
+    trees = package_trees()
+    assigned = {
+        name.id
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    }
+    assert {"GRID_D", "ROUND_TRIP_K", "Specs", "Rung", "CHECKS"} <= assigned
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert assigned - read == set()
 
 
 def defaulted_parameters(tree):
