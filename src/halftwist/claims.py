@@ -10,9 +10,9 @@ loop, `_holds`.  It refuses an empty grid, on which the claim would
 hold by construction, and fails at the first cell whose check raises a
 ValueError, as `<name> fails at (d=..., k=...): <detail>`, or an
 `InvariantError`, whose detail then starts `InvariantError: `.  A
-sweep-backed claim runs a registered sweep check on every cell
-(`sweeps.check_cover`) and is named by it, so the ledger and the sweeps
-share one definition of each property.  `euler.matches_griffiths`
+sweep-backed claim calls a registered sweep check (`sweeps.CHECKS`) on
+the run's cover of every cell and is named by it, so the ledger and the
+sweeps share one definition of each property.  `euler.matches_griffiths`
 runs one part of the `dim-identity` cell, `covers.middle_rank_both_routes`,
 alone and on the recurrence's rank, where the cell reads the tower's.
 
@@ -21,7 +21,7 @@ One ledger run holds one `CoverSpec` per cover, its one memo:
 walk (`_tower_rows`), each walked once, on first read.  So a fault on
 the tower route fails the claims that read it, and what a cover caches,
 its Tate ladder too, is computed once per run.  No two grid claims
-share a cell, so no claim-level memo of cells is needed.
+share a cell, and no claim keeps a memo of its own.
 
 Two claim families are pre-registered as known discrepancies: the
 stated closed form of the existence criterion for odd degree, and the
@@ -33,7 +33,7 @@ value disagrees with the stated one by design, and they report status
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from itertools import product
 from typing import Callable, Iterable, Optional
 
@@ -242,15 +242,8 @@ def _holds(
 
 
 def _sweep_holds(spec: Specs, check: str, grid: Iterable[tuple[int, int]]) -> bool:
-    """`_holds` for a registered sweep check on the run's covers, named
-    by the check: a failing cell raises its detail."""
-
-    def cell(d: int, k: int) -> None:
-        ran = sweeps.check_cover(check, spec(d, k))
-        if not ran.ok:
-            raise ValueError(ran.detail)
-
-    return _holds(check, grid, cell)
+    """`_holds`, named by the check, calling it on the run's cover of each cell."""
+    return _holds(check, grid, lambda d, k: sweeps.CHECKS[check](spec(d, k)))
 
 
 def _tate_commutes_on_grid(spec: Specs) -> bool:
@@ -314,11 +307,13 @@ def all_claims() -> tuple[Claim, ...]:
     kondo = partial(spec, 4, 2)
     cubic4 = partial(spec, 3, 4)
     direct_tate = partial(covers.half_twist_exists_direct, tate=True)
-    # each twist is taken once per run, however many claims read it
-    kondo_twist = cache(lambda: hodge.abelian_summary(
-        hodge.pos_half_twist(covers.primitive_V(kondo()))))
-    cubic4_twist = cache(lambda: hodge.abelian_summary(
-        hodge.pos_half_twist(covers.full_level_V(cubic4()))))
+
+    def kondo_twist():
+        return hodge.abelian_summary(hodge.pos_half_twist(covers.primitive_V(kondo())))
+
+    def cubic4_twist():
+        return hodge.abelian_summary(
+            hodge.pos_half_twist(covers.full_level_V(cubic4())))
 
     claims = [
         # --- quartic surface / genus-3 suite

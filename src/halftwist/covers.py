@@ -31,18 +31,18 @@ and structure here reads, `primitive_V` too), V's Tate ladder
 (`spec.ladder`, which the round-trip check and the commutation claim
 read), the branch column (`spec.branch_column`, the primitive Hodge
 numbers of the branch locus, which the identities that link
-neighbouring storeys read) and the next storey (`spec.up`).  A row of
-covers (a sweep, the ledger, `curve_h1`) comes off `tower`, which steps
-up from P and walks `up`, so its tables and columns never read the
-recurrence that a single cover's series, `jacobian.power_series`, comes
-from: each road checks the other.  The (q, t) normal form is cached on
-the spec too (`qt_decompose` reads `spec.normal_form`).  These caches
-live and die with their spec, and `up` points only upward, so no
-storey keeps the one below it alive.  Three caches outlive a spec, all
-small and filled on first use, none at import: `curve_h1`, the
-Fermat-curve table that `build_W` tensors with, per degree; K_{-1/2}
-(`hodge.k_minus_half`), which `ks_invariant_space` and
-`quartic_W_split` tensor with, per field; and the field itself, one
+neighbouring storeys and the quartic isogeny report read) and the next
+storey (`spec.up`).  A row of covers (a sweep, the ledger, `curve_h1`)
+comes off `tower`, which steps up from P and walks `up`, so its tables
+and columns never read the recurrence that a single cover's series,
+`jacobian.power_series`, comes from: each road checks the other.  The
+(q, t) normal form is cached on the spec too (`qt_decompose` reads
+`spec.normal_form`).  These caches live and die with their spec, and
+`up` points only upward, so no storey keeps the one below it alive.
+Three caches outlive a spec, all small and filled on first use, none at
+import: `curve_h1`, the Fermat-curve table that `build_W` tensors with,
+per degree; K_{-1/2} (`hodge.k_minus_half`), which `ks_invariant_space`
+and `quartic_W_split` tensor with, per field; and the field itself, one
 frozen `CyclotomicData` per degree from `make_cyclotomic`.
 """
 
@@ -74,7 +74,6 @@ from .jacobian import (
     UnsupportedCaseError,
     eigenspace_dims,
     power_series,
-    primitive_hodge_column,
     residue_vectors,
     residue_zero_column,
     tower_step,
@@ -412,11 +411,11 @@ def quartic_W_split(spec: CoverSpec) -> list[int]:
 
 
 def quartic_isogeny_report(spec: CoverSpec) -> list[int]:
-    """Dimension bookkeeping for the intermediate Jacobian of the quartic
-    threefold over a plane quartic, from the quartic surface cover `spec`
-    (d = 4, k = 2): three copies of the genus-3 Jacobian, two copies of
-    the half-twist abelian 7-fold, seven CM elliptic curves.  No actual
-    isogeny is encoded, only ranks."""
+    """Dimension bookkeeping, ranks only, for the intermediate Jacobian of
+    the quartic threefold over a plane quartic, from the quartic surface
+    cover `spec` (d = 4, k = 2): three copies of the genus-3 Jacobian, two
+    copies of the half-twist abelian 7-fold, seven CM elliptic curves,
+    checked against the threefold's h^{2,1} off the tower, two storeys up."""
     if (spec.d, spec.k) != (4, 2):
         raise UnsupportedCaseError(f"report needs d = 4, k = 2, got {spec}")
     genus = curve_h1(4).rank // 2
@@ -425,7 +424,7 @@ def quartic_isogeny_report(spec: CoverSpec) -> list[int]:
     return _checked_ranks(
         "J of the quartic threefold",
         [3 * genus, 2 * a_c, 7 * a_k],
-        primitive_hodge_column(4, 3)[2],
+        spec.up.up.branch_column[2],
     )
 
 

@@ -166,6 +166,17 @@ def test_a_failing_W_claim_names_what_differs(monkeypatch, claim_id, message):
     assert report.computed == f"error: {message}"
 
 
+def failing_at(cell, error, real):
+    """The sweep check `real`, raising `error` on the cover of `cell`."""
+
+    def check(spec):
+        if (spec.d, spec.k) == cell:
+            raise error("forced failure")
+        return real(spec)
+
+    return check
+
+
 # Each grid claim runs a sweep check, or for the commutation claim a
 # cover's Tate ladder; (claim, check, a cell of its grid).
 SWEEP_BACKED = [
@@ -200,19 +211,26 @@ def test_sweep_backed_claim_fails_with_one_failing_cell(
         monkeypatch.setattr(hodge, "ladder_commutations", one_count_fails)
     else:
         real = sweeps.CHECKS[check]
-
-        def one_cell_fails(spec):
-            if (spec.d, spec.k) == cell:
-                raise ValueError("forced failure")
-            return real(spec)
-
-        monkeypatch.setitem(sweeps.CHECKS, check, one_cell_fails)
+        monkeypatch.setitem(sweeps.CHECKS, check, failing_at(cell, ValueError, real))
     report = claims.evaluate(claim)
     assert report.status == claims.STATUS_FAIL
     d, k = cell
     assert report.computed == (
         f"error: {check} fails at (d={d}, k={k}): forced failure"
     )
+    if check != "tate commutation":
+        # a broken invariant inside the check fails the claim with the
+        # detail that the sweep gives the same cell
+        monkeypatch.setitem(
+            sweeps.CHECKS, check, failing_at(cell, InvariantError, real)
+        )
+        swept = sweeps.check_cover(check, covers.CoverSpec(d, k))
+        assert (swept.ok, swept.detail) == (False, "InvariantError: forced failure")
+        report = claims.evaluate(claim)
+        assert report.status == claims.STATUS_FAIL
+        assert report.computed == (
+            f"error: {check} fails at (d={d}, k={k}): {swept.detail}"
+        )
 
 
 def test_the_grid_runner_refuses_an_empty_grid():
@@ -278,21 +296,72 @@ def test_an_euler_fault_fails_its_claim_at_the_first_cell(monkeypatch):
 
 
 def test_a_verify_run_evaluates_each_sweep_cell_once(monkeypatch):
-    # no two grid claims share a cell, and no claim runs a cell twice
+    # no two grid claims share a cell, and no claim runs a cell twice; a
+    # claim calls the registered check itself, so no sweep cell is made
     runs = Counter()
-    real = sweeps.check_cover
+    made = []
+    for name, real in list(sweeps.CHECKS.items()):
 
-    def counted(check, spec):
-        runs[(check, spec.d, spec.k)] += 1
-        return real(check, spec)
+        def counted(spec, name=name, real=real):
+            runs[(name, spec.d, spec.k)] += 1
+            return real(spec)
 
-    monkeypatch.setattr(sweeps, "check_cover", counted)
+        monkeypatch.setitem(sweeps.CHECKS, name, counted)
+    init = sweeps.SweepCell.__init__
+
+    def counted_cell(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sweeps.SweepCell, "__init__", counted_cell)
     reports = claims.run_verification()
     assert {("round-trip", 8, 7), ("dim-identity", 9, 7)} <= set(runs)
     assert set(runs.values()) == {1}
+    assert len(runs) == 190
+    assert made == []
     assert Counter(r.status for r in reports) == {
         claims.STATUS_PASS: 60, claims.STATUS_KNOWN: 5
     }
+
+
+def test_the_two_roads_to_h21_of_the_quartic_threefold_fail_apart(monkeypatch):
+    # h^{2,1} = 30 of the quartic threefold: `kondo.h21_quartic_threefold`
+    # reads it off the recurrence, and the isogeny checksum off the
+    # branch column of the (4, 4) storey on the Kondo cover's tower, so
+    # a fault on either road fails one claim and leaves the other; each
+    # evaluation lists the claims anew, on covers made under the fault
+    def evaluated(claim_id):
+        return claims.evaluate(claim_named(claim_id))
+
+    with monkeypatch.context() as patch:
+        real_column = jacobian.residue_zero_column
+
+        def bumped(series, d, k):
+            column = real_column(series, d, k)
+            if (d, k) == (4, 4):  # the column of the quartic threefold
+                column = column[:2] + (column[2] + 1,) + column[3:]
+            return column
+
+        patch.setattr(jacobian, "residue_zero_column", bumped)
+        assert jacobian.primitive_hodge_column(4, 3)[2] == 31
+        assert evaluated("kondo.h21_quartic_threefold").computed == 31
+        assert evaluated("kondo.isogeny_checksum").status == claims.STATUS_PASS
+    real_step = covers.tower_step
+
+    def step(series, d):
+        up = real_step(series, d)
+        if (d, len(up)) == (4, 11):  # the series of the (4, 4) storey
+            # both halves, so the table stays symmetric; entry 2 of the
+            # branch column reads index 3
+            up[3] += 1
+            up[7] += 1
+        return up
+
+    monkeypatch.setattr(covers, "tower_step", step)
+    assert evaluated("kondo.isogeny_checksum").computed == (
+        "error: J of the quartic threefold: checksum 30 != expected 31"
+    )
+    assert evaluated("kondo.h21_quartic_threefold").status == claims.STATUS_PASS
 
 
 def test_a_verify_run_walks_each_ladder_once(monkeypatch):

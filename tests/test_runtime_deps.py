@@ -135,9 +135,9 @@ def test_the_ledger_reads_no_cell_text():
     assert details == []
 
 
-def callers(path, name):
-    """The dotted scopes (class and function names) in a module that call
-    `name`, bare or as an attribute; module level is the empty string."""
+def scopes(path, matches):
+    """The dotted scopes (class and function names) in a module that hold
+    a node for which `matches` is true; module level is the empty string."""
     found = set()
 
     def visit(node, scope):
@@ -145,17 +145,24 @@ def callers(path, name):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = func.id if isinstance(func, ast.Name) else getattr(
-                    func, "attr", None
-                )
-                if called == name:
-                    found.add(".".join(scope))
+            if matches(child):
+                found.add(".".join(scope))
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), ())
     return found
+
+
+def named(node):
+    """The name a node reads, bare or as an attribute, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def callers(path, name):
+    """The dotted scopes in a module that call `name`, bare or as an
+    attribute."""
+    return scopes(path, lambda node: isinstance(node, ast.Call)
+                  and named(node.func) == name)
 
 
 def package_callers(name):
@@ -196,9 +203,10 @@ def test_a_cover_table_is_read_only_through_its_spec():
 
 
 def test_the_tower_identities_read_their_columns_off_the_tower():
-    # Lemma 3.7 and the graded checksum read the branch columns of the
-    # storeys they link, never a column off the recurrence
-    for function in ("z_decomposition", "dim_identity_terms"):
+    # Lemma 3.7, the graded checksum and the quartic isogeny report read
+    # the branch columns of the storeys they link, never a column off the
+    # recurrence
+    for function in ("z_decomposition", "dim_identity_terms", "quartic_isogeny_report"):
         calls = calls_in(PACKAGE / "covers.py", function)
         for name in ("power_series", "primitive_hodge_column", "primitive_middle_rank"):
             assert calls[name] == 0, (function, name)
@@ -217,11 +225,27 @@ def test_the_hodge_column_counts_no_monomial_one_at_a_time():
 
 
 def test_the_ledger_runs_cells_and_ladders_only_on_its_covers():
-    # a grid claim runs its sweep cells on the run's covers, and a Tate
-    # ladder is walked only by the cover that holds it, so the round-trip
-    # cells and the commutation claim read one walk per cover
-    assert callers(PACKAGE / "claims.py", "check_cover") == {"_sweep_holds.cell"}
+    # a grid claim calls its registered sweep check on the run's covers,
+    # without the sweeps' cell wrapper, and a Tate ladder is walked only
+    # by the cover that holds it, so the round-trip cells and the
+    # commutation claim read one walk per cover
+    path = PACKAGE / "claims.py"
+    assert callers(path, "check_cover") == set()
+    assert scopes(path, lambda node: named(node) == "CHECKS") == {"_sweep_holds"}
     assert package_callers("tate_ladder") == {("covers", "CoverSpec.ladder")}
+
+
+def test_the_ledger_keeps_no_memo_but_its_covers():
+    # a value that several claims read is recomputed by each, so nothing
+    # outlives a run but what its covers cache
+    imported = {
+        (getattr(node, "module", None), alias.name)
+        for node in ast.walk(ast.parse((PACKAGE / "claims.py").read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    from_functools = {pair for pair in imported if "functools" in pair}
+    assert from_functools == {("functools", "partial")}
 
 
 def function_node(path, function):
@@ -237,7 +261,7 @@ def calls_in(path, function):
     """How often each name is called, bare or as an attribute, inside
     the module-level function `function` of a module."""
     return Counter(
-        call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        named(call.func)
         for call in ast.walk(function_node(path, function))
         if isinstance(call, ast.Call)
     )
